@@ -42,6 +42,17 @@ class NotPositiveError(ValueError):
     pass
 
 
+def _top_singular_value(blocks) -> float:
+    """Largest singular value over a list of square matrices; 0 when all vanish."""
+    out = 0.0
+    for a in blocks:
+        if not a.any():
+            continue
+        top = eig_hermitian(a.conj().T @ a).values[0]
+        out = max(out, float(np.sqrt(max(top, 0.0))))
+    return out
+
+
 @dataclass(frozen=True)
 class AlgebraShape:
     """Direct-sum signature: the matrix size of each block."""
@@ -159,14 +170,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """C*-norm: the largest singular value over all blocks."""
-        out = 0.0
-        for a in self.blocks:
-            if not a.any():
-                continue
-            gram = a.conj().T @ a
-            top = eig_hermitian(gram).values[0]
-            out = max(out, float(np.sqrt(max(top, 0.0))))
-        return out
+        return _top_singular_value(self.blocks)
 
     def isclose(self, other: AlgebraElement, tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol
@@ -190,7 +194,7 @@ def is_projection(a: AlgebraElement, tol: float = 1e-9) -> bool:
 
 
 def _check_selfadjoint(a: AlgebraElement, what: str):
-    if (a - a.adjoint()).norm() > 1e-10 * (1.0 + a.norm()):
+    if not a.is_selfadjoint():
         raise NotSelfAdjointError(f"{what} must be self-adjoint")
 
 

@@ -1,7 +1,8 @@
 """Command-line driver.
 
-Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
-malformed or unusable input. Problems and solutions travel as JSON files;
+Exit codes: 0 when every check passes, 1 on a verification failure or when
+the eigensolver does not converge, 2 on a malformed or unusable input,
+including a --tol outside (0, 1). Problems and solutions travel as JSON files;
 see the io module for the schemas.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .algebra import NotSelfAdjointError, leq
 from .diagonalize import diagonalize_selfadjoint
-from .eigen import NotNormalError, eig_hermitian, eig_normal
+from .eigen import ConvergenceError, NotNormalError, eig_hermitian, eig_normal
 from .gallery import projection_ladder, two_block_gallery
 from .io import InputFormatError, parse_problem, parse_solution, serialize_report, serialize_solution
 from .modules import inner, left_action
@@ -159,6 +160,16 @@ def _alpha_list(text: str):
     return values
 
 
+def _tol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moddiag",
@@ -168,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagonalize", help="diagonalize a problem file and verify the output")
     p.add_argument("--input", required=True, help="problem JSON file")
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance (default 1e-9)")
+    p.add_argument("--tol", type=_tol, default=1e-9, help="residual tolerance in (0, 1) (default 1e-9)")
     p.add_argument("--moment-tol", type=float, default=1e-7, help="relative moment tolerance")
     p.add_argument("--out", help="write the verification report JSON here")
     p.add_argument("--solution", help="write the solution JSON here")
@@ -177,20 +188,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify an externally supplied solution")
     p.add_argument("--input", required=True, help="problem JSON file")
     p.add_argument("--solution", required=True, help="solution JSON file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol, default=1e-9)
     p.add_argument("--moment-tol", type=float, default=1e-7)
     p.add_argument("--out", help="write the verification report JSON here")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("example8", help="run the rank-2 fixture with its three eigenvector families")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol, default=1e-9)
     p.add_argument("--out", help="write the verification report JSON here")
     p.set_defaults(func=_cmd_example8)
 
     p = sub.add_parser("prop4", help="run the projection ladder construction")
     p.add_argument("--n", type=int, required=True, help="number of blocks and module rank")
     p.add_argument("--alphas", type=_alpha_list, default=None, help="comma-separated couplings")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol, default=1e-9)
     p.add_argument("--out", help="write the verification report JSON here")
     p.set_defaults(func=_cmd_prop4)
 
@@ -214,6 +225,9 @@ def main(argv=None) -> int:
     except (NotSelfAdjointError, NotNormalError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

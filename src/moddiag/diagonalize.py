@@ -17,14 +17,15 @@ order relations linking every eigenvalue through the zero element.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .algebra import AlgebraElement, NotSelfAdjointError
 from .eigen import NotNormalError, eig_hermitian, eig_normal
-from .modules import ModuleElement
+from .modules import HilbertModule, ModuleElement
 from .operators import ModuleOperator
 
 __all__ = [
@@ -105,70 +106,78 @@ class DiagonalizationResult:
         return tuple(out)
 
 
-def _mark(value: float, zero_tol: float) -> int:
-    if value > zero_tol:
-        return 1
-    if value < -zero_tol:
-        return -1
-    return 0
+def _windows(spectra, block_sizes, zero_tol: float):
+    """Labels, read-ascending flags and order certificate for the n windows.
 
+    spectra holds one descending scalar spectrum per algebra block; window m
+    takes ranks m*k .. (m+1)*k - 1 of the spectrum of each block of size k,
+    so window m dominates window m+1 entrywise. A scalar's sign mark is 1
+    above zero_tol, -1 below -zero_tol and 0 in between. A window whose
+    smallest mark is 1 is positive and takes the next odd label from the top
+    down; one whose largest mark is -1 is negative and takes the next even
+    label from the bottom up; the rest take the free labels in ascending
+    order from the top down. A window reads ascending when it is negative,
+    or when it is not positive and lies in the bottom half.
+    """
+    n = len(spectra[0]) // block_sizes[0]
+    lows, highs = [], []
+    for m in range(n):
+        window = np.concatenate([s[m * k : (m + 1) * k] for s, k in zip(spectra, block_sizes)])
+        lo, hi = float(window.min()), float(window.max())
+        lows.append(int(lo > zero_tol) - int(lo < -zero_tol))
+        highs.append(int(hi > zero_tol) - int(hi < -zero_tol))
 
-def _combine_marks(marks) -> str:
-    s = set(marks)
-    if s == {1}:
-        return "pos"
-    if s == {-1}:
-        return "neg"
-    if s == {0}:
-        return "zero"
-    return "mixed"
-
-
-def _assign_labels(classes: Sequence[str]) -> list:
-    """Labels for windows listed from the top of the spectrum down."""
-    n = len(classes)
     labels: list = [None] * n
-    nxt = 1
+    odd, even = itertools.count(1, 2), itertools.count(2, 2)
     for m in range(n):
-        if classes[m] == "pos":
-            labels[m] = nxt
-            nxt += 2
-    nxt = 2
-    for m in range(n - 1, -1, -1):
-        if classes[m] == "neg":
-            labels[m] = nxt
-            nxt += 2
-    used = {l for l in labels if l is not None}
-    nxt = 1
-    for m in range(n):
-        if labels[m] is None:
-            while nxt in used:
-                nxt += 1
-            labels[m] = nxt
-            used.add(nxt)
-    return labels
+        if lows[m] == 1:
+            labels[m] = next(odd)
+    for m in reversed(range(n)):
+        if highs[m] == -1:
+            labels[m] = next(even)
+    taken = set(labels)
+    free = (label for label in itertools.count(1) if label not in taken)
+    labels = [next(free) if label is None else label for label in labels]
 
+    reverse = [highs[m] == -1 or (lows[m] < 1 and m >= (n + 1) // 2) for m in range(n)]
 
-def _direction(cls: str, side: str) -> str:
-    if cls == "pos":
-        return "desc"
-    if cls == "neg":
-        return "asc"
-    return "desc" if side == "top" else "asc"
-
-
-def _certificate(labels, nonneg, nonpos) -> tuple:
-    n = len(labels)
-    relations = []
-    for m in range(n - 1, 0, -1):
-        relations.append(OrderRelation(labels[m], labels[m - 1]))
-    first_nonpos = next((m for m in range(n) if nonpos[m]), None)
+    certificate = [OrderRelation(labels[m], labels[m - 1]) for m in range(n - 1, 0, -1)]
+    first_nonpos = next((m for m in range(n) if highs[m] <= 0), None)
     if first_nonpos is not None:
-        relations.append(OrderRelation(labels[first_nonpos], None))
-    last_nonneg = next((m for m in range(n - 1, -1, -1) if nonneg[m]), None)
+        certificate.append(OrderRelation(labels[first_nonpos], None))
+    last_nonneg = next((m for m in reversed(range(n)) if lows[m] >= 0), None)
     if last_nonneg is not None:
-        relations.append(OrderRelation(None, labels[last_nonneg]))
-    return tuple(relations)
+        certificate.append(OrderRelation(None, labels[last_nonneg]))
+    return labels, reverse, tuple(certificate)
+
+
+def _pairs(module: HilbertModule, spectra, labels, reverse) -> tuple:
+    """Eigenpairs with unit supports, sorted by label.
+
+    spectra holds (values, row eigenvectors) per algebra block; pair m takes
+    the ranks of window m, in reverse order where reverse[m] is set.
+    """
+    shape = module.shape
+    pairs = []
+    for m, (label, rev) in enumerate(zip(labels, reverse)):
+        stacked = []
+        diag_blocks = []
+        for (values, vectors), k in zip(spectra, shape.block_sizes):
+            ranks = np.arange(m * k, (m + 1) * k)
+            if rev:
+                ranks = ranks[::-1]
+            stacked.append(vectors[ranks, :])
+            diag_blocks.append(np.diag(values[ranks].astype(np.complex128)))
+        pairs.append(
+            EigenPair(
+                vector=ModuleElement(module, stacked),
+                value=AlgebraElement(shape, diag_blocks),
+                support=shape.identity(),
+                label=label,
+            )
+        )
+    pairs.sort(key=lambda p: p.label)
+    return tuple(pairs)
 
 
 def order_eigenvalues(scalars, block_size: int, zero_tol: float = 0.0):
@@ -188,29 +197,14 @@ def order_eigenvalues(scalars, block_size: int, zero_tol: float = 0.0):
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     order = np.argsort(-vals, kind="stable")
-    n = vals.size // block_size
-    windows = [order[m * block_size : (m + 1) * block_size] for m in range(n)]
-    classes = [_combine_marks(_mark(vals[i], zero_tol) for i in w) for w in windows]
-    labels = _assign_labels(classes)
-    top_count = (n + 1) // 2
+    labels, reverse, _ = _windows([vals[order]], (block_size,), zero_tol)
     slots = []
-    for m in range(n):
-        side = "top" if m < top_count else "bottom"
-        idx = windows[m]
-        if _direction(classes[m], side) == "asc":
+    for m, (label, rev) in enumerate(zip(labels, reverse)):
+        idx = order[m * block_size : (m + 1) * block_size]
+        if rev:
             idx = idx[::-1]
-        slots.append(
-            Slot(labels[m], tuple(float(vals[i]) for i in idx), tuple(int(i) for i in idx))
-        )
+        slots.append(Slot(label, tuple(float(vals[i]) for i in idx), tuple(int(i) for i in idx)))
     return slots
-
-
-def _operator_scale(eigs) -> float:
-    out = 0.0
-    for values in eigs:
-        if values.size:
-            out = max(out, abs(float(values[0])), abs(float(values[-1])))
-    return out
 
 
 def diagonalize_selfadjoint(K: ModuleOperator, tol: float = 1e-9) -> DiagonalizationResult:
@@ -224,53 +218,15 @@ def diagonalize_selfadjoint(K: ModuleOperator, tol: float = 1e-9) -> Diagonaliza
         raise ValueError("tol must be in (0, 1)")
     if not K.is_selfadjoint(tol):
         raise NotSelfAdjointError("operator is not self-adjoint within tolerance")
-    module = K.module
-    shape = module.shape
-    n = module.rank
-    eig_values = []
-    eig_vectors = []
+    spectra = []
     for blk in K.blocks:
         res = eig_hermitian((blk + blk.conj().T) / 2.0, tol=min(tol, 1e-12))
-        eig_values.append(res.values)
-        eig_vectors.append(res.vectors)
-    zero_tol = tol * _operator_scale(eig_values)
-
-    classes = []
-    nonneg = []
-    nonpos = []
-    for m in range(n):
-        marks = []
-        for values, k in zip(eig_values, shape.block_sizes):
-            marks.extend(_mark(float(v), zero_tol) for v in values[m * k : (m + 1) * k])
-        classes.append(_combine_marks(marks))
-        nonneg.append(min(marks) >= 0)
-        nonpos.append(max(marks) <= 0)
-    labels = _assign_labels(classes)
-
-    top_count = (n + 1) // 2
-    pairs = []
-    for m in range(n):
-        side = "top" if m < top_count else "bottom"
-        reverse = _direction(classes[m], side) == "asc"
-        stacked = []
-        diag_blocks = []
-        for values, vectors, k in zip(eig_values, eig_vectors, shape.block_sizes):
-            ranks = list(range(m * k, (m + 1) * k))
-            if reverse:
-                ranks.reverse()
-            stacked.append(vectors[ranks, :])
-            diag_blocks.append(np.diag(values[ranks].astype(np.complex128)))
-        pairs.append(
-            EigenPair(
-                vector=ModuleElement(module, stacked),
-                value=AlgebraElement(shape, diag_blocks),
-                support=shape.identity(),
-                label=labels[m],
-            )
-        )
-    pairs.sort(key=lambda p: p.label)
-    certificate = _certificate(labels, nonneg, nonpos)
-    return DiagonalizationResult(tuple(pairs), certificate, float(tol))
+        spectra.append((res.values, res.vectors))
+    values = [v for v, _ in spectra]
+    zero_tol = tol * max(float(np.abs(v).max()) for v in values)
+    labels, reverse, certificate = _windows(values, K.module.shape.block_sizes, zero_tol)
+    pairs = _pairs(K.module, spectra, labels, reverse)
+    return DiagonalizationResult(pairs, certificate, float(tol))
 
 
 def diagonalize_normal(K: ModuleOperator, tol: float = 1e-9) -> DiagonalizationResult:
@@ -279,27 +235,7 @@ def diagonalize_normal(K: ModuleOperator, tol: float = 1e-9) -> DiagonalizationR
         raise ValueError("tol must be in (0, 1)")
     if not K.is_normal(tol):
         raise NotNormalError("operator is not normal within tolerance")
-    module = K.module
-    shape = module.shape
-    n = module.rank
-    pairs = []
-    spectra = []
-    for blk in K.blocks:
-        values, vectors = eig_normal(blk, tol=min(tol, 1e-10))
-        spectra.append((values, vectors))
-    for m in range(n):
-        stacked = []
-        diag_blocks = []
-        for (values, vectors), k in zip(spectra, shape.block_sizes):
-            ranks = slice(m * k, (m + 1) * k)
-            stacked.append(vectors[ranks, :])
-            diag_blocks.append(np.diag(values[ranks]))
-        pairs.append(
-            EigenPair(
-                vector=ModuleElement(module, stacked),
-                value=AlgebraElement(shape, diag_blocks),
-                support=shape.identity(),
-                label=m + 1,
-            )
-        )
-    return DiagonalizationResult(tuple(pairs), (), float(tol))
+    spectra = [eig_normal(blk, tol=min(tol, 1e-10)) for blk in K.blocks]
+    n = K.module.rank
+    pairs = _pairs(K.module, spectra, range(1, n + 1), [False] * n)
+    return DiagonalizationResult(pairs, (), float(tol))

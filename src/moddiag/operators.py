@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, ShapeMismatchError, is_projection
-from .eigen import eig_hermitian
+from .algebra import AlgebraElement, ShapeMismatchError, _top_singular_value, is_projection
 from .modules import HilbertModule, ModuleElement
 
 __all__ = [
@@ -138,14 +137,7 @@ class ModuleOperator:
 
     def norm(self) -> float:
         """Operator norm: the top singular value of the flattened action."""
-        out = 0.0
-        for blk in self.blocks:
-            if not blk.any():
-                continue
-            gram = blk.conj().T @ blk
-            top = eig_hermitian(gram).values[0]
-            out = max(out, float(np.sqrt(max(top, 0.0))))
-        return out
+        return _top_singular_value(self.blocks)
 
     def entrywise_max(self) -> float:
         return max(float(np.abs(blk).max()) for blk in self.blocks)

@@ -88,6 +88,37 @@ def test_order_validation():
         order_eigenvalues([1.0], 1, zero_tol=-1.0)
 
 
+def test_windows_across_blocks_frozen():
+    # windows span both blocks: the sign class of a window comes from all of
+    # its scalars, the mixed bottom-half window reads ascending, and the two
+    # links through zero land on different windows
+    mod = module_over((2, 1), 4)
+    k = ModuleOperator(
+        mod,
+        [np.diag([5.0, 4.0, 1.0, -1.0, 0.0, 0.0, -2.0, -3.0]), np.diag([2.0, 0.5, 0.0, -6.0])],
+    )
+    res = diagonalize_selfadjoint(k)
+    want = {
+        1: ([5.0, 4.0], [2.0]),
+        2: ([-3.0, -2.0], [-6.0]),
+        3: ([1.0, 0.0], [0.5]),
+        4: ([-1.0, 0.0], [0.0]),
+    }
+    assert res.labels() == (1, 2, 3, 4)
+    for label, blocks in want.items():
+        got = res.pair_by_label(label).value.blocks
+        for blk, diag in zip(got, blocks):
+            assert np.abs(blk - np.diag(diag)).max() <= 1e-12, (label, blk)
+    assert [r.describe() for r in res.ordering_certificate] == [
+        "L2 <= L4",
+        "L4 <= L3",
+        "L3 <= L1",
+        "L4 <= 0",
+        "0 <= L3",
+    ]
+    assert verify_eigensystem(k, res).overall
+
+
 def test_zero_operator():
     mod = module_over((2,), 2)
     res = diagonalize_selfadjoint(ModuleOperator.zero(mod))

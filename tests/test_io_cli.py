@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moddiag import (
+    ConvergenceError,
     InputFormatError,
     diagonalize_selfadjoint,
     parse_problem,
@@ -15,6 +16,7 @@ from moddiag import (
     serialize_solution,
     verify_eigensystem,
 )
+import moddiag.cli
 from moddiag.cli import main
 
 from helpers import module_over, random_selfadjoint_operator
@@ -192,3 +194,22 @@ def test_cli_prop4(tmp_path, capsys):
 def test_cli_alphas_must_be_numbers():
     with pytest.raises(SystemExit):
         main(["prop4", "--n", "2", "--alphas", "a,b"])
+
+
+def test_cli_tol_out_of_range_is_a_usage_error():
+    # rejected by the argument parser before any output, with exit code 2
+    for tol in ("0", "1", "-1e-9", "nan", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["prop4", "--n", "3", "--tol", tol])
+        assert exc.value.code == 2
+
+
+def test_cli_solver_nonconvergence_exits_1(tmp_path, monkeypatch, capsys):
+    def fail(K, tol):
+        raise ConvergenceError("Jacobi did not converge")
+
+    monkeypatch.setattr(moddiag.cli, "diagonalize_selfadjoint", fail)
+    problem = _write(tmp_path, "problem.json", _problem_text())
+    assert main(["diagonalize", "--input", problem]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "did not converge" in err
