@@ -180,7 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagonalize", help="diagonalize a problem file and verify the output")
     p.add_argument("--input", required=True, help="problem JSON file")
     p.add_argument("--tol", type=_tol, default=1e-9, help="residual tolerance in (0, 1) (default 1e-9)")
-    p.add_argument("--moment-tol", type=float, default=1e-7, help="relative moment tolerance")
+    p.add_argument(
+        "--moment-tol", type=_tol, default=1e-7, help="relative moment tolerance in (0, 1) (default 1e-7)"
+    )
     p.add_argument("--out", help="write the verification report JSON here")
     p.add_argument("--solution", help="write the solution JSON here")
     p.set_defaults(func=_cmd_diagonalize)
@@ -189,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="problem JSON file")
     p.add_argument("--solution", required=True, help="solution JSON file")
     p.add_argument("--tol", type=_tol, default=1e-9)
-    p.add_argument("--moment-tol", type=float, default=1e-7)
+    p.add_argument("--moment-tol", type=_tol, default=1e-7)
     p.add_argument("--out", help="write the verification report JSON here")
     p.set_defaults(func=_cmd_verify)
 

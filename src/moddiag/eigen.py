@@ -1,6 +1,6 @@
 """Dense complex Hermitian and normal eigensolvers.
 
-A self-contained cyclic Jacobi implementation. Every spectral computation
+A self-contained complex Jacobi implementation. Every spectral computation
 in this package funnels through the two entry points below, which keeps
 accuracy and tie-breaking behaviour in one place. Intended for the small
 dense matrices this library works with.
@@ -8,6 +8,9 @@ dense matrices this library works with.
 
 from __future__ import annotations
 
+import functools
+import logging
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +26,12 @@ __all__ = [
 ]
 
 MAX_SWEEPS = 60
+
+# Order from which eig_hermitian sweeps in round-robin rounds rather than
+# one rotation at a time; design-notes.md has the timings that place it.
+_TOURNAMENT_MIN_ORDER = 6
+
+_log = logging.getLogger(__name__)
 
 
 class ConvergenceError(RuntimeError):
@@ -81,8 +90,130 @@ def _fix_row_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=128)
+def _tournament_rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Round-robin schedule of all pairs ``p < q`` of ``range(d)``, as index arrays.
+
+    ``d`` is rounded up to an even ``n``; the ``n - 1`` rounds each hold
+    ``n / 2`` disjoint pairs (circle method: index ``n - 1`` stays put while
+    the others turn one seat per round). A pair holding the padding index
+    ``d`` (odd ``d`` only) is dropped. The arrays are read-only because
+    every caller shares them.
+    """
+    n = d + d % 2
+    rounds = []
+    for r in range(n - 1):
+        seats = [(r, n - 1)] + [((r + i) % (n - 1), (r - i) % (n - 1)) for i in range(1, n // 2)]
+        pairs = sorted((min(x, y), max(x, y)) for x, y in seats if max(x, y) < d)
+        p = np.array([x for x, _ in pairs], dtype=np.intp)
+        q = np.array([y for _, y in pairs], dtype=np.intp)
+        p.setflags(write=False)
+        q.setflags(write=False)
+        rounds.append((p, q))
+    return tuple(rounds)
+
+
+def _cyclic_sweep(a: np.ndarray, v: np.ndarray, thr: float) -> int:
+    """One row-cyclic sweep, one rotation at a time; returns the rotations applied."""
+    d = a.shape[0]
+    applied = 0
+    for p in range(d - 1):
+        for q in range(p + 1, d):
+            m = a[p, q]
+            beta = abs(m)
+            if beta <= thr:
+                continue
+            app = a[p, p].real
+            aqq = a[q, q].real
+            tau = (aqq - app) / (2.0 * beta)
+            t = 1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau))
+            if tau < 0.0:
+                t = -t
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sc = (t * c) * (m / beta)
+            csc = np.conj(sc)
+            col_p = a[:, p].copy()
+            col_q = a[:, q].copy()
+            a[:, p] = c * col_p - csc * col_q
+            a[:, q] = sc * col_p + c * col_q
+            row_p = a[p, :].copy()
+            row_q = a[q, :].copy()
+            a[p, :] = c * row_p - sc * row_q
+            a[q, :] = csc * row_p + c * row_q
+            # the 2x2 core is known in closed form; writing it back
+            # kills the rounding drift of the slice updates
+            a[p, p] = app - t * beta
+            a[q, q] = aqq + t * beta
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            vp = v[p, :].copy()
+            vq = v[q, :].copy()
+            v[p, :] = c * vp - sc * vq
+            v[q, :] = csc * vp + c * vq
+            applied += 1
+    return applied
+
+
+def _tournament_sweep(a: np.ndarray, v: np.ndarray, thr: float) -> int:
+    """One sweep in round-robin order, a round of disjoint rotations per step.
+
+    Same rotation and core write-back as ``_cyclic_sweep``. The rotations
+    of one round touch disjoint row and column pairs, so they commute and
+    none reads an entry another writes: applying all column updates, then
+    all row updates, equals applying the rotations one after another.
+    Returns the rotations applied.
+    """
+    applied = 0
+    for p, q in _tournament_rounds(a.shape[0]):
+        m = a[p, q]
+        beta = np.abs(m)
+        live = beta > thr
+        if not live.all():
+            if not live.any():
+                continue
+            p, q, m, beta = p[live], q[live], m[live], beta[live]
+        app = a[p, p].real
+        aqq = a[q, q].real
+        tau = (aqq - app) / (2.0 * beta)
+        t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+        t = np.where(tau < 0.0, -t, t)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        sc = (t * c) * (m / beta)
+        csc = np.conj(sc)
+        col_p = a[:, p]
+        col_q = a[:, q]
+        a[:, p] = c * col_p - csc * col_q
+        a[:, q] = sc * col_p + c * col_q
+        c_r, sc_r, csc_r = c[:, None], sc[:, None], csc[:, None]
+        row_p = a[p, :]
+        row_q = a[q, :]
+        a[p, :] = c_r * row_p - sc_r * row_q
+        a[q, :] = csc_r * row_p + c_r * row_q
+        a[p, p] = app - t * beta
+        a[q, q] = aqq + t * beta
+        a[p, q] = 0.0
+        a[q, p] = 0.0
+        vp = v[p, :]
+        vq = v[q, :]
+        v[p, :] = c_r * vp - sc_r * vq
+        v[q, :] = csc_r * vp + c_r * vq
+        applied += p.size
+    return applied
+
+
+def _solve_stats(d, tournament, sweeps, rotations, off, target, e) -> str:
+    # the norms are reported in the units of the input, not of the scaled block
+    with np.errstate(over="ignore"):
+        off, target = np.ldexp(off, e), np.ldexp(target, e)
+    ordering = "tournament" if tournament else "cyclic"
+    return (
+        f"d={d}, {ordering} ordering, {sweeps} sweeps, {rotations} rotations, "
+        f"off-diagonal norm {off:.3e} (target {target:.3e})"
+    )
+
+
 def eig_hermitian(matrix, tol: float = 1e-12) -> HermitianEig:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix by complex Jacobi rotations.
 
     Parameters
     ----------
@@ -100,67 +231,56 @@ def eig_hermitian(matrix, tol: float = 1e-12) -> HermitianEig:
         Ties keep the sweep order (stable sort); each row's phase is fixed
         by making its first sizable component real positive, so the output
         is deterministic for a fixed input.
+
+    Notes
+    -----
+    The block is first scaled by the power of two that brings its largest
+    entry into ``[1/2, 1)``, and the values are scaled back, both exactly,
+    so no squared entry under- or overflows and ``eig_hermitian(2**k * A)``
+    returns ``2**k`` times the values of ``A``. Blocks of order
+    ``_TOURNAMENT_MIN_ORDER`` and up sweep in round-robin order, a round of
+    disjoint rotations per numpy step; smaller ones sweep row-cyclically,
+    where per-call overhead outweighs the vectorization. One DEBUG record
+    on the ``moddiag.eigen`` logger reports each call's sweeps, rotations
+    and final off-diagonal norm.
     """
     h = _square_complex(matrix)
     scale = float(np.abs(h).max())
     if float(np.abs(h - h.conj().T).max()) > tol * (1.0 + scale):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     d = h.shape[0]
-    a = 0.5 * (h + h.conj().T)
     v = np.eye(d, dtype=np.complex128)
     if d == 1:
-        vals = np.array([a[0, 0].real])
-        return HermitianEig(vals, v)
+        _log.debug("eig_hermitian d=1, no rotation needed")
+        return HermitianEig(np.array([h[0, 0].real]), v)
 
+    # exact scaling by 2**-e on the real and imaginary parts; the factor
+    # itself is not formed, since 2.0**-e overflows for subnormal input
+    e = math.frexp(scale)[1]
+    a = np.ldexp(np.ascontiguousarray(h).view(np.float64), -e).view(np.complex128)
+    a = 0.5 * (a + a.conj().T)
+
+    tournament = d >= _TOURNAMENT_MIN_ORDER
+    sweep = _tournament_sweep if tournament else _cyclic_sweep
     frob = float(np.sqrt((np.abs(a) ** 2).sum()))
     target = max(tol, 1e-14) * frob
-    converged = frob == 0.0
-    for _ in range(MAX_SWEEPS):
-        if converged or _offdiag_norm(a) <= target:
-            converged = True
-            break
-        thr = target / (2.0 * d)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                m = a[p, q]
-                beta = abs(m)
-                if beta <= thr:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * beta)
-                t = 1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sc = (t * c) * (m / beta)
-                csc = np.conj(sc)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - csc * col_q
-                a[:, q] = sc * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sc * row_q
-                a[q, :] = csc * row_p + c * row_q
-                # the 2x2 core is known in closed form; writing it back
-                # kills the rounding drift of the slice updates
-                a[p, p] = app - t * beta
-                a[q, q] = aqq + t * beta
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[p, :].copy()
-                vq = v[q, :].copy()
-                v[p, :] = c * vp - sc * vq
-                v[q, :] = csc * vp + c * vq
-    if not converged and _offdiag_norm(a) > target:
-        raise ConvergenceError(
-            f"Jacobi did not converge within {MAX_SWEEPS} sweeps (d={d})"
-        )
+    thr = target / (2.0 * d)
+    off = _offdiag_norm(a)
+    sweeps = rotations = 0
+    while off > target and sweeps < MAX_SWEEPS:
+        rotations += sweep(a, v, thr)
+        sweeps += 1
+        off = _offdiag_norm(a)
+    if off > target:
+        stats = _solve_stats(d, tournament, sweeps, rotations, off, target, e)
+        raise ConvergenceError(f"Jacobi did not converge: {stats}")
+    if _log.isEnabledFor(logging.DEBUG):
+        stats = _solve_stats(d, tournament, sweeps, rotations, off, target, e)
+        _log.debug("eig_hermitian %s", stats)
 
     vals = np.real(np.diag(a)).copy()
     order = np.argsort(-vals, kind="stable")
-    values = vals[order]
+    values = np.ldexp(vals[order], e)
     vectors = _fix_row_phases(v[order])
     return HermitianEig(values, vectors)
 
@@ -173,8 +293,10 @@ def eig_normal(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     the compression of S inside every eigenspace of H.
 
     Returns ``(values, vectors)`` with complex values sorted by descending
-    real part (descending imaginary part breaks ties) and row eigenvectors
-    forming a unitary, so ``vectors @ N @ vectors.conj().T`` is diagonal.
+    real part and row eigenvectors forming a unitary, so
+    ``vectors @ N @ vectors.conj().T`` is diagonal. Real parts that chain
+    together in steps of at most ``max(tol, 1e-12) * max|entry|`` count as
+    tied, and descending imaginary part breaks the tie.
     """
     n_ = _square_complex(matrix)
     scale = float(np.abs(n_).max())
@@ -189,12 +311,19 @@ def eig_normal(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     hv = base.values
     d = n_.shape[0]
 
-    gap = max(tol, 1e-12) * (1.0 + float(np.abs(hv).max()))
+    # relative to N itself, so the runs (and the output order) do not depend
+    # on its units, and a skew-Hermitian N, whose H is round-off, is one run
+    gap = max(tol, 1e-12) * scale
+    # cluster[r] is the first row of the run of Hermitian-part eigenvalues
+    # within ``gap`` of each other that row r belongs to; it orders the
+    # output, so round-off in tied real parts cannot
+    cluster = np.empty(d, dtype=np.intp)
     start = 0
     while start < d:
         stop = start + 1
         while stop < d and hv[stop - 1] - hv[stop] <= gap:
             stop += 1
+        cluster[start:stop] = start
         if stop - start > 1:
             sub = vec[start:stop]
             comp = sub @ skew @ sub.conj().T
@@ -211,7 +340,7 @@ def eig_normal(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
             "matrix could not be diagonalized to tolerance; it is either "
             "not normal or has nearly degenerate Hermitian-part eigenvalues"
         )
-    order = np.lexsort((-values.imag, -values.real))
+    order = np.lexsort((-values.imag, cluster))
     values = values[order]
     vectors = _fix_row_phases(vec[order])
     return values, vectors

@@ -1,9 +1,12 @@
 """Jacobi eigensolver checked against numpy.linalg as an independent oracle."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from moddiag import ConvergenceError, NotHermitianError, NotNormalError, eig_hermitian, eig_normal
+from moddiag import eigen
 
 from helpers import random_hermitian
 
@@ -12,10 +15,19 @@ RESIDUAL_TOL = 1e-11
 UNITARY_TOL = 1e-12
 
 
+def _partly_live(rng):
+    # a dense 4x4 block beside an exactly degenerate diagonal one (d = 12):
+    # most pairs of every tournament round are below threshold from the start
+    a = np.zeros((12, 12), dtype=complex)
+    a[:4, :4] = random_hermitian(rng, 4)
+    a[4:, 4:] = np.diag([2.0] * 5 + [-1.0] * 3)
+    return a
+
+
 def test_matches_numpy_eigenvalues():
     rng = np.random.default_rng(11)
-    for d in (1, 2, 3, 5, 8, 13, 21, 40):
-        a = random_hermitian(rng, d)
+    for d in (1, 2, 3, 5, 6, 7, 8, 13, 21, 40, 96, "partly live"):
+        a = _partly_live(rng) if d == "partly live" else random_hermitian(rng, d)
         got = eig_hermitian(a).values
         want = np.sort(np.linalg.eigvalsh(a))[::-1]
         scale = 1.0 + np.abs(want).max()
@@ -24,8 +36,9 @@ def test_matches_numpy_eigenvalues():
 
 def test_reconstruction_and_unitarity():
     rng = np.random.default_rng(12)
-    for d in (2, 4, 7, 16, 33):
-        a = random_hermitian(rng, d)
+    for d in (2, 4, 6, 7, 16, 33, 96, "partly live"):
+        a = _partly_live(rng) if d == "partly live" else random_hermitian(rng, d)
+        d = a.shape[0]
         res = eig_hermitian(a)
         q, vals = res.vectors, res.values
         scale = 1.0 + np.abs(a).max()
@@ -104,14 +117,34 @@ def test_normal_matches_numpy():
 
 
 def test_normal_with_tied_real_parts():
-    # two eigenvalues share a real part and only separate in the skew part
-    vals = np.array([1.0 + 1.0j, 1.0 + 2.0j, 3.0 + 0.0j])
+    # eigenvalues that share a real part only separate in the skew part;
+    # round-off in the shared real part must not decide their order
     rng = np.random.default_rng(17)
-    q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-    a = q @ np.diag(vals) @ q.conj().T
-    got = eig_normal(a)[0]
-    want = np.array([3.0 + 0.0j, 1.0 + 2.0j, 1.0 + 1.0j])
-    assert np.abs(got - want).max() <= 1e-9
+    cases = [np.array([1.0 + 1.0j, 1.0 + 2.0j, 3.0 + 0.0j])] * 50
+    cases.append(np.array([2.0, -1.0 - 1.0j, 0.5j, 2.0 + 3.0j, -1.0 + 2.0j, 0.0, -1.0, 2.0 - 1.0j]))
+    for vals in cases:
+        d = vals.size
+        q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        a = q @ np.diag(vals) @ q.conj().T
+        got = eig_normal(a)[0]
+        want = np.array(sorted(vals, key=lambda z: (-z.real, -z.imag)))
+        assert np.abs(got - want).max() <= 1e-9
+
+
+def test_normal_is_scale_covariant():
+    # the runs of tied real parts are measured against the size of N, so at
+    # no scale do distinct real parts merge into one run (which would sort
+    # them by imaginary part) or a purely imaginary spectrum split apart
+    rng = np.random.default_rng(24)
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    spectra = (
+        np.array([2.0 + 1.0j, 1.0 - 1.0j, -1.0 + 2.0j, -2.0 + 0.5j]),
+        1j * np.array([2.0, 1.0, -0.5, -3.0]),
+    )
+    for vals in spectra:
+        a = q @ np.diag(vals) @ q.conj().T
+        for s in (1e-14, 1e-12, 1.0, 1e12):
+            assert np.abs(eig_normal(s * a)[0] / s - vals).max() <= 1e-9
 
 
 def test_normal_accepts_hermitian_input():
@@ -131,3 +164,71 @@ def test_normal_rejects_non_normal():
 
 def test_convergence_error_is_exported():
     assert issubclass(ConvergenceError, Exception)
+
+
+def test_tournament_schedule_covers_every_pair_once():
+    for d in range(2, 22):
+        seen = []
+        for p, q in eigen._tournament_rounds(d):
+            used = np.concatenate([p, q])
+            assert len(set(used.tolist())) == used.size  # disjoint within a round
+            assert np.all(p < q) and used.min() >= 0 and used.max() < d
+            seen += list(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+
+
+def test_tournament_matches_cyclic_reference(monkeypatch):
+    # the row-cyclic sweep is the reference; only round-off and the order of
+    # rotations within a sweep differ, so values agree to a few ulps of ||A||
+    rng = np.random.default_rng(25)
+    inputs = [random_hermitian(rng, d) for d in (6, 9, 16, 32)] + [_partly_live(rng)]
+    tournament = [eig_hermitian(a).values for a in inputs]
+    monkeypatch.setattr(eigen, "_TOURNAMENT_MIN_ORDER", 10**9)
+    for a, got in zip(inputs, tournament):
+        want = eig_hermitian(a).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_power_of_two_scaling_is_exact():
+    rng = np.random.default_rng(19)
+    for d in (3, 8):
+        a = random_hermitian(rng, d)
+        base = eig_hermitian(a)
+        for k in (-600, -300, 0, 300, 600):
+            res = eig_hermitian(2.0**k * a)
+            assert np.array_equal(res.values, 2.0**k * base.values)
+            assert np.array_equal(res.vectors, base.vectors)
+
+
+def test_eigenvalues_are_scale_covariant():
+    rng = np.random.default_rng(20)
+    for d in (3, 8):
+        a = random_hermitian(rng, d)
+        want = np.sort(np.linalg.eigvalsh(a))[::-1]
+        for s in (1e-200, 1e-170, 1e-100, 1.0, 1e100, 1e155, 1e200):
+            got = eig_hermitian(s * a).values / s
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_debug_record_reports_the_solve(caplog):
+    rng = np.random.default_rng(21)
+    caplog.set_level(logging.INFO, logger="moddiag.eigen")
+    eig_hermitian(random_hermitian(rng, 8))
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="moddiag.eigen")
+    eig_hermitian(random_hermitian(rng, 3))
+    eig_hermitian(random_hermitian(rng, 8))
+    first, second = (r.getMessage() for r in caplog.records)
+    assert "d=3, cyclic ordering" in first and "d=8, tournament ordering" in second
+    for msg in (first, second):
+        assert "sweeps" in msg and "rotations" in msg and "target" in msg
+
+
+def test_nonconvergence_reports_the_solve(monkeypatch):
+    monkeypatch.setattr(eigen, "MAX_SWEEPS", 1)
+    for d in (4, 8):
+        with pytest.raises(ConvergenceError) as exc:
+            eig_hermitian(random_hermitian(np.random.default_rng(23), d))
+        msg = str(exc.value)
+        assert f"d={d}" in msg and ", 1 sweeps, " in msg
+        assert "off-diagonal norm" in msg and "target" in msg

@@ -198,10 +198,15 @@ def test_cli_alphas_must_be_numbers():
 
 def test_cli_tol_out_of_range_is_a_usage_error():
     # rejected by the argument parser before any output, with exit code 2
-    for tol in ("0", "1", "-1e-9", "nan", "x"):
-        with pytest.raises(SystemExit) as exc:
-            main(["prop4", "--n", "3", "--tol", tol])
-        assert exc.value.code == 2
+    for tol in ("0", "1", "-1e-9", "1e300", "nan", "x"):
+        for argv in (
+            ["prop4", "--n", "3", "--tol", tol],
+            ["diagonalize", "--input", "problem.json", "--moment-tol", tol],
+            ["verify", "--input", "problem.json", "--solution", "s.json", "--moment-tol", tol],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 def test_cli_solver_nonconvergence_exits_1(tmp_path, monkeypatch, capsys):
