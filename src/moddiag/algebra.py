@@ -7,13 +7,14 @@ calculus all act blockwise. Elements are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Complex
 from typing import Sequence
 
 import numpy as np
 
-from .eigen import eig_hermitian
+from .eigen import _hermitian_defect, _times_power_of_two, eig_hermitian
 
 __all__ = [
     "AlgebraShape",
@@ -42,6 +43,12 @@ class NotPositiveError(ValueError):
     pass
 
 
+# Stop rule of _norm_lower_bound's power iteration: a step that raises the
+# estimate by less than this fraction ends it, and so does the step cap.
+_POWER_MIN_GAIN = 1e-3
+_POWER_MAX_STEPS = 64
+
+
 def _top_singular_value(blocks) -> float:
     """Largest singular value over a list of square matrices; 0 when all vanish."""
     out = 0.0
@@ -51,6 +58,56 @@ def _top_singular_value(blocks) -> float:
         top = eig_hermitian(a.conj().T @ a).values[0]
         out = max(out, float(np.sqrt(max(top, 0.0))))
     return out
+
+
+def _norm_lower_bound(blocks) -> float:
+    """Largest ``||a x|| / ||x||`` met by a power iteration on ``a* a``, over all blocks.
+
+    Every such ratio is at most the largest singular value, so the result
+    bounds ``_top_singular_value`` from below, using matrix-vector products
+    only. Each block is scaled by the power of two that brings its largest
+    entry into ``[1/2, 1)``, exactly, and the iteration starts at its
+    column of largest norm, so the result is at least that column's norm
+    (``>= ||a|| / sqrt(d)``). 0 when all blocks vanish.
+    """
+    out = 0.0
+    for a in blocks:
+        top = float(np.abs(a).max())
+        if top == 0.0:
+            continue
+        e = math.frexp(top)[1]
+        s = _times_power_of_two(a, -e)
+        cols = np.sqrt((np.abs(s) ** 2).sum(axis=0))
+        j = int(np.argmax(cols))
+        y = s[:, j]
+        best = float(cols[j])
+        for _ in range(_POWER_MAX_STEPS):
+            x = s.conj().T @ y
+            y = s @ (x / np.linalg.norm(x))
+            est = float(np.linalg.norm(y))
+            gain = est - best
+            best = max(best, est)
+            if gain < _POWER_MIN_GAIN * best:
+                break
+        out = max(out, math.ldexp(best, e))
+    return out
+
+
+def _positive_definite(mat: np.ndarray) -> bool:
+    """Whether a Hermitian matrix has a Cholesky factor, i.e. is positive definite.
+
+    The matrix is scaled by the power of two that brings its largest entry
+    into ``[1/2, 1)`` first, exactly, so the answer does not depend on its
+    units. A matrix with a non-finite or no nonzero entry has no factor.
+    """
+    top = float(np.abs(mat).max())
+    if not 0.0 < top < math.inf:
+        return False
+    try:
+        np.linalg.cholesky(_times_power_of_two(mat, -math.frexp(top)[1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -176,7 +233,8 @@ class AlgebraElement:
         return (self - other).norm() <= tol
 
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
-        return (self - self.adjoint()).norm() <= tol * (1.0 + self.norm())
+        """Every entry of ``a - a*`` is at most tol times the largest entry of a."""
+        return _hermitian_defect(self.blocks) <= tol
 
     def __str__(self):
         parts = [np.array2string(a, precision=6, suppress_small=True) for a in self.blocks]
@@ -206,17 +264,21 @@ def leq(a: AlgebraElement, b: AlgebraElement, tol: float | None = None) -> bool:
     """Semidefinite order: b - a is positive semidefinite in every block.
 
     tol bounds how negative an eigenvalue of b - a may be; it defaults to
-    1e-10 * (1 + ||b - a||).
+    1e-10 * (1 + a lower estimate of ||b - a||). The test needs no
+    eigenvalue: by Sylvester's law of inertia, every eigenvalue of a block
+    of b - a is above -tol exactly when that block plus tol times the
+    identity has a Cholesky factor. A shifted block that is exactly zero is
+    semidefinite and passes.
     """
     a._require_same(b)
     _check_selfadjoint(a, "left operand")
     _check_selfadjoint(b, "right operand")
     diff = b - a
     if tol is None:
-        tol = 1e-10 * (1.0 + diff.norm())
+        tol = 1e-10 * (1.0 + _norm_lower_bound(diff.blocks))
     for blk in diff.blocks:
-        smallest = eig_hermitian(_sym(blk)).values[-1]
-        if smallest < -tol:
+        shifted = _sym(blk) + tol * np.eye(blk.shape[0])
+        if shifted.any() and not _positive_definite(shifted):
             return False
     return True
 

@@ -68,6 +68,46 @@ def _square_complex(matrix) -> np.ndarray:
     return a
 
 
+def _times_power_of_two(a, e: int) -> np.ndarray:
+    """``a * 2**e`` for a complex array, exact unless a part under- or overflows.
+
+    Scales the real and imaginary parts with ``np.ldexp``; the factor itself
+    is not formed, since ``2.0**-e`` overflows for subnormal input.
+    """
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return np.ldexp(parts, e).view(np.complex128)
+
+
+def _hermitian_defect(mats) -> float:
+    """Largest entry of ``M - M*`` over mats, relative to the largest entry of any.
+
+    0 when all vanish.
+    """
+    top = max(float(np.abs(m).max()) for m in mats)
+    if top == 0.0:
+        return 0.0
+    return max(float(np.abs(m - m.conj().T).max()) for m in mats) / top
+
+
+def _normality_defect(mats) -> float:
+    """Largest entry of ``N N* - N* N`` over mats, relative to the largest entry squared.
+
+    The mats are first scaled by one power of two that brings that entry
+    into ``[1/2, 1)``, so the products neither under- nor overflow and the
+    ratio does not depend on the units. 0 when all vanish.
+    """
+    top = max(float(np.abs(m).max()) for m in mats)
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1]
+    worst = 0.0
+    for m in mats:
+        n = _times_power_of_two(m, -e)
+        nh = n.conj().T
+        worst = max(worst, float(np.abs(n @ nh - nh @ n).max()))
+    return worst / math.ldexp(top, -e) ** 2
+
+
 def _offdiag_norm(a: np.ndarray) -> float:
     # summing the masked entries avoids the cancellation of total minus
     # diagonal, which floors near sqrt(eps) * frobenius and never converges
@@ -218,7 +258,7 @@ def eig_hermitian(matrix, tol: float = 1e-12) -> HermitianEig:
     Parameters
     ----------
     matrix : (d, d) array_like
-        Hermitian up to ``tol * (1 + max|entry|)`` in entrywise distance.
+        Hermitian up to ``tol * max|entry|`` in entrywise distance.
     tol : float
         Also sets the sweep target: rotations stop once the off-diagonal
         Frobenius mass drops below ``tol * frobenius(matrix)``. At most
@@ -245,8 +285,7 @@ def eig_hermitian(matrix, tol: float = 1e-12) -> HermitianEig:
     and final off-diagonal norm.
     """
     h = _square_complex(matrix)
-    scale = float(np.abs(h).max())
-    if float(np.abs(h - h.conj().T).max()) > tol * (1.0 + scale):
+    if _hermitian_defect([h]) > tol:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     d = h.shape[0]
     v = np.eye(d, dtype=np.complex128)
@@ -254,10 +293,8 @@ def eig_hermitian(matrix, tol: float = 1e-12) -> HermitianEig:
         _log.debug("eig_hermitian d=1, no rotation needed")
         return HermitianEig(np.array([h[0, 0].real]), v)
 
-    # exact scaling by 2**-e on the real and imaginary parts; the factor
-    # itself is not formed, since 2.0**-e overflows for subnormal input
-    e = math.frexp(scale)[1]
-    a = np.ldexp(np.ascontiguousarray(h).view(np.float64), -e).view(np.complex128)
+    e = math.frexp(float(np.abs(h).max()))[1]
+    a = _times_power_of_two(h, -e)
     a = 0.5 * (a + a.conj().T)
 
     tournament = d >= _TOURNAMENT_MIN_ORDER
@@ -297,11 +334,15 @@ def eig_normal(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     ``vectors @ N @ vectors.conj().T`` is diagonal. Real parts that chain
     together in steps of at most ``max(tol, 1e-12) * max|entry|`` count as
     tied, and descending imaginary part breaks the tie.
+
+    N counts as normal when the largest entry of ``N N* - N* N`` is at most
+    ``tol * max|entry|**2``, and the diagonalized form must leave no
+    off-diagonal entry above ``10 * max(tol, 1e-12) * max|entry|``; both
+    bounds are relative, so neither passes a small non-normal matrix.
     """
     n_ = _square_complex(matrix)
     scale = float(np.abs(n_).max())
-    comm = n_ @ n_.conj().T - n_.conj().T @ n_
-    if float(np.abs(comm).max()) > tol * (1.0 + scale * scale):
+    if _normality_defect([n_]) > tol:
         raise NotNormalError("matrix is not normal within tolerance")
 
     herm = 0.5 * (n_ + n_.conj().T)
@@ -335,7 +376,7 @@ def eig_normal(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     m = vec @ n_ @ vec.conj().T
     values = np.diag(m).copy()
     resid = float(np.abs(m - np.diag(values)).max())
-    if resid > 10.0 * max(tol, 1e-12) * (1.0 + scale):
+    if resid > 10.0 * max(tol, 1e-12) * scale:
         raise NotNormalError(
             "matrix could not be diagonalized to tolerance; it is either "
             "not normal or has nearly degenerate Hermitian-part eigenvalues"

@@ -245,6 +245,7 @@ def serialize_report(report: VerificationReport) -> str:
             "projection": report.projection_defect,
             "support": report.support_residual,
         },
+        "worst_pairs": report.worst_pairs,
         "complement_trivial": report.complement_trivial,
         "ordering_ok": report.ordering_ok,
         "oracle_ok": report.oracle_ok,

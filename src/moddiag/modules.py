@@ -15,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, sqrt_pinv
-from .eigen import eig_hermitian
+from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, _positive_definite, sqrt_pinv
 
 __all__ = [
     "HilbertModule",
@@ -197,9 +196,12 @@ def normalize_to_projection(
 def orthogonal_complement_trivial(elements: Sequence[ModuleElement], tol: float = 1e-8) -> bool:
     """Whether only the zero element is orthogonal to every given element.
 
-    Flattens z -> (<z, x_i>)_i to a complex-linear system per block and
-    checks the system has full column rank: the smallest singular value
-    must exceed tol * max(1, largest singular value).
+    Flattens z -> (<z, x_i>)_i to a complex-linear system per block, with
+    the stacked elements as rows, and checks the system has full column
+    rank: its smallest singular value must exceed c = tol * max(1, ||rows||_F).
+    That holds exactly when rows* rows - c**2 I is positive definite, which
+    a Cholesky factorization decides; the Frobenius norm is at least the
+    largest singular value, so c is never below tol * max(1, smax).
     """
     if not elements:
         return False
@@ -208,10 +210,8 @@ def orthogonal_complement_trivial(elements: Sequence[ModuleElement], tol: float 
         e._require_same(elements[0])
     for b in range(module.shape.num_blocks):
         rows = np.vstack([e.stacked[b] for e in elements])
+        c = tol * max(1.0, float(np.linalg.norm(rows)))
         gram = rows.conj().T @ rows
-        vals = eig_hermitian(0.5 * (gram + gram.conj().T)).values
-        smax = float(np.sqrt(max(vals[0], 0.0)))
-        smin = float(np.sqrt(max(vals[-1], 0.0)))
-        if smin <= tol * max(1.0, smax):
+        if not _positive_definite(gram - (c * c) * np.eye(gram.shape[0])):
             return False
     return True

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, ShapeMismatchError, _top_singular_value, is_projection
+from .eigen import _hermitian_defect, _normality_defect
 from .modules import HilbertModule, ModuleElement
 
 __all__ = [
@@ -143,16 +144,12 @@ class ModuleOperator:
         return max(float(np.abs(blk).max()) for blk in self.blocks)
 
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
-        defect = max(float(np.abs(blk - blk.conj().T).max()) for blk in self.blocks)
-        return defect <= tol * (1.0 + self.entrywise_max())
+        """Every entry of ``K - K*`` is at most tol times the largest entry of K."""
+        return _hermitian_defect(self.blocks) <= tol
 
     def is_normal(self, tol: float = 1e-10) -> bool:
-        scale = self.entrywise_max()
-        for blk in self.blocks:
-            comm = blk @ blk.conj().T - blk.conj().T @ blk
-            if float(np.abs(comm).max()) > tol * (1.0 + scale * scale):
-                return False
-        return True
+        """Every entry of ``K K* - K* K`` is at most tol times the largest entry of K, squared."""
+        return _normality_defect(self.blocks) <= tol
 
     def __repr__(self):
         return f"ModuleOperator(rank={self.module.rank}, blocks={self.module.shape.block_sizes})"

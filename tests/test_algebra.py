@@ -118,6 +118,56 @@ def test_leq_requires_selfadjoint():
         leq(bad, shape.identity())
 
 
+def _eigenvalue_leq(a, b, tol):
+    # the rule leq decided by before it used Cholesky, with numpy as the oracle
+    return all(np.linalg.eigvalsh(0.5 * (d + d.conj().T))[0] >= -tol for d in (b - a).blocks)
+
+
+def test_leq_agrees_with_the_eigenvalue_rule():
+    rng = np.random.default_rng(31)
+    shapes = (SHAPE, AlgebraShape((5,)), AlgebraShape((1, 1, 1)))
+    checked = 0
+    for i in range(240):
+        shape = shapes[i % 3]
+        s = (1e-150, 1.0, 1e150)[i % 5 % 3]
+        a = AlgebraElement(shape, [s * random_hermitian(rng, k) for k in shape.block_sizes])
+        tol = s * (0.0, 1e-10, 1e-6, 1e-3)[i % 4]
+        # b - a has its smallest eigenvalue at -tol + margin in one block
+        margin = s * float(rng.choice([-1e-2, -1e-4, -1e-6, -1e-8, 0.0, 1e-8, 1e-6, 1e-4, 1e-2]))
+        diffs = []
+        for b_, k in enumerate(shape.block_sizes):
+            q = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+            lam = s * rng.uniform(0.1, 1.0, k)
+            if b_ == 0:
+                lam[0] = -tol + margin
+            diffs.append(q @ np.diag(lam) @ q.conj().T)
+        b = a + AlgebraElement(shape, diffs)
+        lowest = min(np.linalg.eigvalsh(d)[0] for d in (b - a).blocks)
+        if abs(lowest + tol) > 1e-6 * s:
+            assert leq(a, b, tol=tol) == _eigenvalue_leq(a, b, tol), (i, lowest, tol)
+            checked += 1
+    assert checked >= 100
+
+
+def test_leq_at_zero_tolerance_is_exact_semidefiniteness():
+    a = SHAPE.diagonal([[1, 2], [3], [4, 5, 6]])
+    assert leq(a, a, tol=0.0)
+    assert leq(SHAPE.zero(), SHAPE.zero(), tol=0.0)
+    assert leq(a, a + SHAPE.identity(), tol=0.0)
+    assert not leq(a + SHAPE.identity(), a, tol=0.0)
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-10, 1e-6, 1e12])
+def test_is_selfadjoint_is_relative_to_the_largest_entry(s):
+    shape = AlgebraShape((2,))
+    assert not AlgebraElement(shape, [s * np.array([[0.0, 1.0], [0.0, 0.0]])]).is_selfadjoint()
+    rng = np.random.default_rng(32)
+    h = random_hermitian(rng, 2)
+    for t in 10.0 ** np.arange(-200, 201, 50):
+        assert AlgebraElement(shape, [t * h]).is_selfadjoint()
+    assert shape.zero().is_selfadjoint()
+
+
 def test_center_trace_properties():
     rng = np.random.default_rng(24)
     a = random_algebra_element(SHAPE, rng)

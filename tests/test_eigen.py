@@ -162,6 +162,34 @@ def test_normal_rejects_non_normal():
         eig_normal(a)
 
 
+JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-10, 1e-6, 1e12])
+def test_small_or_large_non_normal_input_is_rejected(s):
+    # the Hermitian, commutator and residual bounds are relative to the
+    # largest entry, so a tiny Jordan block is as non-normal as a unit one
+    with pytest.raises(NotHermitianError):
+        eig_hermitian(s * JORDAN)
+    with pytest.raises(NotNormalError):
+        eig_normal(s * JORDAN)
+
+
+def test_scaled_hermitian_and_normal_input_is_accepted():
+    rng = np.random.default_rng(25)
+    h = random_hermitian(rng, 5)
+    q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+    n = q @ np.diag(rng.standard_normal(5) + 1j * rng.standard_normal(5)) @ q.conj().T
+    want_h = eig_hermitian(h).values
+    want_n = eig_normal(n)[0]
+    for s in 10.0 ** np.arange(-200, 201, 25):
+        assert np.abs(eig_hermitian(s * h).values / s - want_h).max() <= 1e-12
+        assert np.abs(eig_normal(s * n)[0] / s - want_n).max() <= 1e-9
+    zero = np.zeros((3, 3), dtype=complex)
+    assert not eig_hermitian(zero).values.any()
+    assert not eig_normal(zero)[0].any()
+
+
 def test_convergence_error_is_exported():
     assert issubclass(ConvergenceError, Exception)
 

@@ -175,6 +175,23 @@ def test_complement_cross_check_with_svd():
     assert orthogonal_complement_trivial(vecs) == full
 
 
+def test_complement_near_rank_deficient():
+    # the last element leans on the one before it by eps; the span is full
+    # exactly when the smallest singular value (numpy's SVD here) clears
+    # 1e-8 * max(1, ||rows||_F), the threshold the Cholesky test applies
+    rng = np.random.default_rng(43)
+    base = [random_element(MOD, rng) for _ in range(MOD.rank)]
+    for eps in (1e-4, 1e-6, 1e-10, 1e-12):
+        vecs = base[:-1] + [base[-2] + eps * base[-1]]
+        full = True
+        for b in range(MOD.shape.num_blocks):
+            rows = np.vstack([v.stacked[b] for v in vecs])
+            smin = np.linalg.svd(rows, compute_uv=False)[-1]
+            full = full and smin > 1e-8 * max(1.0, np.linalg.norm(rows))
+        assert full == (eps >= 1e-6)
+        assert orthogonal_complement_trivial(vecs, tol=1e-8) == full
+
+
 def test_mixed_module_raises():
     other = module_over((2, 3), 2)
     with pytest.raises(ShapeMismatchError):

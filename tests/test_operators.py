@@ -206,3 +206,23 @@ def test_operator_shape_validation():
     rng = np.random.default_rng(67)
     with pytest.raises(ShapeMismatchError):
         random_operator(MOD, rng)(random_element(other, rng))
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-10, 1e-6, 1e12])
+def test_flags_are_relative_to_the_largest_entry(s):
+    mod = module_over((2, 1), 1)
+    jordan = ModuleOperator(mod, [s * np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((1, 1))])
+    assert not jordan.is_selfadjoint()
+    assert not jordan.is_normal()
+
+
+def test_flags_accept_scaled_selfadjoint_and_normal_operators():
+    rng = np.random.default_rng(65)
+    h = random_selfadjoint_operator(MOD, rng)
+    n = h @ h + 1j * h
+    for s in 10.0 ** np.arange(-200, 201, 25):
+        assert (s * h).is_selfadjoint()
+        assert (s * n).is_normal()
+        assert not (s * n).is_selfadjoint()
+    assert ModuleOperator.zero(MOD).is_selfadjoint()
+    assert ModuleOperator.zero(MOD).is_normal()

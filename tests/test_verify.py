@@ -5,21 +5,36 @@ list has to trip exactly the clause that watches for it, which proves the
 clauses are independent checks rather than shadows of one another.
 """
 
-import numpy as np
+import json
 
+import numpy as np
+import pytest
+
+import moddiag
 from moddiag import (
     DiagonalizationResult,
     EigenPair,
     ModuleOperator,
     OrderRelation,
+    ShapeMismatchError,
+    diagonalize_normal,
     diagonalize_selfadjoint,
+    inner,
+    left_action,
     moment_deviation,
     moment_oracle,
     projection_ladder,
+    serialize_report,
     verify_eigensystem,
 )
 
-from helpers import module_over, random_positive_operator, random_selfadjoint_operator
+from helpers import (
+    ACCEPTANCE_SHAPES,
+    module_over,
+    random_normal_operator,
+    random_positive_operator,
+    random_selfadjoint_operator,
+)
 
 
 def _unit_scale_selfadjoint(mod, seed):
@@ -185,6 +200,192 @@ def test_report_serial_fields():
     report = verify_eigensystem(k, res, tol=1e-8, moment_tol=1e-6)
     assert report.tolerance == 1e-8
     assert report.moment_tolerance == 1e-6
-    assert report.residual_bound == 1e-8 * (1 + report.operator_scale)
+    assert report.residual_bound == 1e-8 * report.operator_scale
     assert report.operator_scale > 0
     assert len(report.relations) == len(res.ordering_certificate)
+
+
+def _flags(report):
+    """Which clauses pass, by name; the dimensionless ones are bounded by tol."""
+    return {
+        "eigen": report.eigen_residual <= report.residual_bound,
+        "orthogonality": report.orthogonality_residual <= report.tolerance,
+        "projection": report.projection_defect <= report.tolerance,
+        "support": report.support_residual <= report.residual_bound,
+        "complement": report.complement_trivial,
+        "ordering": report.ordering_ok,
+    }
+
+
+def _only_failing(report, clause):
+    flags = _flags(report)
+    assert not flags.pop(clause), report.summary()
+    assert all(flags.values()), report.summary()
+    assert not report.overall
+
+
+@pytest.mark.parametrize("s", [1.0, 1e12, 1e-160])
+def test_overlapping_vectors_flip_only_orthogonality_at_every_scale(s):
+    # every vector is an eigenvector of s * I, so mixing two of them keeps
+    # the eigen clause; the overlap of 0.447 is dimensionless and must fail
+    # against tol whatever the size of K
+    mod = module_over((2,), 3)
+    k = s * ModuleOperator.identity(mod)
+    res = diagonalize_selfadjoint(k)
+    x1, x3 = res.pair_by_label(1).vector, res.pair_by_label(3).vector
+    mixed = (x3 + 0.5 * x1) * (1.0 / np.sqrt(1.25))
+    report = verify_eigensystem(k, _replace_pair(res, 3, vector=mixed))
+    _only_failing(report, "orthogonality")
+    assert report.worst_pairs["orthogonality"] == (1, 3)
+    assert report.oracle_ok
+
+
+@pytest.mark.parametrize("s", [1.0, 1e12, 1e-160])
+def test_stretched_vector_flips_only_projection_at_every_scale(s):
+    mod = module_over((2,), 3)
+    k = s * ModuleOperator.identity(mod)
+    res = diagonalize_selfadjoint(k)
+    long = res.pair_by_label(3).vector * 1.5
+    report = verify_eigensystem(k, _replace_pair(res, 3, vector=long))
+    _only_failing(report, "projection")
+    assert report.worst_pairs["projection"] == 3
+    assert report.oracle_ok
+
+
+@pytest.mark.parametrize("s", [1.0, 1e12, 1e-160])
+def test_shifted_value_flips_only_eigen_residual_at_every_scale(s):
+    mod = module_over((2,), 2)
+    k = s * _unit_scale_selfadjoint(mod, 88)
+    res = diagonalize_selfadjoint(k)
+    label = res.labels()[-1]
+    shifted = res.pair_by_label(label).value + 1e-6 * s * mod.shape.identity()
+    report = verify_eigensystem(k, _replace_pair(res, label, value=shifted), moment_tol=1e-3)
+    _only_failing(report, "eigen")
+    assert report.worst_pairs["eigen"] == label
+
+
+def test_halved_spectrum_fails_at_tiny_scale():
+    # with a bound of tol * (1 + ||K||) this passed at ||K|| = 1e-160; the
+    # moment oracle's max(1, |trace|) normalization still misses it there
+    mod = module_over((2,), 3)
+    k = 1e-160 * _unit_scale_selfadjoint(mod, 89)
+    res = diagonalize_selfadjoint(k)
+    halved = DiagonalizationResult(
+        tuple(p._replace(value=0.5 * p.value) for p in res.pairs),
+        res.ordering_certificate,
+        res.tolerance_used,
+    )
+    report = verify_eigensystem(k, halved)
+    assert report.eigen_residual > 1e6 * report.residual_bound
+    flags = _flags(report)
+    assert not flags.pop("eigen") and all(flags.values())
+    assert not report.overall
+
+
+def test_zero_operator_passes_with_a_zero_bound():
+    mod = module_over((2, 1), 3)
+    k = ModuleOperator.zero(mod)
+    report = verify_eigensystem(k, diagonalize_selfadjoint(k))
+    assert report.operator_scale == 0.0 and report.residual_bound == 0.0
+    assert report.overall, report.summary()
+    assert all(v is None for v in report.worst_pairs.values())
+
+
+def test_worst_pair_is_named_in_report_and_json():
+    lad = projection_ladder(4)
+    pairs = tuple(
+        EigenPair(p.vector, p.value, p.support, i + 1) for i, p in enumerate(lad.expected)
+    )
+    res = DiagonalizationResult(pairs, (), 1e-9)
+    leak = lad.expected[4].value + 0.5 * (lad.shape.identity() - lad.expected[4].support)
+    report = verify_eigensystem(lad.operator, _replace_pair(res, 5, value=leak))
+    assert report.worst_pairs["support"] == 5
+    assert "support residual" in report.summary() and "(worst L5)" in report.summary()
+    doc = json.loads(serialize_report(report))
+    assert doc["worst_pairs"]["support"] == 5
+    assert set(doc["residuals"]) == {"eigen", "orthogonality", "projection", "support"}
+
+
+def test_every_pair_must_live_on_the_operator_module():
+    mod = module_over((2,), 2)
+    k = _unit_scale_selfadjoint(mod, 90)
+    res = diagonalize_selfadjoint(k)
+    stray = module_over((2,), 3).basis_element(0)
+    with pytest.raises(ShapeMismatchError):
+        verify_eigensystem(k, _replace_pair(res, res.labels()[-1], vector=stray))
+
+
+def test_clean_results_verify_without_the_eigensolver(monkeypatch):
+    mod = module_over((2, 1), 3)
+    rng = np.random.default_rng(91)
+    k = random_selfadjoint_operator(mod, rng)
+    n = random_normal_operator(mod, rng)
+    results = [(k, diagonalize_selfadjoint(k)), (n, diagonalize_normal(n))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier called the eigensolver")
+
+    for namespace in (moddiag.eigen, moddiag.algebra, moddiag.modules, moddiag.verify):
+        monkeypatch.setattr(namespace, "eig_hermitian", refuse, raising=False)
+    for op, res in results:
+        assert verify_eigensystem(op, res).overall
+
+
+def _spectral_reference(K, result):
+    """The residuals as C*-norms, pair by pair, as the verifier computed them before."""
+    eigen = support = projection = orthogonality = 0.0
+    for p in result.pairs:
+        eigen = max(eigen, (K(p.vector) - left_action(p.value, p.vector)).norm())
+        support = max(support, (p.value * p.support - p.value).norm())
+        projection = max(
+            projection,
+            (inner(p.vector, p.vector) - p.support).norm(),
+            (p.support - p.support.adjoint()).norm(),
+            (p.support * p.support - p.support).norm(),
+        )
+    vectors = [p.vector for p in result.pairs]
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            orthogonality = max(orthogonality, inner(vectors[i], vectors[j]).norm())
+    return {"eigen": eigen, "orthogonality": orthogonality, "projection": projection, "support": support}
+
+
+def _battery():
+    rng = np.random.default_rng(92)
+    for i, sizes in enumerate(ACCEPTANCE_SHAPES * 3 + [(3,), (8,)]):
+        mod = module_over(sizes, i % 3 + 1)
+        kind = i % 3
+        if kind == 2:
+            k = random_normal_operator(mod, rng)
+            res = diagonalize_normal(k)
+        else:
+            k = random_selfadjoint_operator(mod, rng, scale=10.0 ** (3 * kind))
+            res = diagonalize_selfadjoint(k)
+        yield k, res
+        first, last = res.labels()[0], res.labels()[-1]
+        bump = res.pair_by_label(first).value + 1e-5 * k.norm() * mod.shape.identity()
+        yield k, _replace_pair(res, first, value=bump)
+        mixed = res.pair_by_label(last).vector + 0.3 * res.pair_by_label(first).vector
+        yield k, _replace_pair(res, last, vector=mixed)
+        half = 0.5 * mod.shape.identity()
+        yield k, _replace_pair(res, first, support=half)
+
+
+def test_stacked_residuals_bracket_the_spectral_reference():
+    for k, res in _battery():
+        report = verify_eigensystem(k, res)
+        ref = _spectral_reference(k, res)
+        norm = k.norm()
+        root_k = np.sqrt(max(k.module.shape.block_sizes))
+        got = {
+            "eigen": report.eigen_residual,
+            "orthogonality": report.orthogonality_residual,
+            "projection": report.projection_defect,
+            "support": report.support_residual,
+        }
+        for clause, value in got.items():
+            slack = 1e-13 * (1.0 + norm) if clause in ("eigen", "support") else 1e-13
+            assert value >= ref[clause] - slack, (clause, value, ref[clause])
+            assert value <= root_k * ref[clause] + slack, (clause, value, ref[clause])
+        dim = k.module.rank * max(k.module.shape.block_sizes)
+        assert norm / np.sqrt(dim) <= report.operator_scale <= norm * (1.0 + 1e-12)
