@@ -50,13 +50,21 @@ _POWER_MAX_STEPS = 64
 
 
 def _top_singular_value(blocks) -> float:
-    """Largest singular value over a list of square matrices; 0 when all vanish."""
+    """Largest singular value over a list of square matrices; 0 when all vanish.
+
+    Each block is scaled by the power of two that brings its largest entry
+    into ``[1/2, 1)`` before ``a* a`` is formed, exactly, so the square
+    neither under- nor overflows.
+    """
     out = 0.0
     for a in blocks:
-        if not a.any():
+        top = float(np.abs(a).max())
+        if top == 0.0:
             continue
-        top = eig_hermitian(a.conj().T @ a).values[0]
-        out = max(out, float(np.sqrt(max(top, 0.0))))
+        e = math.frexp(top)[1]
+        s = _times_power_of_two(a, -e)
+        sq = eig_hermitian(s.conj().T @ s).values[0]
+        out = max(out, math.ldexp(math.sqrt(max(sq, 0.0)), e))
     return out
 
 

@@ -29,7 +29,10 @@ LADDER_TOL = 1e-10
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"not UTF-8 text (byte {exc.start})", path) from None
 
 
 def _finish(report, out_path) -> int:

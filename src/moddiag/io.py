@@ -3,7 +3,16 @@
 All files are UTF-8 JSON with a top-level "schema": 1 marker. Complex
 numbers are stored as [re, im] pairs and matrix blocks as flat row-major
 lists of such pairs, so every value survives a round trip bit for bit.
-Parsing errors carry a location string naming the offending field.
+Problems and solutions are written compactly; whitespace is not part of the
+schema. Parsing errors carry a location string naming the offending field.
+
+Numbers move one array at a time: each algebra block of an operator grid,
+and of all vectors, values and supports of a solution, is read by one
+np.array call and written by one tolist call. np.array is more lenient than
+the schema, so the array path accepts only an exactly shaped, finite int or
+float array from a text holding no JSON boolean. Anything else goes to the
+entry-by-entry walk, which either raises the error with its location or
+returns the same numbers.
 """
 
 from __future__ import annotations
@@ -49,6 +58,10 @@ def _loads(text: str):
         raise InputFormatError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from None
+    except ValueError:  # the only other one: an integer literal over the interpreter's digit limit
+        raise InputFormatError("invalid JSON: integer literal has too many digits") from None
+    except RecursionError:
+        raise InputFormatError("invalid JSON: nested too deeply") from None
 
 
 def _field(obj, key: str, loc: str):
@@ -71,7 +84,10 @@ def _int_field(obj, key: str, loc: str, minimum: int):
 def _number(val, loc: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise InputFormatError("expected a number", loc)
-    out = float(val)
+    try:
+        out = float(val)
+    except OverflowError:
+        raise InputFormatError("number is too large for a float", loc) from None
     if not np.isfinite(out):
         raise InputFormatError("number is not finite", loc)
     return out
@@ -96,6 +112,10 @@ def _parse_shape(obj, loc: str) -> AlgebraShape:
     return AlgebraShape(tuple(sizes))
 
 
+# The walk: entry by entry, with the location of the first fault. It reads
+# whatever the array path rejects.
+
+
 def _parse_block(data, k: int, loc: str) -> np.ndarray:
     if not isinstance(data, list) or len(data) != k * k:
         raise InputFormatError(f"expected {k * k} [re, im] pairs", loc)
@@ -117,11 +137,144 @@ def _parse_alg(data, shape: AlgebraShape, loc: str) -> AlgebraElement:
     return AlgebraElement(shape, mats)
 
 
-def _serialize_alg(a: AlgebraElement) -> list:
-    out = []
-    for blk in a.blocks:
-        out.append([[float(z.real), float(z.imag)] for z in blk.ravel()])
-    return out
+def _walk_operator(op, module: HilbertModule) -> ModuleOperator:
+    rank = module.rank
+    if not isinstance(op, list) or len(op) != rank:
+        raise InputFormatError(f"'operator' must be a {rank}x{rank} array", "problem.operator")
+    entries = []
+    for i, row in enumerate(op):
+        if not isinstance(row, list) or len(row) != rank:
+            raise InputFormatError(f"row must have {rank} entries", f"problem.operator[{i}]")
+        entries.append(
+            [_parse_alg(cell, module.shape, f"problem.operator[{i}][{j}]") for j, cell in enumerate(row)]
+        )
+    return ModuleOperator.from_entries(module, entries)
+
+
+def _walk_pairs(raw_pairs: list, module: HilbertModule) -> list:
+    shape, rank = module.shape, module.rank
+    pairs = []
+    seen = set()
+    for idx, rp in enumerate(raw_pairs):
+        loc = f"solution.pairs[{idx}]"
+        label = _int_field(rp, "label", loc, 1)
+        if label in seen:
+            raise InputFormatError(f"duplicate label {label}", loc)
+        seen.add(label)
+        vec = _field(rp, "vector", loc)
+        if not isinstance(vec, list) or len(vec) != rank:
+            raise InputFormatError(f"'vector' must have {rank} coordinates", f"{loc}.vector")
+        coords = [
+            _parse_alg(c, shape, f"{loc}.vector[{i}]") for i, c in enumerate(vec)
+        ]
+        value = _parse_alg(_field(rp, "value", loc), shape, f"{loc}.value")
+        support = _parse_alg(_field(rp, "support", loc), shape, f"{loc}.support")
+        pairs.append(EigenPair(module.element(coords), value, support, label))
+    return pairs
+
+
+# The array path: None wherever the walk has to decide.
+
+
+def _may_hold_booleans(text: str) -> bool:
+    # np.array reads a JSON true or false as 1 or 0 without complaint
+    return "true" in text or "false" in text
+
+
+def _complex_array(nested, shape: tuple):
+    """Nested [re, im] pairs as a complex array of shape[:-1].
+
+    None unless np.array gives exactly shape, an int or float dtype and
+    finite entries.
+    """
+    try:
+        arr = np.array(nested)
+    except ValueError:  # ragged or too deep
+        return None
+    if arr.shape != shape or arr.dtype.kind not in "fiu" or not np.isfinite(arr).all():
+        return None
+    return arr.astype(np.float64, copy=False).view(np.complex128)[..., 0]
+
+
+def _list_of(data, length: int) -> bool:
+    return isinstance(data, list) and len(data) == length
+
+
+def _stacked_strips(coords: np.ndarray, k: int) -> np.ndarray:
+    """(..., n, k*k) coordinate blocks to (..., k, n*k) row strips."""
+    *lead, n, _ = coords.shape
+    return coords.reshape(*lead, n, k, k).swapaxes(-3, -2).reshape(*lead, k, n * k)
+
+
+def _coordinate_blocks(strips: np.ndarray, k: int) -> np.ndarray:
+    """(..., k, n*k) row strips to (..., n, k*k) coordinate blocks."""
+    *lead, _, width = strips.shape
+    n = width // k
+    return strips.reshape(*lead, k, n, k).swapaxes(-3, -2).reshape(*lead, n, k * k)
+
+
+def _array_operator(op, module: HilbertModule):
+    rank, r = module.rank, module.shape.num_blocks
+    if not _list_of(op, rank) or not all(
+        _list_of(row, rank) and all(_list_of(cell, r) for cell in row) for row in op
+    ):
+        return None
+    mats = []
+    for b, k in enumerate(module.shape.block_sizes):
+        grid = _complex_array([[cell[b] for cell in row] for row in op], (rank, rank, k * k, 2))
+        if grid is None:
+            return None
+        # row strip i of the stacked matrix holds entries (i, 0..n-1)
+        mats.append(_stacked_strips(grid, k).reshape(rank * k, rank * k))
+    return ModuleOperator(module, mats)
+
+
+def _array_pairs(raw_pairs: list, module: HilbertModule):
+    shape, rank = module.shape, module.rank
+    r = shape.num_blocks
+    if not all(isinstance(rp, dict) for rp in raw_pairs):
+        return None
+    labels = [rp.get("label") for rp in raw_pairs]
+    if not all(isinstance(lb, int) and not isinstance(lb, bool) and lb >= 1 for lb in labels):
+        return None
+    if len(set(labels)) != len(labels):
+        return None
+    try:
+        vectors = [rp["vector"] for rp in raw_pairs]
+        values = [rp["value"] for rp in raw_pairs]
+        supports = [rp["support"] for rp in raw_pairs]
+    except KeyError:
+        return None
+    if not (
+        all(_list_of(v, rank) and all(_list_of(c, r) for c in v) for v in vectors)
+        and all(_list_of(a, r) for a in values + supports)
+    ):
+        return None
+    count = len(raw_pairs)
+    strips, vals, sups = [], [], []
+    for b, k in enumerate(shape.block_sizes):
+        vec = _complex_array([[c[b] for c in v] for v in vectors], (count, rank, k * k, 2))
+        val = _complex_array([a[b] for a in values], (count, k * k, 2))
+        sup = _complex_array([a[b] for a in supports], (count, k * k, 2))
+        if vec is None or val is None or sup is None:
+            return None
+        strips.append(_stacked_strips(vec, k))
+        vals.append(val.reshape(count, k, k))
+        sups.append(sup.reshape(count, k, k))
+    return [
+        EigenPair(
+            module.element_from_stacked([s[p] for s in strips]),
+            AlgebraElement(shape, [v[p] for v in vals]),
+            AlgebraElement(shape, [s[p] for s in sups]),
+            labels[p],
+        )
+        for p in range(count)
+    ]
+
+
+def _pair_lists(z: np.ndarray) -> list:
+    """A complex array as nested lists whose innermost items are [re, im] pairs."""
+    return np.ascontiguousarray(z).view(np.float64).reshape(*z.shape, 2).tolist()
 
 
 def parse_problem(text: str) -> ModuleOperator:
@@ -131,29 +284,26 @@ def parse_problem(text: str) -> ModuleOperator:
     rank = _int_field(obj, "module_rank", "problem", 1)
     module = HilbertModule(shape, rank)
     op = _field(obj, "operator", "problem")
-    if not isinstance(op, list) or len(op) != rank:
-        raise InputFormatError(f"'operator' must be a {rank}x{rank} array", "problem.operator")
-    entries = []
-    for i, row in enumerate(op):
-        if not isinstance(row, list) or len(row) != rank:
-            raise InputFormatError(f"row must have {rank} entries", f"problem.operator[{i}]")
-        entries.append(
-            [_parse_alg(cell, shape, f"problem.operator[{i}][{j}]") for j, cell in enumerate(row)]
-        )
-    return ModuleOperator.from_entries(module, entries)
+    K = None if _may_hold_booleans(text) else _array_operator(op, module)
+    if K is None:
+        K = _walk_operator(op, module)
+    return K
 
 
 def serialize_problem(K: ModuleOperator) -> str:
+    n = K.module.rank
+    # grids[b][i][j] is block b of entry (i, j), read from row strip i
+    grids = [
+        _pair_lists(_coordinate_blocks(blk.reshape(n, k, n * k), k))
+        for k, blk in zip(K.module.shape.block_sizes, K.blocks)
+    ]
     obj = {
         "schema": SCHEMA,
         "algebra": {"blocks": list(K.module.shape.block_sizes)},
-        "module_rank": K.module.rank,
-        "operator": [
-            [_serialize_alg(K.entry(i, j)) for j in range(K.module.rank)]
-            for i in range(K.module.rank)
-        ],
+        "module_rank": n,
+        "operator": [[[g[i][j] for g in grids] for j in range(n)] for i in range(n)],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj) + "\n"
 
 
 def _parse_relation(data, loc: str) -> OrderRelation:
@@ -181,23 +331,9 @@ def parse_solution(text: str) -> DiagonalizationResult:
     raw_pairs = _field(obj, "pairs", "solution")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise InputFormatError("'pairs' must be a nonempty list", "solution.pairs")
-    pairs = []
-    seen = set()
-    for idx, rp in enumerate(raw_pairs):
-        loc = f"solution.pairs[{idx}]"
-        label = _int_field(rp, "label", loc, 1)
-        if label in seen:
-            raise InputFormatError(f"duplicate label {label}", loc)
-        seen.add(label)
-        vec = _field(rp, "vector", loc)
-        if not isinstance(vec, list) or len(vec) != rank:
-            raise InputFormatError(f"'vector' must have {rank} coordinates", f"{loc}.vector")
-        coords = [
-            _parse_alg(c, shape, f"{loc}.vector[{i}]") for i, c in enumerate(vec)
-        ]
-        value = _parse_alg(_field(rp, "value", loc), shape, f"{loc}.value")
-        support = _parse_alg(_field(rp, "support", loc), shape, f"{loc}.support")
-        pairs.append(EigenPair(module.element(coords), value, support, label))
+    pairs = None if _may_hold_booleans(text) else _array_pairs(raw_pairs, module)
+    if pairs is None:
+        pairs = _walk_pairs(raw_pairs, module)
     raw_cert = _field(obj, "certificate", "solution")
     if not isinstance(raw_cert, list):
         raise InputFormatError("'certificate' must be a list", "solution.certificate")
@@ -210,26 +346,34 @@ def parse_solution(text: str) -> DiagonalizationResult:
 def serialize_solution(result: DiagonalizationResult) -> str:
     if not result.pairs:
         raise ValueError("cannot serialize an empty result")
-    module = result.pairs[0].vector.module
+    pairs = result.pairs
+    module = pairs[0].vector.module
+    n, count = module.rank, len(pairs)
+    # per algebra block b: vectors[b][p][i], values[b][p] and supports[b][p]
+    vectors, values, supports = [], [], []
+    for b, k in enumerate(module.shape.block_sizes):
+        vectors.append(_pair_lists(_coordinate_blocks(np.stack([p.vector.stacked[b] for p in pairs]), k)))
+        values.append(_pair_lists(np.stack([p.value.blocks[b] for p in pairs]).reshape(count, k * k)))
+        supports.append(_pair_lists(np.stack([p.support.blocks[b] for p in pairs]).reshape(count, k * k)))
     obj = {
         "schema": SCHEMA,
         "algebra": {"blocks": list(module.shape.block_sizes)},
-        "module_rank": module.rank,
+        "module_rank": n,
         "tolerance": result.tolerance_used,
         "pairs": [
             {
                 "label": p.label,
-                "vector": [_serialize_alg(c) for c in p.vector.coords()],
-                "value": _serialize_alg(p.value),
-                "support": _serialize_alg(p.support),
+                "vector": [[v[idx][i] for v in vectors] for i in range(n)],
+                "value": [v[idx] for v in values],
+                "support": [s[idx] for s in supports],
             }
-            for p in result.pairs
+            for idx, p in enumerate(pairs)
         ],
         "certificate": [
             {"lhs": rel.lhs, "rhs": rel.rhs} for rel in result.ordering_certificate
         ],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj) + "\n"
 
 
 def serialize_report(report: VerificationReport) -> str:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from moddiag import (
     AlgebraElement,
     AlgebraShape,
+    HilbertModule,
+    ModuleOperator,
     NotPositiveError,
     NotSelfAdjointError,
     ShapeMismatchError,
@@ -82,6 +84,17 @@ def test_norm_is_largest_block_spectral_norm():
     a = random_algebra_element(SHAPE, rng)
     want = max(np.linalg.norm(blk, 2) for blk in a.blocks)
     assert a.norm() == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e200])
+def test_norm_is_scale_covariant(s):
+    # a* a is formed after exact power-of-two scaling; squaring the raw
+    # entries gave 0.0 at 1e-200 and non-finite entries at 1e200
+    rng = np.random.default_rng(24)
+    a = random_algebra_element(SHAPE, rng)
+    k = ModuleOperator(HilbertModule(SHAPE, 2), [random_hermitian(rng, 2 * n) for n in SHAPE.block_sizes])
+    assert (s * a).norm() == pytest.approx(s * a.norm(), rel=1e-13, abs=0.0)
+    assert (s * k).norm() == pytest.approx(s * k.norm(), rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,12 +11,14 @@ from moddiag import (
     diagonalize_selfadjoint,
     parse_problem,
     parse_solution,
+    projection_ladder,
     serialize_problem,
     serialize_report,
     serialize_solution,
     verify_eigensystem,
 )
 import moddiag.cli
+import moddiag.io
 from moddiag.cli import main
 
 from helpers import module_over, random_selfadjoint_operator
@@ -218,3 +220,218 @@ def test_cli_solver_nonconvergence_exits_1(tmp_path, monkeypatch, capsys):
     assert main(["diagonalize", "--input", problem]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "did not converge" in err
+
+
+# Array-at-a-time I/O: the same numbers and the same error locations as an
+# entry-by-entry walk, and the same documents as the per-entry serializer.
+
+
+def _reference_alg(a):
+    return [[[float(z.real), float(z.imag)] for z in blk.ravel()] for blk in a.blocks]
+
+
+def _reference_problem_doc(K):
+    n = K.module.rank
+    return {
+        "schema": 1,
+        "algebra": {"blocks": list(K.module.shape.block_sizes)},
+        "module_rank": n,
+        "operator": [[_reference_alg(K.entry(i, j)) for j in range(n)] for i in range(n)],
+    }
+
+
+def _reference_solution_doc(res):
+    module = res.pairs[0].vector.module
+    return {
+        "schema": 1,
+        "algebra": {"blocks": list(module.shape.block_sizes)},
+        "module_rank": module.rank,
+        "tolerance": res.tolerance_used,
+        "pairs": [
+            {
+                "label": p.label,
+                "vector": [_reference_alg(c) for c in p.vector.coords()],
+                "value": _reference_alg(p.value),
+                "support": _reference_alg(p.support),
+            }
+            for p in res.pairs
+        ],
+        "certificate": [{"lhs": r.lhs, "rhs": r.rhs} for r in res.ordering_certificate],
+    }
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def _same_operator(a, b):
+    return a.module == b.module and _bits(a.blocks) == _bits(b.blocks)
+
+
+def _same_result(a, b):
+    def header(r):
+        return r.labels(), r.ordering_certificate, r.tolerance_used
+
+    if header(a) != header(b):
+        return False
+    return all(
+        p.vector.module == q.vector.module
+        and _bits(p.vector.stacked + p.value.blocks + p.support.blocks)
+        == _bits(q.vector.stacked + q.value.blocks + q.support.blocks)
+        for p, q in zip(a.pairs, b.pairs)
+    )
+
+
+def _io_cases():
+    for sizes in [(2,), (2, 3), (1, 1, 1, 1), (2, 1, 3), (8,)]:
+        for rank in range(1, 6):
+            mod = module_over(sizes, rank)
+            yield random_selfadjoint_operator(mod, np.random.default_rng(100 * rank + len(sizes)))
+    for count in (2, 3, 5, 8, 16, 32):
+        yield projection_ladder(count).operator
+
+
+def test_compact_files_parse_to_the_bits_of_indented_ones(monkeypatch):
+    for K in _io_cases():
+        res = diagonalize_selfadjoint(K)
+        problem_doc, solution_doc = _reference_problem_doc(K), _reference_solution_doc(res)
+        problem, solution = serialize_problem(K), serialize_solution(res)
+        # the same documents as the per-entry serializer, written compactly
+        assert problem == json.dumps(problem_doc) + "\n"
+        assert solution == json.dumps(solution_doc) + "\n"
+        # compact text, and text indented the old way, parse to the original bits
+        assert _same_operator(parse_problem(problem), K)
+        assert _same_result(parse_solution(solution), res)
+        assert _same_operator(parse_problem(json.dumps(problem_doc, indent=2) + "\n"), K)
+        assert _same_result(parse_solution(json.dumps(solution_doc, indent=2) + "\n"), res)
+        # and so does the walk alone
+        with monkeypatch.context() as m:
+            m.setattr(moddiag.io, "_complex_array", lambda nested, shape: None)
+            assert _same_operator(parse_problem(problem), K)
+            assert _same_result(parse_solution(solution), res)
+
+
+def test_valid_files_never_reach_the_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the entry-by-entry walk ran on a valid file")
+
+    monkeypatch.setattr(moddiag.io, "_parse_alg", walk)
+    for K in (parse_problem(_problem_text()), projection_ladder(4).operator):
+        res = diagonalize_selfadjoint(K)
+        assert _same_operator(parse_problem(serialize_problem(K)), K)
+        assert _same_result(parse_solution(serialize_solution(res)), res)
+
+
+HUGE = 10**400
+
+# (replacement for pair 2 of block 0, location suffix after the algebra element)
+MALFORMED = [
+    ([True, 0], ".block[0][2]"),
+    (["1.5", 0], ".block[0][2]"),
+    ([None, 0], ".block[0][2]"),
+    ([float("nan"), 0], ".block[0][2]"),
+    ([1.0, 0.0, 0.0], ".block[0][2]"),
+    ("ragged", ".block[0]"),
+    ([HUGE, 0], ".block[0][2]"),
+]
+
+
+def _break(element, bad):
+    if bad == "ragged":
+        del element[0][-1]
+    else:
+        element[0][2] = bad
+
+
+@pytest.mark.parametrize(
+    "bad, where", MALFORMED, ids=["true", "string", "null", "nan", "triple", "ragged", "huge-int"]
+)
+def test_malformed_numbers_are_located_like_the_walk(bad, where):
+    problem = json.loads(_problem_text())
+    _break(problem["operator"][1][0], bad)
+    with pytest.raises(InputFormatError) as exc:
+        parse_problem(json.dumps(problem))
+    assert exc.value.location == "problem.operator[1][0]" + where
+
+    solution = json.loads(serialize_solution(diagonalize_selfadjoint(parse_problem(_problem_text()))))
+    for field, loc in (
+        (lambda p: p["vector"][1], "solution.pairs[1].vector[1]"),
+        (lambda p: p["value"], "solution.pairs[1].value"),
+        (lambda p: p["support"], "solution.pairs[1].support"),
+    ):
+        doc = json.loads(json.dumps(solution))
+        _break(field(doc["pairs"][1]), bad)
+        with pytest.raises(InputFormatError) as exc:
+            parse_solution(json.dumps(doc))
+        assert exc.value.location == loc + where
+
+
+def _solution_doc():
+    return json.loads(serialize_solution(diagonalize_selfadjoint(parse_problem(_problem_text()))))
+
+
+def _wrong_block_sizes(doc):
+    doc["algebra"]["blocks"] = [1, 1]
+
+
+def _extra_block(element):
+    element.append(element[-1])
+
+
+STRUCTURAL = [
+    (_wrong_block_sizes, "problem.operator[0][0].block[0]"),
+    (lambda d: _extra_block(d["operator"][1][0]), "problem.operator[1][0]"),
+    (_wrong_block_sizes, "solution.pairs[0].vector[0].block[0]"),
+    (lambda d: _extra_block(d["pairs"][1]["vector"][1]), "solution.pairs[1].vector[1]"),
+    (lambda d: _extra_block(d["pairs"][1]["support"]), "solution.pairs[1].support"),
+    (lambda d: d["pairs"][1].update(label=d["pairs"][0]["label"]), "solution.pairs[1]"),
+    (lambda d: d["pairs"][1].pop("value"), "solution.pairs[1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, where",
+    STRUCTURAL,
+    ids=["sizes", "extra-block", "sizes", "extra-block", "extra-block", "duplicate-label", "no-value"],
+)
+def test_structural_faults_are_located_like_the_walk(fault, where):
+    problem = where.startswith("problem")
+    doc = json.loads(_problem_text()) if problem else _solution_doc()
+    fault(doc)
+    with pytest.raises(InputFormatError) as exc:
+        (parse_problem if problem else parse_solution)(json.dumps(doc))
+    assert exc.value.location == where
+
+
+def test_the_walk_reads_what_the_array_path_declines():
+    K = parse_problem(_problem_text())
+    doc = json.loads(_problem_text())
+    doc["note"] = True  # any JSON boolean sends the file to the walk
+    doc["operator"][0][0][0][0] = [10**20, 0]  # an int numpy keeps as an object
+    again = parse_problem(json.dumps(doc))
+    assert again.blocks[0][0, 0] == 1e20
+    assert _bits(again.blocks)[1:] == _bits(K.blocks)[1:]
+
+
+def test_cli_oversized_numbers_exit_2_with_their_location(tmp_path, capsys):
+    doc = json.loads(_problem_text())
+    doc["operator"][0][0][0][0] = [HUGE, 0]
+    problem = _write(tmp_path, "huge.json", json.dumps(doc))
+    assert main(["diagonalize", "--input", problem]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: problem.operator[0][0].block[0][0]: ") and err.count("\n") == 1
+    # past the interpreter's limit on integer digits json.loads itself refuses
+    long_literal = _write(tmp_path, "long.json", json.dumps(doc).replace(str(HUGE), "1" * 5000))
+    assert main(["diagonalize", "--input", long_literal]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe", b"[" * 200_000], ids=["not-utf8", "nested-too-deep"]
+)
+def test_cli_unreadable_files_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["diagonalize", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1

@@ -265,8 +265,8 @@ def test_shifted_value_flips_only_eigen_residual_at_every_scale(s):
 
 
 def test_halved_spectrum_fails_at_tiny_scale():
-    # with a bound of tol * (1 + ||K||) this passed at ||K|| = 1e-160; the
-    # moment oracle's max(1, |trace|) normalization still misses it there
+    # with a bound of tol * (1 + ||K||) this passed at ||K|| = 1e-160, and
+    # so did the moment oracle while it divided by max(1, |trace|)
     mod = module_over((2,), 3)
     k = 1e-160 * _unit_scale_selfadjoint(mod, 89)
     res = diagonalize_selfadjoint(k)
@@ -279,7 +279,42 @@ def test_halved_spectrum_fails_at_tiny_scale():
     assert report.eigen_residual > 1e6 * report.residual_bound
     flags = _flags(report)
     assert not flags.pop("eigen") and all(flags.values())
+    assert not report.oracle_ok and report.moment_worst > 0.1
     assert not report.overall
+
+
+def _integer_spectrum_operator(mod, rng):
+    mats = []
+    for k in mod.shape.block_sizes:
+        d = mod.rank * k
+        q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        mats.append(q @ np.diag(rng.integers(-3, 4, d).astype(float)) @ q.conj().T)
+    return ModuleOperator(mod, mats)
+
+
+@pytest.mark.parametrize("seed", [2, 18])
+def test_moment_oracle_passes_a_clean_integer_spectrum_at_large_scale(seed):
+    # odd power traces of a spectrum in -3..3 nearly cancel; against
+    # max(1, |trace|) the round-off of 1e12-sized terms failed the oracle
+    k = 1e12 * _integer_spectrum_operator(module_over((2, 3), 5), np.random.default_rng(seed))
+    report = verify_eigensystem(k, diagonalize_selfadjoint(k))
+    assert report.moment_worst < 1e-12
+    assert report.overall, report.summary()
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-160, 1.0, 1e12, 1e200])
+def test_moment_deviation_is_unitless(s):
+    mod = module_over((2, 3), 2)
+    k = _unit_scale_selfadjoint(mod, 86)
+    res = diagonalize_selfadjoint(k)
+    label = res.labels()[0]
+    shifted = _replace_pair(res, label, value=res.pair_by_label(label).value + 1e-3 * mod.shape.identity())
+    for r in (res, shifted):
+        scaled = DiagonalizationResult(
+            tuple(p._replace(value=s * p.value) for p in r.pairs), r.ordering_certificate, r.tolerance_used
+        )
+        assert moment_deviation(s * k, scaled) == pytest.approx(moment_deviation(k, r), rel=1e-6, abs=1e-13)
+    assert moment_deviation(s * k, scaled) > 1e-5
 
 
 def test_zero_operator_passes_with_a_zero_bound():
