@@ -15,11 +15,9 @@ from .algebra import (
     NotPositiveError,
     NotSelfAdjointError,
     ShapeMismatchError,
-    SpectralDecomposition,
     center_trace,
     is_projection,
     leq,
-    spectral_decomposition,
     sqrt_pinv,
 )
 from .eigen import (
@@ -73,8 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraShape",
     "AlgebraElement",
-    "SpectralDecomposition",
-    "spectral_decomposition",
     "center_trace",
     "is_projection",
     "leq",

@@ -22,11 +22,9 @@ __all__ = [
     "ShapeMismatchError",
     "NotSelfAdjointError",
     "NotPositiveError",
-    "SpectralDecomposition",
     "is_projection",
     "leq",
     "center_trace",
-    "spectral_decomposition",
     "sqrt_pinv",
 ]
 
@@ -101,21 +99,38 @@ def _norm_lower_bound(blocks) -> float:
     return out
 
 
-def _positive_definite(mat: np.ndarray) -> bool:
-    """Whether a Hermitian matrix has a Cholesky factor, i.e. is positive definite.
+def _all_positive_definite(stack: np.ndarray) -> bool:
+    """Whether every Hermitian matrix in a stack ``(m, k, k)`` has a Cholesky factor.
 
-    The matrix is scaled by the power of two that brings its largest entry
-    into ``[1/2, 1)`` first, exactly, so the answer does not depend on its
-    units. A matrix with a non-finite or no nonzero entry has no factor.
+    One factorization call decides the stack. Each matrix is first scaled by
+    the power of two that brings its own largest entry into ``[1/2, 1)``,
+    exactly, so the answer does not depend on its units. A matrix with a
+    non-finite or no nonzero entry has no factor.
     """
-    top = float(np.abs(mat).max())
-    if not 0.0 < top < math.inf:
+    top = np.abs(stack).max(axis=(1, 2))
+    if not ((0.0 < top) & (top < math.inf)).all():
         return False
     try:
-        np.linalg.cholesky(_times_power_of_two(mat, -math.frexp(top)[1]))
+        np.linalg.cholesky(_times_power_of_two(stack, -np.frexp(top)[1][:, None, None]))
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _all_above(stacks, tol: float) -> bool:
+    """Whether no x in the ``(m, k, k)`` stacks has ``sym(x)`` below -tol.
+
+    By Sylvester's law of inertia that holds for x exactly when
+    ``sym(x) + tol I`` has a Cholesky factor. Shifted matrices that are
+    exactly zero are semidefinite and dropped; the rest are factorized in
+    one call per order.
+    """
+    by_order: dict = {}
+    for st in stacks:
+        k = st.shape[-1]
+        shifted = _sym(st) + tol * np.eye(k)
+        by_order.setdefault(k, []).append(shifted[shifted.any(axis=(-2, -1))])
+    return all(_all_positive_definite(np.concatenate(group)) for group in by_order.values())
 
 
 @dataclass(frozen=True)
@@ -193,6 +208,15 @@ class AlgebraElement:
         self.shape = shape
         self.blocks = tuple(mats)
 
+    @classmethod
+    def _trusted(cls, shape: AlgebraShape, blocks) -> AlgebraElement:
+        """No check, no copy: the blocks must be complex128, finite and of the right shape."""
+        out = object.__new__(cls)
+        out.shape, out.blocks = shape, tuple(blocks)
+        for m in out.blocks:
+            m.setflags(write=False)
+        return out
+
     def _require_same(self, other: AlgebraElement):
         if self.shape != other.shape:
             raise ShapeMismatchError("elements live in different algebras")
@@ -242,7 +266,7 @@ class AlgebraElement:
 
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
         """Every entry of ``a - a*`` is at most tol times the largest entry of a."""
-        return _hermitian_defect(self.blocks) <= tol
+        return bool(_hermitian_defect(self.blocks) <= tol)
 
     def __str__(self):
         parts = [np.array2string(a, precision=6, suppress_small=True) for a in self.blocks]
@@ -265,30 +289,25 @@ def _check_selfadjoint(a: AlgebraElement, what: str):
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + mat.conj().swapaxes(-2, -1))
 
 
 def leq(a: AlgebraElement, b: AlgebraElement, tol: float | None = None) -> bool:
     """Semidefinite order: b - a is positive semidefinite in every block.
 
     tol bounds how negative an eigenvalue of b - a may be; it defaults to
-    1e-10 * (1 + a lower estimate of ||b - a||). The test needs no
-    eigenvalue: by Sylvester's law of inertia, every eigenvalue of a block
-    of b - a is above -tol exactly when that block plus tol times the
-    identity has a Cholesky factor. A shifted block that is exactly zero is
-    semidefinite and passes.
+    1e-10 times a lower estimate of ||b - a||, so the answer does not
+    depend on the units of a and b. No eigenvalue is formed: blocks of
+    equal order go through one Cholesky factorization (``_all_above``). A
+    shifted block that is exactly zero is semidefinite and passes.
     """
     a._require_same(b)
     _check_selfadjoint(a, "left operand")
     _check_selfadjoint(b, "right operand")
     diff = b - a
     if tol is None:
-        tol = 1e-10 * (1.0 + _norm_lower_bound(diff.blocks))
-    for blk in diff.blocks:
-        shifted = _sym(blk) + tol * np.eye(blk.shape[0])
-        if shifted.any() and not _positive_definite(shifted):
-            return False
-    return True
+        tol = 1e-10 * _norm_lower_bound(diff.blocks)
+    return _all_above([blk[None] for blk in diff.blocks], tol)
 
 
 def center_trace(a: AlgebraElement) -> AlgebraElement:
@@ -297,53 +316,6 @@ def center_trace(a: AlgebraElement) -> AlgebraElement:
     for k, blk in zip(a.shape.block_sizes, a.blocks):
         mats.append((np.trace(blk) / k) * np.eye(k))
     return AlgebraElement(a.shape, mats)
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Finite spectral resolution a = sum(lam_i * p_i).
-
-    eigenvalues are strictly decreasing; projections are mutually
-    orthogonal and sum to the identity of the algebra.
-    """
-
-    eigenvalues: tuple[float, ...]
-    projections: tuple[AlgebraElement, ...]
-
-
-def spectral_decomposition(a: AlgebraElement, tol: float | None = None) -> SpectralDecomposition:
-    """Spectral resolution of a self-adjoint element.
-
-    Eigenvalues closer than tol are merged into one spectral projection;
-    tol defaults to 1e-9 * ||a||.
-    """
-    _check_selfadjoint(a, "input")
-    if tol is None:
-        tol = 1e-9 * a.norm()
-    entries = []  # (value, block, row eigenvector)
-    for b, blk in enumerate(a.blocks):
-        eg = eig_hermitian(_sym(blk))
-        for r in range(eg.values.shape[0]):
-            entries.append((float(eg.values[r]), b, eg.vectors[r]))
-    entries.sort(key=lambda e: -e[0])
-
-    groups: list[list] = []
-    for e in entries:
-        if groups and groups[-1][-1][0] - e[0] <= tol:
-            groups[-1].append(e)
-        else:
-            groups.append([e])
-
-    shape = a.shape
-    eigenvalues = []
-    projections = []
-    for grp in groups:
-        eigenvalues.append(float(np.mean([e[0] for e in grp])))
-        mats = [np.zeros((k, k), dtype=np.complex128) for k in shape.block_sizes]
-        for _, b, vec in grp:
-            mats[b] = mats[b] + np.outer(np.conj(vec), vec)
-        projections.append(AlgebraElement(shape, mats))
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projections))
 
 
 def sqrt_pinv(a: AlgebraElement, rank_tol: float = 1e-8) -> tuple[AlgebraElement, AlgebraElement]:

@@ -158,6 +158,7 @@ def _pairs(module: HilbertModule, spectra, labels, reverse) -> tuple:
     the ranks of window m, in reverse order where reverse[m] is set.
     """
     shape = module.shape
+    support = shape.identity()
     pairs = []
     for m, (label, rev) in enumerate(zip(labels, reverse)):
         stacked = []
@@ -170,9 +171,9 @@ def _pairs(module: HilbertModule, spectra, labels, reverse) -> tuple:
             diag_blocks.append(np.diag(values[ranks].astype(np.complex128)))
         pairs.append(
             EigenPair(
-                vector=ModuleElement(module, stacked),
-                value=AlgebraElement(shape, diag_blocks),
-                support=shape.identity(),
+                vector=ModuleElement._trusted(module, stacked),
+                value=AlgebraElement._trusted(shape, diag_blocks),
+                support=support,
                 label=label,
             )
         )

@@ -68,8 +68,10 @@ def _square_complex(matrix) -> np.ndarray:
     return a
 
 
-def _times_power_of_two(a, e: int) -> np.ndarray:
+def _times_power_of_two(a, e) -> np.ndarray:
     """``a * 2**e`` for a complex array, exact unless a part under- or overflows.
+
+    e may be an int array that broadcasts over a, e.g. ``(m, 1, 1)`` for m matrices.
 
     Scales the real and imaginary parts with ``np.ldexp``; the factor itself
     is not formed, since ``2.0**-e`` overflows for subnormal input.
@@ -78,15 +80,15 @@ def _times_power_of_two(a, e: int) -> np.ndarray:
     return np.ldexp(parts, e).view(np.complex128)
 
 
-def _hermitian_defect(mats) -> float:
+def _hermitian_defect(mats):
     """Largest entry of ``M - M*`` over mats, relative to the largest entry of any.
 
-    0 when all vanish.
+    0 when all vanish. The mats may also be stacks ``(p, k, k)`` with one p,
+    the blocks of p elements: the defect is then one per element.
     """
-    top = max(float(np.abs(m).max()) for m in mats)
-    if top == 0.0:
-        return 0.0
-    return max(float(np.abs(m - m.conj().T).max()) for m in mats) / top
+    top = np.max([np.abs(m).max(axis=(-2, -1)) for m in mats], axis=0)
+    defect = np.max([np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) for m in mats], axis=0)
+    return defect / np.maximum(top, math.ulp(0.0))  # where top is 0 so is defect
 
 
 def _normality_defect(mats) -> float:

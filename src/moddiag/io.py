@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
 from .diagonalize import DiagonalizationResult, EigenPair, OrderRelation
-from .modules import HilbertModule
+from .modules import HilbertModule, ModuleElement
 from .operators import ModuleOperator
 from .verify import VerificationReport
 
@@ -263,9 +263,9 @@ def _array_pairs(raw_pairs: list, module: HilbertModule):
         sups.append(sup.reshape(count, k, k))
     return [
         EigenPair(
-            module.element_from_stacked([s[p] for s in strips]),
-            AlgebraElement(shape, [v[p] for v in vals]),
-            AlgebraElement(shape, [s[p] for s in sups]),
+            ModuleElement._trusted(module, [s[p] for s in strips]),
+            AlgebraElement._trusted(shape, [v[p] for v in vals]),
+            AlgebraElement._trusted(shape, [s[p] for s in sups]),
             labels[p],
         )
         for p in range(count)
@@ -326,8 +326,8 @@ def parse_solution(text: str) -> DiagonalizationResult:
     rank = _int_field(obj, "module_rank", "solution", 1)
     module = HilbertModule(shape, rank)
     tolerance = _number(_field(obj, "tolerance", "solution"), "solution.tolerance")
-    if tolerance <= 0:
-        raise InputFormatError("tolerance must be positive", "solution.tolerance")
+    if not 0.0 < tolerance < 1.0:
+        raise InputFormatError("tolerance must lie strictly between 0 and 1", "solution.tolerance")
     raw_pairs = _field(obj, "pairs", "solution")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise InputFormatError("'pairs' must be a nonempty list", "solution.pairs")

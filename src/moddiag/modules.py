@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, _positive_definite, sqrt_pinv
+from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, _all_positive_definite, sqrt_pinv
 
 __all__ = [
     "HilbertModule",
@@ -54,9 +54,6 @@ class HilbertModule:
         ]
         return ModuleElement(self, stacked)
 
-    def element_from_stacked(self, stacked: Sequence) -> ModuleElement:
-        return ModuleElement(self, stacked)
-
     def zero_element(self) -> ModuleElement:
         return self.element([self.shape.zero()] * self.rank)
 
@@ -89,6 +86,15 @@ class ModuleElement:
             raise ShapeMismatchError("wrong number of stacked blocks")
         self.module = module
         self.stacked = tuple(mats)
+
+    @classmethod
+    def _trusted(cls, module: HilbertModule, stacked) -> ModuleElement:
+        """No check, no copy: the strips must be complex128, finite and of the right shape."""
+        out = object.__new__(cls)
+        out.module, out.stacked = module, tuple(stacked)
+        for m in out.stacked:
+            m.setflags(write=False)
+        return out
 
     def coord(self, i: int) -> AlgebraElement:
         if not 0 <= i < self.module.rank:
@@ -200,18 +206,19 @@ def orthogonal_complement_trivial(elements: Sequence[ModuleElement], tol: float 
     the stacked elements as rows, and checks the system has full column
     rank: its smallest singular value must exceed c = tol * max(1, ||rows||_F).
     That holds exactly when rows* rows - c**2 I is positive definite, which
-    a Cholesky factorization decides; the Frobenius norm is at least the
-    largest singular value, so c is never below tol * max(1, smax).
+    a Cholesky factorization decides, one per block order for the Gram
+    matrices of all blocks of that order; the Frobenius norm is at least
+    the largest singular value, so c is never below tol * max(1, smax).
     """
     if not elements:
         return False
     module = elements[0].module
     for e in elements:
         e._require_same(elements[0])
-    for b in range(module.shape.num_blocks):
+    by_order: dict = {}
+    for b, k in enumerate(module.shape.block_sizes):
         rows = np.vstack([e.stacked[b] for e in elements])
         c = tol * max(1.0, float(np.linalg.norm(rows)))
         gram = rows.conj().T @ rows
-        if not _positive_definite(gram - (c * c) * np.eye(gram.shape[0])):
-            return False
-    return True
+        by_order.setdefault(k, []).append(gram - (c * c) * np.eye(gram.shape[0]))
+    return all(_all_positive_definite(np.stack(group)) for group in by_order.values())

@@ -145,7 +145,7 @@ class ModuleOperator:
 
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
         """Every entry of ``K - K*`` is at most tol times the largest entry of K."""
-        return _hermitian_defect(self.blocks) <= tol
+        return bool(_hermitian_defect(self.blocks) <= tol)
 
     def is_normal(self, tol: float = 1e-10) -> bool:
         """Every entry of ``K K* - K* K`` is at most tol times the largest entry of K, squared."""

@@ -7,11 +7,11 @@ value, and the order relations of the certificate. No clause calls the
 eigensolver it audits. Per algebra block the claimed vectors are stacked
 into one matrix V, so the products V K - D V and V V* hold every eigen,
 orthogonality and projection residual at once; the operator scale comes
-from a power iteration, and rank and order are decided by Cholesky
-factorizations. The moment oracle checks spectrum preservation without
-ever eigendecomposing: it compares traces of operator powers against
-traces of powers of the compressed values, so a wrong spectrum cannot hide
-behind a consistent-looking eigenbasis.
+from a power iteration, and rank and order are decided by one Cholesky
+factorization per block order. The moment oracle checks spectrum
+preservation without ever eigendecomposing: it compares traces of
+operator powers against traces of powers of the compressed values, so a
+wrong spectrum cannot hide behind a consistent-looking eigenbasis.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ShapeMismatchError, _norm_lower_bound, leq
+from .algebra import ShapeMismatchError, _all_above, _norm_lower_bound
 from .diagonalize import DiagonalizationResult
-from .eigen import _times_power_of_two
+from .eigen import _hermitian_defect, _times_power_of_two
 from .modules import orthogonal_complement_trivial
 from .operators import ModuleOperator
 
@@ -106,23 +106,28 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _zero_like(result: DiagonalizationResult):
-    return result.pairs[0].value.shape.zero()
+def _ordering_ok(result: DiagonalizationResult, values: list, order_tol: float) -> bool:
+    """Whether every certificate relation holds as ``leq(lhs, rhs, tol=order_tol)``.
 
-
-def _ordering_ok(result: DiagonalizationResult, order_tol: float) -> bool:
-    if not result.ordering_certificate:
+    values holds, per algebra block, the stacked value blocks of the pairs.
+    All relations are decided at once: per block a stack of ``rhs - lhs``,
+    per block order one Cholesky factorization. A relation naming a label
+    with no pair, or a value that is not self-adjoint, fails the clause.
+    """
+    cert = result.ordering_certificate
+    if not cert:
         return True
-    by_label = {p.label: p.value for p in result.pairs}
-    zero = _zero_like(result)
-    for rel in result.ordering_certificate:
-        lhs = zero if rel.lhs is None else by_label.get(rel.lhs)
-        rhs = zero if rel.rhs is None else by_label.get(rel.rhs)
-        if lhs is None or rhs is None:
-            return False
-        if not leq(lhs, rhs, tol=order_tol):
-            return False
-    return True
+    index = {p.label: i for i, p in enumerate(result.pairs)}
+    index[None] = len(result.pairs)  # the zero element, stacked after the values
+    if any(rel.lhs not in index or rel.rhs not in index for rel in cert):
+        return False
+    lhs, rhs = [index[rel.lhs] for rel in cert], [index[rel.rhs] for rel in cert]
+    # AlgebraElement.is_selfadjoint, for each value that a relation names
+    used = sorted(set(lhs + rhs) - {index[None]})
+    if (_hermitian_defect([v[used] for v in values]) > 1e-10).any():
+        return False
+    padded = [np.concatenate([v, np.zeros_like(v[:1])]) for v in values]
+    return _all_above([v[rhs] - v[lhs] for v in padded], order_tol)
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -194,6 +199,8 @@ def verify_eigensystem(
     pairs = result.pairs
     if not pairs:
         raise ValueError("result has no eigenpairs")
+    if not (0.0 < tol < 1.0 and 0.0 < moment_tol < 1.0 and 0.0 < result.tolerance_used < 1.0):
+        raise ValueError("tol, moment_tol and result.tolerance_used must be in (0, 1)")
     shape = K.module.shape
     for p in pairs:
         if p.vector.module != K.module or p.value.shape != shape or p.support.shape != shape:
@@ -201,6 +208,7 @@ def verify_eigensystem(
     count = len(pairs)
     labels = [p.label for p in pairs]
     scale = _norm_lower_bound(K.blocks)
+    values = [np.stack([p.value.blocks[b] for p in pairs]) for b in range(shape.num_blocks)]
 
     # per pair (per pair of pairs i < j for orthogonality), the largest
     # Frobenius norm over the blocks; K and the values enter scaled by 2**-e,
@@ -215,7 +223,7 @@ def verify_eigensystem(
     with np.errstate(over="ignore", invalid="ignore"):
         for b, k in enumerate(shape.block_sizes):
             vecs = np.vstack([p.vector.stacked[b] for p in pairs])
-            vals = _times_power_of_two(np.stack([p.value.blocks[b] for p in pairs]), -e)
+            vals = _times_power_of_two(values[b], -e)
             sups = np.stack([p.support.blocks[b] for p in pairs])
             image = (vecs @ _times_power_of_two(K.blocks[b], -e)).reshape(count, k, -1)
             eigen = np.maximum(eigen, _frobenius(image - vals @ vecs.reshape(count, k, -1)))
@@ -239,7 +247,7 @@ def verify_eigensystem(
     }
 
     complement = orthogonal_complement_trivial([p.vector for p in pairs], tol=1e-8)
-    ordering = _ordering_ok(result, max(tol, result.tolerance_used) * scale)
+    ordering = _ordering_ok(result, values, max(tol, result.tolerance_used) * scale)
 
     worst = moment_deviation(K, result, max_moment)
     return VerificationReport(

@@ -16,7 +16,6 @@ from moddiag import (
     center_trace,
     is_projection,
     leq,
-    spectral_decomposition,
     sqrt_pinv,
 )
 
@@ -170,6 +169,49 @@ def test_leq_at_zero_tolerance_is_exact_semidefiniteness():
     assert not leq(a + SHAPE.identity(), a, tol=0.0)
 
 
+def test_leq_fails_when_one_block_fails():
+    # blocks of equal order share a factorization; each order's verdict counts
+    shape = AlgebraShape((2, 1, 3, 1, 2))
+    rng = np.random.default_rng(34)
+    a = AlgebraElement(shape, [random_hermitian(rng, k) for k in shape.block_sizes])
+    for b in range(shape.num_blocks):
+        diffs = [np.eye(k) for k in shape.block_sizes]
+        diffs[b] = diffs[b] - 2.0 * np.diag(np.arange(shape.block_sizes[b]) == 0)
+        assert not leq(a, a + AlgebraElement(shape, diffs)), b
+        assert leq(a, a + AlgebraElement(shape, [abs(d) for d in diffs]))
+
+
+def _leq_cases():
+    """Pairs (a, b) whose verdict is far from the tolerance's edge, or exactly semidefinite."""
+    rng = np.random.default_rng(33)
+    for shape in (SHAPE, AlgebraShape((4,)), AlgebraShape((1, 1, 1))):
+        a = AlgebraElement(shape, [random_hermitian(rng, k) for k in shape.block_sizes])
+        pd, indefinite, projection = [], [], []
+        for k in shape.block_sizes:
+            g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            pd.append(g @ g.conj().T + 0.1 * np.eye(k))
+            indefinite.append(pd[-1] - 2.0 * np.trace(pd[-1]).real * np.outer(np.eye(k)[0], np.eye(k)[0]))
+            projection.append(np.diag((np.arange(k) % 2 == 0).astype(float)))
+        for diff in (pd, indefinite, projection, [0.0 * d for d in pd]):
+            yield a, a + AlgebraElement(shape, diff)
+
+
+def test_leq_default_tolerance_carries_no_units():
+    # with a default slack of 1e-10 * (1 + ||b - a||), x <= 0 held for
+    # x = 1e-12 while it failed for x = 1 and x = 1e-9
+    x, zero = AlgebraShape((1,)).identity(), AlgebraShape((1,)).zero()
+    for s in (1.0, 1e-9, 1e-12, 1e-200):
+        assert not leq(s * x, zero) and leq(zero, s * x)
+    scales = [2.0**j for j in range(-660, 661, 60)] + [10.0**j for j in range(-200, 201, 25)]
+    verdicts = []
+    for a, b in _leq_cases():
+        expected = leq(a, b)
+        verdicts.append(expected)
+        for s in scales:
+            assert leq(s * a, s * b) == expected, s
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
 @pytest.mark.parametrize("s", [1e-13, 1e-10, 1e-6, 1e12])
 def test_is_selfadjoint_is_relative_to_the_largest_entry(s):
     shape = AlgebraShape((2,))
@@ -201,29 +243,6 @@ def test_is_projection():
     v /= np.linalg.norm(v)
     rank_one = AlgebraElement(SHAPE, [np.zeros((2, 2)), np.zeros((1, 1)), np.outer(v, v.conj())])
     assert is_projection(rank_one)
-
-
-def test_spectral_decomposition_reassembles():
-    rng = np.random.default_rng(26)
-    a = AlgebraElement(SHAPE, [random_hermitian(rng, k) for k in SHAPE.block_sizes])
-    dec = spectral_decomposition(a)
-    assert all(x > y for x, y in zip(dec.eigenvalues, dec.eigenvalues[1:]))
-    total = SHAPE.zero()
-    resum = SHAPE.zero()
-    for lam, p in zip(dec.eigenvalues, dec.projections):
-        assert is_projection(p, tol=1e-8)
-        total = total + p
-        resum = resum + lam * p
-    assert total.isclose(SHAPE.identity(), tol=1e-9)
-    assert resum.isclose(a, tol=1e-9 * (1 + a.norm()))
-
-
-def test_spectral_decomposition_merges_close_values():
-    shape = AlgebraShape((2,))
-    a = shape.diagonal([[1.0, 1.0 + 1e-12]])
-    dec = spectral_decomposition(a, tol=1e-9)
-    assert len(dec.eigenvalues) == 1
-    assert dec.projections[0].isclose(shape.identity())
 
 
 def test_sqrt_pinv_full_rank():

@@ -435,3 +435,40 @@ def test_cli_unreadable_files_exit_2(tmp_path, capsys, content):
     assert main(["diagonalize", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def _swap_labels(doc, a, b):
+    for pair in doc["pairs"]:
+        pair["label"] = {a: b, b: a}.get(pair["label"], pair["label"])
+
+
+@pytest.mark.parametrize("claimed", [1e300, 1.0, 0.0])
+def test_cli_a_claimed_tolerance_outside_the_unit_interval_exits_2(tmp_path, capsys, claimed):
+    # the verifier's ordering slack grows with the claimed tolerance: at
+    # 1e300 it passed a certificate whose labels 1 and 2 are swapped
+    problem = _write(tmp_path, "problem.json", _problem_text(seed=3, sizes=(2, 3), rank=3))
+    solution_path = str(tmp_path / "solution.json")
+    assert main(["diagonalize", "--input", problem, "--solution", solution_path]) == 0
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    _swap_labels(doc, 1, 2)
+    swapped = _write(tmp_path, "swapped.json", json.dumps(doc))
+    assert main(["verify", "--input", problem, "--solution", swapped]) == 1
+    capsys.readouterr()
+    doc["tolerance"] = claimed
+    loose = _write(tmp_path, "loose.json", json.dumps(doc))
+    assert main(["verify", "--input", problem, "--solution", loose]) == 2
+    assert capsys.readouterr().err.startswith("input error: solution.tolerance: ")
+
+
+def test_cli_a_non_selfadjoint_claimed_value_exits_1(tmp_path, capsys):
+    problem = _write(tmp_path, "problem.json", _problem_text())
+    solution_path = str(tmp_path / "solution.json")
+    assert main(["diagonalize", "--input", problem, "--solution", solution_path]) == 0
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    entry = doc["pairs"][0]["value"][0]  # block 0, order 2, row-major
+    entry[1] = [entry[1][0] + 0.5, entry[1][1]]
+    crooked = _write(tmp_path, "crooked.json", json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", problem, "--solution", crooked]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and "ordering ok:            False" in captured.out

@@ -6,6 +6,7 @@ import pytest
 from moddiag import (
     AlgebraShape,
     HilbertModule,
+    ModuleElement,
     ShapeMismatchError,
     inner,
     is_projection,
@@ -175,21 +176,48 @@ def test_complement_cross_check_with_svd():
     assert orthogonal_complement_trivial(vecs) == full
 
 
+def _svd_complement_trivial(vecs, tol=1e-8):
+    # the span is full exactly when each block's smallest singular value
+    # (numpy's SVD here) clears tol * max(1, ||rows||_F), the threshold the
+    # Cholesky test applies
+    full = True
+    for b in range(vecs[0].module.shape.num_blocks):
+        rows = np.vstack([v.stacked[b] for v in vecs])
+        smin = np.linalg.svd(rows, compute_uv=False)[-1]
+        full = full and smin > tol * max(1.0, np.linalg.norm(rows))
+    return full
+
+
 def test_complement_near_rank_deficient():
-    # the last element leans on the one before it by eps; the span is full
-    # exactly when the smallest singular value (numpy's SVD here) clears
-    # 1e-8 * max(1, ||rows||_F), the threshold the Cholesky test applies
+    # the last element leans on the one before it by eps
     rng = np.random.default_rng(43)
     base = [random_element(MOD, rng) for _ in range(MOD.rank)]
     for eps in (1e-4, 1e-6, 1e-10, 1e-12):
         vecs = base[:-1] + [base[-2] + eps * base[-1]]
-        full = True
-        for b in range(MOD.shape.num_blocks):
-            rows = np.vstack([v.stacked[b] for v in vecs])
-            smin = np.linalg.svd(rows, compute_uv=False)[-1]
-            full = full and smin > 1e-8 * max(1.0, np.linalg.norm(rows))
+        full = _svd_complement_trivial(vecs)
         assert full == (eps >= 1e-6)
         assert orthogonal_complement_trivial(vecs, tol=1e-8) == full
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (2, 1, 3, 1, 2)])
+def test_stacked_complement_check_agrees_with_svd(sizes):
+    # blocks of equal order share one factorization; a single deficient
+    # block among them must still make the whole check fail
+    mod = module_over(sizes, 3)
+    rng = np.random.default_rng(44)
+    seen = set()
+    for trial in range(24):
+        vecs = [random_element(mod, rng, scale=10.0 ** rng.integers(-3, 4)) for _ in range(mod.rank)]
+        b = trial % len(sizes)
+        eps = (0.0, 1e-12, 1e-4, None)[trial % 4]
+        if eps is not None:
+            strips = [np.array(s) for s in vecs[-1].stacked]
+            strips[b] = vecs[0].stacked[b] + eps * strips[b]
+            vecs[-1] = ModuleElement(mod, strips)
+        expected = _svd_complement_trivial(vecs)
+        assert orthogonal_complement_trivial(vecs, tol=1e-8) == expected, (trial, eps)
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_mixed_module_raises():

@@ -12,15 +12,18 @@ import pytest
 
 import moddiag
 from moddiag import (
+    AlgebraElement,
     DiagonalizationResult,
     EigenPair,
     ModuleOperator,
+    NotSelfAdjointError,
     OrderRelation,
     ShapeMismatchError,
     diagonalize_normal,
     diagonalize_selfadjoint,
     inner,
     left_action,
+    leq,
     moment_deviation,
     moment_oracle,
     projection_ladder,
@@ -424,3 +427,150 @@ def test_stacked_residuals_bracket_the_spectral_reference():
             assert value <= root_k * ref[clause] + slack, (clause, value, ref[clause])
         dim = k.module.rank * max(k.module.shape.block_sizes)
         assert norm / np.sqrt(dim) <= report.operator_scale <= norm * (1.0 + 1e-12)
+
+
+def _leq_reference(result, order_tol):
+    """The ordering clause as it was decided before: one leq call per relation."""
+    by_label = {p.label: p.value for p in result.pairs}
+    zero = result.pairs[0].value.shape.zero()
+    for rel in result.ordering_certificate:
+        lhs = zero if rel.lhs is None else by_label.get(rel.lhs)
+        rhs = zero if rel.rhs is None else by_label.get(rel.rhs)
+        if lhs is None or rhs is None:
+            return False
+        try:
+            if not leq(lhs, rhs, tol=order_tol):
+                return False
+        except NotSelfAdjointError:
+            return False
+    return True
+
+
+def _ordering_tampers(res, s):
+    """The clean result and results whose certificate or values are doctored."""
+    yield res
+    labels = res.labels()
+    first, second = labels[0], labels[1]
+    swap = {first: second, second: first}
+    yield DiagonalizationResult(
+        tuple(p._replace(label=swap.get(p.label, p.label)) for p in res.pairs),
+        res.ordering_certificate,
+        res.tolerance_used,
+    )
+    cert = list(res.ordering_certificate)
+    mid = cert[len(cert) // 2]
+    cert[len(cert) // 2] = OrderRelation(mid.rhs, mid.lhs)
+    yield DiagonalizationResult(res.pairs, tuple(cert), res.tolerance_used)
+    identity = res.pairs[0].value.shape.identity()
+    yield _replace_pair(res, first, value=res.pair_by_label(first).value - 1e-3 * s * identity)
+    yield _replace_pair(res, second, value=res.pair_by_label(second).value + 1e-12 * s * identity)
+    blocks = [np.array(b) for b in res.pair_by_label(first).value.blocks]
+    big = max(range(len(blocks)), key=lambda b: blocks[b].shape[0])
+    blocks[big][0, -1] += 0.5 * s
+    yield _replace_pair(res, first, value=AlgebraElement(identity.shape, blocks))
+
+
+@pytest.mark.parametrize("s", [1e-200, 1.0, 1e200])
+def test_stacked_ordering_clause_matches_per_relation_leq(s):
+    rng = np.random.default_rng(93)
+    operators = [
+        random_selfadjoint_operator(module_over(sizes, rank), rng)
+        for sizes, rank in (((1, 1, 1, 1), 3), ((2, 1, 3), 2), ((8,), 2))
+    ]
+    operators.append(projection_ladder(32).operator)
+    verdicts = []
+    for k in operators:
+        k = s * k
+        for res in _ordering_tampers(diagonalize_selfadjoint(k), s):
+            report = verify_eigensystem(k, res)
+            expected = _leq_reference(res, max(1e-9, res.tolerance_used) * report.operator_scale)
+            assert report.ordering_ok == expected, (k.module.shape.block_sizes, s)
+            verdicts.append(expected)
+    assert verdicts.count(True) >= 4 and verdicts.count(False) >= 8
+
+
+def test_one_false_relation_among_the_ladder_relations_fails_the_clause():
+    k = projection_ladder(32).operator
+    res = diagonalize_selfadjoint(k)
+    cert = res.ordering_certificate
+    assert len(cert) == 33 and verify_eigensystem(k, res).ordering_ok
+    # L1 holds +0.5 in its first block, so L1 <= 0 is false
+    for i in [*range(0, len(cert), 4), len(cert) - 1]:
+        tampered = cert[:i] + (OrderRelation(1, None),) + cert[i + 1 :]
+        report = verify_eigensystem(k, DiagonalizationResult(res.pairs, tampered, res.tolerance_used))
+        assert not report.ordering_ok, i
+
+
+def test_exactly_zero_shifted_blocks_pass_the_ordering_clause():
+    # for K = 0 the slack is 0, so every rhs - lhs + 0 * I is exactly zero,
+    # which is semidefinite but has no Cholesky factor
+    mod = module_over((2, 1, 1), 3)
+    k = ModuleOperator.zero(mod)
+    res = diagonalize_selfadjoint(k)
+    labels = res.labels()
+    every_way = tuple(OrderRelation(a, b) for a in labels + (None,) for b in labels + (None,))
+    report = verify_eigensystem(k, DiagonalizationResult(res.pairs, every_way, res.tolerance_used))
+    assert report.operator_scale == 0.0
+    assert report.ordering_ok and report.overall, report.summary()
+    zeros = np.zeros((3, 2, 2))
+    assert moddiag.algebra._all_above([zeros], 0.0)
+    assert not moddiag.algebra._all_positive_definite(zeros)
+
+
+@pytest.mark.parametrize(
+    "sizes, rank", [(None, 32), ((2, 1, 3), 3), ((1, 1, 1, 1), 2)], ids=["ladder", "mixed", "ones"]
+)
+def test_verify_makes_one_cholesky_call_per_block_order_per_clause(monkeypatch, sizes, rank):
+    if sizes is None:
+        k = projection_ladder(rank).operator
+    else:
+        k = random_selfadjoint_operator(module_over(sizes, rank), np.random.default_rng(94))
+    res = diagonalize_selfadjoint(k)
+    calls = []
+    factor = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    assert verify_eigensystem(k, res).overall
+    # two clauses factorize: the ordering clause and the complement check;
+    # the ladder made 1088 calls with one factorization per block and relation
+    assert len(calls) <= 2 * len(set(k.module.shape.block_sizes)), calls
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, 1e300, -1e-9])
+def test_a_tolerance_outside_the_unit_interval_is_refused(bad):
+    # each one widens a slack; at 1e300 swapped labels passed
+    mod = module_over((2,), 2)
+    k = _unit_scale_selfadjoint(mod, 95)
+    res = diagonalize_selfadjoint(k)
+    with pytest.raises(ValueError, match="tolerance_used"):
+        verify_eigensystem(k, DiagonalizationResult(res.pairs, res.ordering_certificate, bad))
+    for kwargs in ({"tol": bad}, {"moment_tol": bad}):
+        with pytest.raises(ValueError, match="in \\(0, 1\\)"):
+            verify_eigensystem(k, res, **kwargs)
+
+
+def test_a_non_selfadjoint_claimed_value_fails_ordering_instead_of_raising():
+    mod = module_over((2,), 3)
+    k = _unit_scale_selfadjoint(mod, 96)
+    res = diagonalize_selfadjoint(k)
+    label = res.labels()[0]
+    crooked = res.pair_by_label(label).value + mod.shape.element([np.array([[0.0, 0.5], [0.0, 0.0]])])
+    report = verify_eigensystem(k, _replace_pair(res, label, value=crooked))
+    assert not report.ordering_ok and not report.overall
+
+
+def test_a_relation_false_in_one_block_only_fails_the_clause():
+    # blocks of equal order share a factorization; each order's verdict counts
+    mod = module_over((2, 1, 3, 1, 2), 2)
+    k = _unit_scale_selfadjoint(mod, 97)
+    res = diagonalize_selfadjoint(k)
+    top = res.labels()[0]
+    for b in range(mod.shape.num_blocks):
+        blocks = list(res.pair_by_label(top).value.blocks)
+        blocks[b] = blocks[b] - 10.0 * np.eye(len(blocks[b]))
+        sunk = _replace_pair(res, top, value=AlgebraElement(mod.shape, blocks))
+        assert not verify_eigensystem(k, sunk).ordering_ok, b
