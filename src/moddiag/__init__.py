@@ -12,13 +12,10 @@ exercise the corner cases.
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
-    NotPositiveError,
     NotSelfAdjointError,
     ShapeMismatchError,
-    center_trace,
     is_projection,
     leq,
-    sqrt_pinv,
 )
 from .eigen import (
     ConvergenceError,
@@ -34,19 +31,16 @@ from .modules import (
     inner,
     left_action,
     module_norm,
-    normalize_to_projection,
     orthogonal_complement_trivial,
     right_action,
 )
-from .operators import ModuleOperator, central_decompose, theta
+from .operators import ModuleOperator, theta
 from .diagonalize import (
     DiagonalizationResult,
     EigenPair,
     OrderRelation,
-    Slot,
     diagonalize_normal,
     diagonalize_selfadjoint,
-    order_eigenvalues,
 )
 from .gallery import (
     EigenFamily,
@@ -71,13 +65,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraShape",
     "AlgebraElement",
-    "center_trace",
     "is_projection",
     "leq",
-    "sqrt_pinv",
     "ShapeMismatchError",
     "NotSelfAdjointError",
-    "NotPositiveError",
     "HermitianEig",
     "eig_hermitian",
     "eig_normal",
@@ -90,16 +81,12 @@ __all__ = [
     "left_action",
     "right_action",
     "module_norm",
-    "normalize_to_projection",
     "orthogonal_complement_trivial",
     "ModuleOperator",
     "theta",
-    "central_decompose",
     "EigenPair",
     "OrderRelation",
-    "Slot",
     "DiagonalizationResult",
-    "order_eigenvalues",
     "diagonalize_selfadjoint",
     "diagonalize_normal",
     "EigenFamily",

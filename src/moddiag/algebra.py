@@ -1,8 +1,8 @@
 """Block matrix *-algebras: finite direct sums of full complex matrix algebras.
 
 An element carries one square complex matrix per block. Multiplication,
-adjoint, the semidefinite order, the center-valued trace and the spectral
-calculus all act blockwise. Elements are immutable after construction.
+adjoint, the norm and the semidefinite order all act blockwise. Elements
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ __all__ = [
     "AlgebraElement",
     "ShapeMismatchError",
     "NotSelfAdjointError",
-    "NotPositiveError",
     "is_projection",
     "leq",
-    "center_trace",
-    "sqrt_pinv",
 ]
 
 
@@ -34,10 +31,6 @@ class ShapeMismatchError(ValueError):
 
 
 class NotSelfAdjointError(ValueError):
-    pass
-
-
-class NotPositiveError(ValueError):
     pass
 
 
@@ -308,37 +301,3 @@ def leq(a: AlgebraElement, b: AlgebraElement, tol: float | None = None) -> bool:
     if tol is None:
         tol = 1e-10 * _norm_lower_bound(diff.blocks)
     return _all_above([blk[None] for blk in diff.blocks], tol)
-
-
-def center_trace(a: AlgebraElement) -> AlgebraElement:
-    """Center-valued trace: each block is averaged onto its identity."""
-    mats = []
-    for k, blk in zip(a.shape.block_sizes, a.blocks):
-        mats.append((np.trace(blk) / k) * np.eye(k))
-    return AlgebraElement(a.shape, mats)
-
-
-def sqrt_pinv(a: AlgebraElement, rank_tol: float = 1e-8) -> tuple[AlgebraElement, AlgebraElement]:
-    """Pseudo-inverse square root of a positive element.
-
-    Returns (s, q) with s = a^(-1/2) on the support of a and q the support
-    projection, so that s * a * s = q up to round-off. Eigenvalues below
-    rank_tol * ||a|| count as zero; an eigenvalue below the negative of
-    that threshold raises NotPositiveError.
-    """
-    _check_selfadjoint(a, "input")
-    cut = rank_tol * a.norm()
-    s_mats = []
-    q_mats = []
-    for blk in a.blocks:
-        eg = eig_hermitian(_sym(blk))
-        if eg.values[-1] < -max(cut, 1e-14):
-            raise NotPositiveError(
-                f"negative eigenvalue {eg.values[-1]:.3e} beyond tolerance"
-            )
-        keep = eg.values > cut
-        inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, eg.values, 1.0)), 0.0)
-        vh = eg.vectors.conj().T
-        s_mats.append(vh @ np.diag(inv_sqrt) @ eg.vectors)
-        q_mats.append(vh @ np.diag(keep.astype(np.complex128)) @ eg.vectors)
-    return AlgebraElement(a.shape, s_mats), AlgebraElement(a.shape, q_mats)

@@ -29,26 +29,12 @@ from .modules import HilbertModule, ModuleElement
 from .operators import ModuleOperator
 
 __all__ = [
-    "Slot",
     "EigenPair",
     "OrderRelation",
     "DiagonalizationResult",
-    "order_eigenvalues",
     "diagonalize_selfadjoint",
     "diagonalize_normal",
 ]
-
-
-class Slot(NamedTuple):
-    """One window of the scalar spectrum: a label, its values, their positions.
-
-    values are listed in the order they will appear on the diagonal of the
-    block eigenvalue; indices are the matching positions in the input list.
-    """
-
-    label: int
-    values: tuple
-    indices: tuple
 
 
 class EigenPair(NamedTuple):
@@ -179,33 +165,6 @@ def _pairs(module: HilbertModule, spectra, labels, reverse) -> tuple:
         )
     pairs.sort(key=lambda p: p.label)
     return tuple(pairs)
-
-
-def order_eigenvalues(scalars, block_size: int, zero_tol: float = 0.0):
-    """Assign a flat list of real scalars to labeled diagonal windows.
-
-    The scalars are sorted descending and cut into windows of block_size
-    consecutive ranks; window m dominates window m+1 entrywise. Returns the
-    slots in that dominance order, labels assigned by sign class.
-    """
-    vals = np.asarray(scalars, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("scalars must be a nonempty flat list")
-    if not np.isfinite(vals).all():
-        raise ValueError("scalars must be finite")
-    if block_size < 1 or vals.size % block_size:
-        raise ValueError(f"block size {block_size} does not divide {vals.size} scalars")
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
-    order = np.argsort(-vals, kind="stable")
-    labels, reverse, _ = _windows([vals[order]], (block_size,), zero_tol)
-    slots = []
-    for m, (label, rev) in enumerate(zip(labels, reverse)):
-        idx = order[m * block_size : (m + 1) * block_size]
-        if rev:
-            idx = idx[::-1]
-        slots.append(Slot(label, tuple(float(vals[i]) for i in idx), tuple(int(i) for i in idx)))
-    return slots
 
 
 def diagonalize_selfadjoint(K: ModuleOperator, tol: float = 1e-9) -> DiagonalizationResult:

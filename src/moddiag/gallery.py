@@ -145,6 +145,8 @@ def projection_ladder(count: int, alphas: Optional[Sequence[float]] = None) -> P
     alphas = [float(a) for a in alphas]
     if len(alphas) != count:
         raise ValueError(f"need exactly {count} coupling values, got {len(alphas)}")
+    if not all(np.isfinite(alphas)):
+        raise ValueError("coupling values must be finite")
     if any(a <= 0 for a in alphas):
         raise ValueError("coupling values must be positive")
     if any(alphas[i] <= alphas[i + 1] for i in range(count - 1)):
@@ -155,12 +157,11 @@ def projection_ladder(count: int, alphas: Optional[Sequence[float]] = None) -> P
     one = shape.identity()
     proj = [shape.block_projection(b) for b in range(count)]
 
-    zero = shape.zero()
-    entries = [[zero for _ in range(count)] for _ in range(count)]
-    for n in range(count):
-        entries[0][n] = alphas[n] * proj[n]
-        entries[n][0] = alphas[n] * proj[n]
-    operator = ModuleOperator.from_entries(module, entries)
+    # block b couples coordinates 0 and b by alpha_b
+    blocks = np.zeros((count, count, count))
+    for b, a in enumerate(alphas):
+        blocks[b, 0, b] = blocks[b, b, 0] = a
+    operator = ModuleOperator(module, blocks)
 
     basis = [module.basis_element(i) for i in range(count)]
     expected = [LadderPair(proj[0] * basis[0], alphas[0] * proj[0], proj[0])]

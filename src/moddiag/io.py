@@ -39,6 +39,11 @@ __all__ = [
 
 SCHEMA = 1
 
+# Largest magnitude, exclusive, of a number in a problem's operator. Below
+# it every eigenvalue, symmetrized entry and power-of-two scaling exponent
+# of the pipeline stays finite (docs/design-notes.md, "Input bound").
+_MAX_ENTRY = 2.0**1000
+
 
 class InputFormatError(ValueError):
     """Malformed input file; location names the field or line at fault."""
@@ -137,18 +142,18 @@ def _parse_alg(data, shape: AlgebraShape, loc: str) -> AlgebraElement:
     return AlgebraElement(shape, mats)
 
 
-def _walk_operator(op, module: HilbertModule) -> ModuleOperator:
+def _walk_operator(op, module: HilbertModule) -> list:
     rank = module.rank
     if not isinstance(op, list) or len(op) != rank:
         raise InputFormatError(f"'operator' must be a {rank}x{rank} array", "problem.operator")
-    entries = []
+    cells = []
     for i, row in enumerate(op):
         if not isinstance(row, list) or len(row) != rank:
             raise InputFormatError(f"row must have {rank} entries", f"problem.operator[{i}]")
-        entries.append(
-            [_parse_alg(cell, module.shape, f"problem.operator[{i}][{j}]") for j, cell in enumerate(row)]
+        cells.append(
+            [_parse_alg(cell, module.shape, f"problem.operator[{i}][{j}]").blocks for j, cell in enumerate(row)]
         )
-    return ModuleOperator.from_entries(module, entries)
+    return [np.array([[c[b].ravel() for c in row] for row in cells]) for b in range(module.shape.num_blocks)]
 
 
 def _walk_pairs(raw_pairs: list, module: HilbertModule) -> list:
@@ -219,14 +224,13 @@ def _array_operator(op, module: HilbertModule):
         _list_of(row, rank) and all(_list_of(cell, r) for cell in row) for row in op
     ):
         return None
-    mats = []
+    grids = []
     for b, k in enumerate(module.shape.block_sizes):
         grid = _complex_array([[cell[b] for cell in row] for row in op], (rank, rank, k * k, 2))
         if grid is None:
             return None
-        # row strip i of the stacked matrix holds entries (i, 0..n-1)
-        mats.append(_stacked_strips(grid, k).reshape(rank * k, rank * k))
-    return ModuleOperator(module, mats)
+        grids.append(grid)
+    return grids
 
 
 def _array_pairs(raw_pairs: list, module: HilbertModule):
@@ -284,10 +288,15 @@ def parse_problem(text: str) -> ModuleOperator:
     rank = _int_field(obj, "module_rank", "problem", 1)
     module = HilbertModule(shape, rank)
     op = _field(obj, "operator", "problem")
-    K = None if _may_hold_booleans(text) else _array_operator(op, module)
-    if K is None:
-        K = _walk_operator(op, module)
-    return K
+    # grids[b][i, j] is block b of entry (i, j), flattened row-major
+    grids = None if _may_hold_booleans(text) else _array_operator(op, module)
+    if grids is None:
+        grids = _walk_operator(op, module)
+    if max(max(np.abs(g.real).max(), np.abs(g.imag).max()) for g in grids) >= _MAX_ENTRY:
+        raise InputFormatError("every number must be below 2**1000 in magnitude", "problem.operator")
+    # row strip i of the stacked matrix holds entries (i, 0..n-1)
+    mats = [_stacked_strips(g, k).reshape(rank * k, rank * k) for g, k in zip(grids, shape.block_sizes)]
+    return ModuleOperator(module, mats)
 
 
 def serialize_problem(K: ModuleOperator) -> str:

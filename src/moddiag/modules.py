@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, _all_positive_definite, sqrt_pinv
+from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, _all_positive_definite
 
 __all__ = [
     "HilbertModule",
@@ -24,7 +24,6 @@ __all__ = [
     "left_action",
     "right_action",
     "module_norm",
-    "normalize_to_projection",
     "orthogonal_complement_trivial",
 ]
 
@@ -182,21 +181,6 @@ def right_action(x: ModuleElement, a: AlgebraElement) -> ModuleElement:
 
 def module_norm(x: ModuleElement) -> float:
     return float(np.sqrt(inner(x, x).norm()))
-
-
-def normalize_to_projection(
-    x: ModuleElement, rank_tol: float = 1e-8
-) -> tuple[ModuleElement, AlgebraElement]:
-    """Rescale x so its self inner product becomes a projection.
-
-    Returns (x', q) with x' = s * x for s the pseudo-inverse square root of
-    <x, x>, so that <x', x'> = q and q * x' = x'. Raises on the zero element.
-    """
-    gram = inner(x, x)
-    if gram.norm() == 0.0:
-        raise ValueError("cannot normalize the zero element")
-    s, q = sqrt_pinv(gram, rank_tol=rank_tol)
-    return left_action(s, x), q
 
 
 def orthogonal_complement_trivial(elements: Sequence[ModuleElement], tol: float = 1e-8) -> bool:

@@ -14,14 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, ShapeMismatchError, _top_singular_value, is_projection
+from .algebra import AlgebraElement, ShapeMismatchError, _top_singular_value
 from .eigen import _hermitian_defect, _normality_defect
 from .modules import HilbertModule, ModuleElement
 
 __all__ = [
     "ModuleOperator",
     "theta",
-    "central_decompose",
 ]
 
 
@@ -54,27 +53,6 @@ class ModuleOperator:
     def identity(cls, module: HilbertModule) -> ModuleOperator:
         return cls(module, [np.eye(module.rank * k) for k in module.shape.block_sizes])
 
-    @classmethod
-    def from_entries(cls, module: HilbertModule, entries: Sequence[Sequence[AlgebraElement]]) -> ModuleOperator:
-        """Build from an n x n array of algebra elements.
-
-        The action is (T x)_j = sum_i x_i * entries[i][j].
-        """
-        n = module.rank
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise ShapeMismatchError(f"entries must form an {n}x{n} array")
-        mats = []
-        for b, k in enumerate(module.shape.block_sizes):
-            flat = np.zeros((n * k, n * k), dtype=np.complex128)
-            for i in range(n):
-                for j in range(n):
-                    ent = entries[i][j]
-                    if ent.shape != module.shape:
-                        raise ShapeMismatchError("entry from a different algebra")
-                    flat[i * k : (i + 1) * k, j * k : (j + 1) * k] = ent.blocks[b]
-            mats.append(flat)
-        return cls(module, mats)
-
     def entry(self, i: int, j: int) -> AlgebraElement:
         n = self.module.rank
         if not (0 <= i < n and 0 <= j < n):
@@ -84,10 +62,6 @@ class ModuleOperator:
             for k, blk in zip(self.module.shape.block_sizes, self.blocks)
         ]
         return AlgebraElement(self.module.shape, mats)
-
-    def entries(self) -> list[list[AlgebraElement]]:
-        n = self.module.rank
-        return [[self.entry(i, j) for j in range(n)] for i in range(n)]
 
     def __call__(self, x: ModuleElement) -> ModuleElement:
         if x.module != self.module:
@@ -160,33 +134,3 @@ def theta(x: ModuleElement, y: ModuleElement) -> ModuleOperator:
     x._require_same(y)
     mats = [xa.conj().T @ ya for xa, ya in zip(x.stacked, y.stacked)]
     return ModuleOperator(x.module, mats)
-
-
-def central_decompose(
-    op: ModuleOperator, projection: AlgebraElement, tol: float = 1e-10
-) -> tuple[ModuleOperator, ModuleOperator]:
-    """Split op = p.op (+) (1-p).op along a central projection p.
-
-    p must be central (each block a scalar multiple of its identity) and a
-    projection, so every block scalar is 0 or 1; the two returned operators
-    are supported on the corresponding central summands.
-    """
-    if projection.shape != op.module.shape:
-        raise ShapeMismatchError("projection from a different algebra")
-    if not is_projection(projection, tol=max(tol, 1e-9)):
-        raise ValueError("central_decompose needs a projection")
-    flags = []
-    for k, blk in zip(projection.shape.block_sizes, projection.blocks):
-        c = complex(np.trace(blk) / k)
-        if float(np.abs(blk - c * np.eye(k)).max()) > tol:
-            raise ValueError("projection is not central")
-        flags.append(abs(c - 1.0) <= abs(c))
-    part = ModuleOperator(
-        op.module,
-        [blk if keep else np.zeros_like(blk) for keep, blk in zip(flags, op.blocks)],
-    )
-    rest = ModuleOperator(
-        op.module,
-        [np.zeros_like(blk) if keep else blk for keep, blk in zip(flags, op.blocks)],
-    )
-    return part, rest

@@ -239,15 +239,15 @@ def verify_eigensystem(
             support = np.maximum(support, _frobenius(vals @ sups - vals))
         eigen_residual = float(np.ldexp(eigen.max(), e))
         support_residual = float(np.ldexp(support.max(), e))
+        # a claim with non-finite products has no Cholesky factor and fails
+        complement = orthogonal_complement_trivial([p.vector for p in pairs], tol=1e-8)
+        ordering = _ordering_ok(result, values, max(tol, result.tolerance_used) * scale)
     worst_pairs = {
         "eigen": _worst(eigen, labels),
         "orthogonality": _worst(orthogonality, [(labels[i], labels[j]) for i, j in zip(*above)]),
         "projection": _worst(projection, labels),
         "support": _worst(support, labels),
     }
-
-    complement = orthogonal_complement_trivial([p.vector for p in pairs], tol=1e-8)
-    ordering = _ordering_ok(result, values, max(tol, result.tolerance_used) * scale)
 
     worst = moment_deviation(K, result, max_moment)
     return VerificationReport(

@@ -10,13 +10,10 @@ from moddiag import (
     AlgebraShape,
     HilbertModule,
     ModuleOperator,
-    NotPositiveError,
     NotSelfAdjointError,
     ShapeMismatchError,
-    center_trace,
     is_projection,
     leq,
-    sqrt_pinv,
 )
 
 from helpers import random_algebra_element, random_hermitian
@@ -223,17 +220,6 @@ def test_is_selfadjoint_is_relative_to_the_largest_entry(s):
     assert shape.zero().is_selfadjoint()
 
 
-def test_center_trace_properties():
-    rng = np.random.default_rng(24)
-    a = random_algebra_element(SHAPE, rng)
-    tau = center_trace(a)
-    # center-valued: every block a scalar multiple of its identity
-    for k, blk in zip(SHAPE.block_sizes, tau.blocks):
-        assert np.allclose(blk, (np.trace(blk) / k) * np.eye(k), atol=TIGHT)
-    assert tau.trace() == pytest.approx(a.trace(), abs=1e-10)
-    assert center_trace(SHAPE.identity()).isclose(SHAPE.identity())
-
-
 def test_is_projection():
     assert is_projection(SHAPE.identity())
     assert is_projection(SHAPE.zero())
@@ -243,30 +229,6 @@ def test_is_projection():
     v /= np.linalg.norm(v)
     rank_one = AlgebraElement(SHAPE, [np.zeros((2, 2)), np.zeros((1, 1)), np.outer(v, v.conj())])
     assert is_projection(rank_one)
-
-
-def test_sqrt_pinv_full_rank():
-    rng = np.random.default_rng(27)
-    b = random_algebra_element(SHAPE, rng)
-    a = b * b.adjoint() + 0.5 * SHAPE.identity()
-    s, q = sqrt_pinv(a)
-    assert q.isclose(SHAPE.identity(), tol=1e-10)
-    assert (s * a * s).isclose(SHAPE.identity(), tol=1e-8)
-
-
-def test_sqrt_pinv_rank_deficient():
-    shape = AlgebraShape((2, 1))
-    a = shape.diagonal([[4.0, 0.0], [9.0]])
-    s, q = sqrt_pinv(a)
-    assert q.isclose(shape.diagonal([[1.0, 0.0], [1.0]]), tol=1e-12)
-    assert s.isclose(shape.diagonal([[0.5, 0.0], [1.0 / 3.0]]), tol=1e-12)
-    assert (s * a * s).isclose(q, tol=1e-12)
-
-
-def test_sqrt_pinv_rejects_negative():
-    shape = AlgebraShape((1,))
-    with pytest.raises(NotPositiveError):
-        sqrt_pinv(shape.diagonal([[-1.0]]))
 
 
 def test_mixed_shape_arithmetic_raises():

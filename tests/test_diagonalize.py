@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moddiag import (
     ModuleOperator,
@@ -11,7 +13,6 @@ from moddiag import (
     diagonalize_selfadjoint,
     left_action,
     leq,
-    order_eigenvalues,
     theta,
     verify_eigensystem,
 )
@@ -26,66 +27,28 @@ from helpers import (
 RECON_TOL = 1e-10
 
 
-def test_order_two_windows_of_two():
-    slots = order_eigenvalues([9.0, 4.0, 4.0, 1.0], 2)
-    assert [s.label for s in slots] == [1, 3]
-    assert slots[0].values == (9.0, 4.0)
-    assert slots[1].values == (4.0, 1.0)
+# (scalars, block size, (label, diagonal) per window from the top down)
+WINDOW_CASES = {
+    "two-windows-of-two": ([9.0, 4.0, 4.0, 1.0], 2, [(1, (9.0, 4.0)), (3, (4.0, 1.0))]),
+    "one-positive-one-negative": ([-1.0, 1.0], 1, [(1, (1.0,)), (2, (-1.0,))]),
+    "all-zeros": ([0.0] * 6, 2, [(1, (0.0, 0.0)), (2, (0.0, 0.0)), (3, (0.0, 0.0))]),
+    # odd labels walk down from the top, even labels up from the bottom
+    "mixed-1-3-2": ([10.0, -1.0, 9.0], 1, [(1, (10.0,)), (3, (9.0,)), (2, (-1.0,))]),
+    "mixed-1-3-4-2": ([10.0, -9.0, -8.0, 7.0], 1, [(1, (10.0,)), (3, (7.0,)), (4, (-8.0,)), (2, (-9.0,))]),
+    "negative-ascends": ([-3.0, -1.0, -2.0, -4.0], 2, [(4, (-2.0, -1.0)), (2, (-4.0, -3.0))]),
+    # below tol * 1 both small scalars are zeros and take the free labels in order
+    "zero-class": ([1.0, 1e-12, -1e-12], 1, [(1, (1.0,)), (2, (1e-12,)), (3, (-1e-12,))]),
+}
 
 
-def test_order_one_positive_one_negative():
-    slots = order_eigenvalues([-1.0, 1.0], 1)
-    assert [(s.label, s.values) for s in slots] == [(1, (1.0,)), (2, (-1.0,))]
-
-
-def test_order_all_zero():
-    slots = order_eigenvalues([0.0] * 6, 2)
-    assert [s.label for s in slots] == [1, 2, 3]
-    assert all(s.values == (0.0, 0.0) for s in slots)
-
-
-def test_order_mixed_sign_counts():
-    # two positive and one negative window: odd labels walk down from the
-    # top, the single even label sits at the bottom
-    slots = order_eigenvalues([10.0, -1.0, 9.0], 1)
-    assert [s.label for s in slots] == [1, 3, 2]
-    slots = order_eigenvalues([10.0, -9.0, -8.0, 7.0], 1)
-    assert [s.label for s in slots] == [1, 3, 4, 2]
-
-
-def test_order_indices_point_into_input():
-    scalars = [4.0, 9.0, 1.0, 4.0]
-    slots = order_eigenvalues(scalars, 2)
-    assert slots[0].indices == (1, 0)
-    assert slots[1].indices == (3, 2)
-    for s in slots:
-        assert tuple(scalars[i] for i in s.indices) == s.values
-
-
-def test_order_zero_tolerance_classifies():
-    slots = order_eigenvalues([1e-12, -1e-12], 1, zero_tol=1e-9)
-    assert [s.label for s in slots] == [1, 2]
-    # without the tolerance the same data reads as one positive, one negative
-    slots = order_eigenvalues([1e-12, -1e-12], 1)
-    assert [s.label for s in slots] == [1, 2]
-
-
-def test_order_negative_window_ascends():
-    slots = order_eigenvalues([-3.0, -1.0, -2.0, -4.0], 2)
-    assert [s.label for s in slots] == [4, 2]
-    assert slots[0].values == (-2.0, -1.0)
-    assert slots[1].values == (-4.0, -3.0)
-
-
-def test_order_validation():
-    with pytest.raises(ValueError):
-        order_eigenvalues([], 1)
-    with pytest.raises(ValueError):
-        order_eigenvalues([1.0, 2.0, 3.0], 2)
-    with pytest.raises(ValueError):
-        order_eigenvalues([np.nan, 0.0], 1)
-    with pytest.raises(ValueError):
-        order_eigenvalues([1.0], 1, zero_tol=-1.0)
+@pytest.mark.parametrize("scalars, k, windows", WINDOW_CASES.values(), ids=WINDOW_CASES.keys())
+def test_window_rule_on_diagonal_operators(scalars, k, windows):
+    K = ModuleOperator(module_over((k,), len(scalars) // k), [np.diag(scalars)])
+    res = diagonalize_selfadjoint(K)
+    assert sorted(res.labels()) == sorted(label for label, _ in windows)
+    for label, diagonal in windows:
+        assert np.array_equal(res.pair_by_label(label).value.blocks[0], np.diag(diagonal))
+    assert verify_eigensystem(K, res).overall
 
 
 def test_windows_across_blocks_frozen():
@@ -259,3 +222,46 @@ def test_both_paths_agree_on_selfadjoint_input():
         a = np.sort_complex(np.array(block_sa))
         b = np.sort_complex(np.array(block_nm))
         assert np.abs(a - b).max() <= 1e-8
+
+
+SCALE_MODULES = [((2,), 2), ((2, 3), 3), ((1, 1, 1, 1), 4), ((2, 1, 3), 2), ((8,), 2)]
+
+
+def _scale_case(case, seed, rank_deficient):
+    sizes, rank = SCALE_MODULES[case]
+    mod = module_over(sizes, rank)
+    rng = np.random.default_rng(seed)
+    if not rank_deficient:
+        return random_selfadjoint_operator(mod, rng)
+    # a diag(+-1) a* with a of half width: about half the scalars are zeros
+    blocks = []
+    for k in sizes:
+        d = rank * k
+        a = rng.standard_normal((d, d // 2 + 1)) + 1j * rng.standard_normal((d, d // 2 + 1))
+        blocks.append(a @ np.diag(rng.choice([-1.0, 1.0], d // 2 + 1)) @ a.conj().T)
+    return ModuleOperator(mod, blocks)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    case=st.integers(0, len(SCALE_MODULES) - 1),
+    seed=st.integers(0, 2**16),
+    rank_deficient=st.booleans(),
+    exponent=st.floats(-200, 200),
+    j=st.integers(-664, 664),
+)
+def test_diagonalize_is_scale_covariant(case, seed, rank_deficient, exponent, j):
+    k = _scale_case(case, seed, rank_deficient)
+    base = diagonalize_selfadjoint(k)
+    top = max(float(np.abs(blk).max()) for p in base.pairs for blk in p.value.blocks)
+    for s in (10.0**exponent, 2.0**j):
+        res = diagonalize_selfadjoint(s * k)
+        assert res.labels() == base.labels()
+        assert res.ordering_certificate == base.ordering_certificate
+        assert verify_eigensystem(s * k, res).overall
+        for p, q in zip(base.pairs, res.pairs):
+            assert all(np.abs(s * a - b).max() <= 1e-12 * s * top for a, b in zip(p.value.blocks, q.value.blocks))
+    # an exact power of two scales every value exactly and moves no vector
+    for p, q in zip(base.pairs, res.pairs):
+        assert all(np.array_equal(s * a, b) for a, b in zip(p.value.blocks, q.value.blocks))
+        assert all(np.array_equal(a, b) for a, b in zip(p.vector.stacked, q.vector.stacked))

@@ -8,6 +8,7 @@ import pytest
 from moddiag import (
     ConvergenceError,
     InputFormatError,
+    ModuleOperator,
     diagonalize_selfadjoint,
     parse_problem,
     parse_solution,
@@ -472,3 +473,61 @@ def test_cli_a_non_selfadjoint_claimed_value_exits_1(tmp_path, capsys):
     assert main(["verify", "--input", problem, "--solution", crooked]) == 1
     captured = capsys.readouterr()
     assert captured.err == "" and "ordering ok:            False" in captured.out
+
+
+def _scaled_problem_text(scale):
+    rng = np.random.default_rng(95)
+    mod = module_over((2,), 2)
+    h = random_selfadjoint_operator(mod, rng).blocks[0]
+    return serialize_problem(ModuleOperator(mod, [scale * h / np.abs(h).max()]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_an_operator_near_the_top_of_the_float_range_exits_2(tmp_path, capsys):
+    # 1e308 * h is finite, but h + h* and the scaling exponents are not
+    doc = json.loads(_scaled_problem_text(1e308))
+    for name, text in (("array.json", json.dumps(doc)), ("walk.json", json.dumps(dict(doc, note=True)))):
+        problem = _write(tmp_path, name, text)
+        for argv in (["diagonalize", "--input", problem], ["spectrum", "--input", problem]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: problem.operator: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_an_operator_just_below_the_input_bound_passes(tmp_path):
+    problem = _write(tmp_path, "problem.json", _scaled_problem_text(2.0**990))
+    solution = str(tmp_path / "solution.json")
+    assert main(["diagonalize", "--input", problem, "--solution", solution]) == 0
+    assert main(["verify", "--input", problem, "--solution", solution]) == 0
+    assert main(["spectrum", "--input", problem]) == 0
+
+
+def _huge_vector(doc):
+    doc["pairs"][0]["vector"][0][0] = [[1e300 * x for x in z] for z in doc["pairs"][0]["vector"][0][0]]
+
+
+def _huge_values(doc):
+    for pair, top in zip(doc["pairs"], (1.7e308, -1.7e308)):
+        pair["value"][0] = [[top, 0.0] if z != [0.0, 0.0] else z for z in pair["value"][0]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tamper", [_huge_vector, _huge_values], ids=["vector-times-1e300", "values-near-1e308"])
+def test_cli_verify_fails_huge_claims_without_warnings(tmp_path, capsys, tamper):
+    problem = _write(tmp_path, "problem.json", _problem_text(sizes=(2,)))
+    solution = str(tmp_path / "solution.json")
+    assert main(["diagonalize", "--input", problem, "--solution", solution]) == 0
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    tamper(doc)
+    tampered = _write(tmp_path, "tampered.json", json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", problem, "--solution", tampered]) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alphas", ["inf,1", "1,nan"])
+def test_cli_prop4_rejects_non_finite_couplings(capsys, alphas):
+    assert main(["prop4", "--n", "2", "--alphas", alphas]) == 2
+    assert capsys.readouterr().err == "input error: arguments: coupling values must be finite\n"

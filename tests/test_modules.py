@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from moddiag import (
-    AlgebraShape,
-    HilbertModule,
     ModuleElement,
     ShapeMismatchError,
     inner,
-    is_projection,
     left_action,
     leq,
     module_norm,
-    normalize_to_projection,
     orthogonal_complement_trivial,
     right_action,
 )
@@ -124,34 +120,6 @@ def test_cauchy_schwarz():
         y = random_element(MOD, rng)
         lhs = inner(x, y).norm() ** 2
         assert lhs <= inner(x, x).norm() * inner(y, y).norm() * (1 + 1e-12)
-
-
-def test_normalize_to_projection():
-    rng = np.random.default_rng(41)
-    x = random_element(MOD, rng)
-    u, q = normalize_to_projection(x)
-    g = inner(u, u)
-    assert is_projection(g, tol=1e-9)
-    assert g.isclose(q, tol=1e-9)
-    # full-rank input normalizes to a unit vector
-    assert g.isclose(MOD.shape.identity(), tol=1e-8)
-
-
-def test_normalize_to_projection_rank_deficient():
-    shape = AlgebraShape((2,))
-    mod = HilbertModule(shape, 2)
-    x = mod.element([shape.diagonal([[3.0, 0.0]]), shape.zero()])
-    u, q = normalize_to_projection(x)
-    want = shape.diagonal([[1.0, 0.0]])
-    assert q.isclose(want, tol=1e-10)
-    assert inner(u, u).isclose(want, tol=1e-10)
-    # the support acts as the identity on the normalized vector
-    assert (left_action(q, u) - u).norm() <= 1e-12
-
-
-def test_normalize_zero_vector_raises():
-    with pytest.raises(ValueError):
-        normalize_to_projection(MOD.zero_element())
 
 
 def test_complement_trivial_for_full_basis():

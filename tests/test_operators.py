@@ -8,7 +8,6 @@ from moddiag import (
     HilbertModule,
     ModuleOperator,
     ShapeMismatchError,
-    central_decompose,
     inner,
     theta,
     two_block_gallery,
@@ -45,13 +44,6 @@ def test_apply_matches_entry_formula():
         for i in range(MOD.rank):
             acc = acc + x.coord(i) * t.entry(i, j)
         assert y.coord(j).isclose(acc, tol=1e-11 * (1 + acc.norm()))
-
-
-def test_from_entries_round_trip():
-    rng = np.random.default_rng(53)
-    t = random_operator(MOD, rng)
-    rebuilt = ModuleOperator.from_entries(MOD, t.entries())
-    assert _max_dev(t, rebuilt) <= EXACT
 
 
 def test_pairing_identity_hundred_triples():
@@ -164,39 +156,6 @@ def test_selfadjoint_and_normal_flags():
     assert not t.is_selfadjoint()
     u = h @ h - 2.0 * h
     assert u.is_normal()
-
-
-def test_central_decompose_reassembles():
-    rng = np.random.default_rng(64)
-    t = random_operator(MOD, rng)
-    p = MOD.shape.block_projection(0) + MOD.shape.block_projection(2)
-    inside, outside = central_decompose(t, p)
-    assert _max_dev(inside + outside, t) <= 1e-14
-    # inside vanishes on the complementary block
-    assert np.abs(inside.blocks[1]).max() == 0.0
-    assert np.abs(outside.blocks[0]).max() == 0.0
-
-
-def test_central_decompose_extremes():
-    rng = np.random.default_rng(65)
-    t = random_operator(MOD, rng)
-    whole, rest = central_decompose(t, MOD.shape.identity())
-    assert _max_dev(whole, t) <= 1e-14
-    assert rest.entrywise_max() == 0.0
-    none, everything = central_decompose(t, MOD.shape.zero())
-    assert none.entrywise_max() == 0.0
-    assert _max_dev(everything, t) <= 1e-14
-
-
-def test_central_decompose_rejects_non_central():
-    rng = np.random.default_rng(66)
-    t = random_operator(MOD, rng)
-    shape = MOD.shape
-    lopsided = shape.diagonal([[1.0, 0.0], [1.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        central_decompose(t, lopsided)
-    with pytest.raises(ValueError):
-        central_decompose(t, 0.5 * shape.identity())
 
 
 def test_operator_shape_validation():
