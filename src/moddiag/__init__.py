@@ -50,7 +50,7 @@ from .gallery import (
     projection_ladder,
     two_block_gallery,
 )
-from .verify import VerificationReport, moment_deviation, moment_oracle, verify_eigensystem
+from .verify import VerificationReport, moment_deviation, verify_eigensystem
 from .io import (
     InputFormatError,
     parse_problem,
@@ -97,7 +97,6 @@ __all__ = [
     "projection_ladder",
     "VerificationReport",
     "verify_eigensystem",
-    "moment_oracle",
     "moment_deviation",
     "InputFormatError",
     "parse_problem",

@@ -201,15 +201,6 @@ class AlgebraElement:
         self.shape = shape
         self.blocks = tuple(mats)
 
-    @classmethod
-    def _trusted(cls, shape: AlgebraShape, blocks) -> AlgebraElement:
-        """No check, no copy: the blocks must be complex128, finite and of the right shape."""
-        out = object.__new__(cls)
-        out.shape, out.blocks = shape, tuple(blocks)
-        for m in out.blocks:
-            m.setflags(write=False)
-        return out
-
     def _require_same(self, other: AlgebraElement):
         if self.shape != other.shape:
             raise ShapeMismatchError("elements live in different algebras")

@@ -48,8 +48,8 @@ def _cmd_diagonalize(args) -> int:
     report = verify_eigensystem(K, result, tol=args.tol, moment_tol=args.moment_tol)
     if args.solution:
         Path(args.solution).write_text(serialize_solution(result), encoding="utf-8")
-    labels = ", ".join(f"L{p.label}" for p in result.pairs)
-    print(f"diagonalized into {len(result.pairs)} eigenpairs: {labels}")
+    labels = ", ".join(f"L{label}" for label in result.labels())
+    print(f"diagonalized into {len(result.labels())} eigenpairs: {labels}")
     for rel in result.ordering_certificate:
         print(f"  relation {rel.describe()}")
     return _finish(report, args.out)
@@ -58,7 +58,7 @@ def _cmd_diagonalize(args) -> int:
 def _cmd_verify(args) -> int:
     K = parse_problem(_read(args.input))
     result = parse_solution(_read(args.solution))
-    if result.pairs[0].vector.module != K.module:
+    if result.module != K.module:
         raise InputFormatError("solution algebra or rank does not match the problem", "solution")
     report = verify_eigensystem(K, result, tol=args.tol, moment_tol=args.moment_tol)
     return _finish(report, args.out)

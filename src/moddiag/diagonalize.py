@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement, NotSelfAdjointError
+from .algebra import AlgebraElement, NotSelfAdjointError, ShapeMismatchError, _norm_lower_bound
 from .eigen import NotNormalError, eig_hermitian, eig_normal
 from .modules import HilbertModule, ModuleElement
 from .operators import ModuleOperator
@@ -57,20 +58,67 @@ class OrderRelation:
         return f"{a} <= {b}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalizationResult:
-    pairs: tuple
+    """Eigenpairs stored per algebra block, with their order certificate.
+
+    For algebra block b of size k and P pairs, vectors[b] is the (P, k, n*k)
+    stack of the pairs' row strips and values[b] and supports[b] are the
+    (P, k, k) stacks of their value and support blocks; pair p carries
+    pair_labels[p]. The diagonalizers store the pairs in ascending label
+    order; parse_solution and from_pairs keep the order they are given.
+    Every consumer reads these stacks; ``pairs`` is a view of them as
+    checked EigenPair objects, built on first use.
+    """
+
+    module: HilbertModule
+    pair_labels: tuple
+    vectors: tuple
+    values: tuple
+    supports: tuple
     ordering_certificate: tuple
     tolerance_used: float
 
+    def __post_init__(self):
+        for stack in self.vectors + self.values + self.supports:
+            stack.setflags(write=False)
+
+    @classmethod
+    def from_pairs(cls, pairs, certificate, tolerance: float) -> DiagonalizationResult:
+        """The given eigenpairs in the given order; ShapeMismatchError for one on another module."""
+        pairs = tuple(pairs)
+        if not pairs:
+            raise ValueError("a result needs at least one eigenpair")
+        module = pairs[0].vector.module
+        for p in pairs:
+            if p.vector.module != module or p.value.shape != module.shape or p.support.shape != module.shape:
+                raise ShapeMismatchError(f"pair L{p.label} lives on another module than pair L{pairs[0].label}")
+        # per part (vectors, values, supports), per algebra block, one stack over the pairs
+        parts = zip(*((p.vector.stacked, p.value.blocks, p.support.blocks) for p in pairs))
+        stacks = (tuple(map(np.stack, zip(*part))) for part in parts)
+        return cls(module, tuple(p.label for p in pairs), *stacks, tuple(certificate), tolerance)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """The stored pairs as EigenPairs, each element copied and checked."""
+        shape = self.module.shape
+        return tuple(
+            EigenPair(
+                ModuleElement(self.module, [v[p] for v in self.vectors]),
+                AlgebraElement(shape, [v[p] for v in self.values]),
+                AlgebraElement(shape, [s[p] for s in self.supports]),
+                label,
+            )
+            for p, label in enumerate(self.pair_labels)
+        )
+
     def pair_by_label(self, label: int) -> EigenPair:
-        for p in self.pairs:
-            if p.label == label:
-                return p
-        raise KeyError(f"no eigenpair with label {label}")
+        if label not in self.pair_labels:
+            raise KeyError(f"no eigenpair with label {label}")
+        return self.pairs[self.pair_labels.index(label)]
 
     def labels(self) -> tuple:
-        return tuple(p.label for p in self.pairs)
+        return self.pair_labels
 
     def scalar_spectrum(self) -> tuple:
         """Per algebra block, the diagonal scalars of all value blocks.
@@ -79,17 +127,8 @@ class DiagonalizationResult:
         support. Each block's list is sorted by descending real part, then
         descending imaginary part.
         """
-        if not self.pairs:
-            return ()
-        shape = self.pairs[0].value.shape
-        out = []
-        for b in range(shape.num_blocks):
-            vals = []
-            for p in self.pairs:
-                vals.extend(complex(z) for z in np.diag(p.value.blocks[b]))
-            vals.sort(key=lambda z: (-z.real, -z.imag))
-            out.append(tuple(vals))
-        return tuple(out)
+        diagonals = (np.diagonal(vals, axis1=1, axis2=2).ravel() for vals in self.values)
+        return tuple(tuple(sorted(map(complex, d), key=lambda z: (-z.real, -z.imag))) for d in diagonals)
 
 
 def _windows(spectra, block_sizes, zero_tol: float):
@@ -137,34 +176,25 @@ def _windows(spectra, block_sizes, zero_tol: float):
     return labels, reverse, tuple(certificate)
 
 
-def _pairs(module: HilbertModule, spectra, labels, reverse) -> tuple:
-    """Eigenpairs with unit supports, sorted by label.
+def _result(module: HilbertModule, spectra, labels, reverse, certificate, tol: float) -> DiagonalizationResult:
+    """The result of the windows: eigenpairs with unit supports, in label order.
 
     spectra holds (values, row eigenvectors) per algebra block; pair m takes
     the ranks of window m, in reverse order where reverse[m] is set.
     """
-    shape = module.shape
-    support = shape.identity()
-    pairs = []
-    for m, (label, rev) in enumerate(zip(labels, reverse)):
-        stacked = []
-        diag_blocks = []
-        for (values, vectors), k in zip(spectra, shape.block_sizes):
-            ranks = np.arange(m * k, (m + 1) * k)
-            if rev:
-                ranks = ranks[::-1]
-            stacked.append(vectors[ranks, :])
-            diag_blocks.append(np.diag(values[ranks].astype(np.complex128)))
-        pairs.append(
-            EigenPair(
-                vector=ModuleElement._trusted(module, stacked),
-                value=AlgebraElement._trusted(shape, diag_blocks),
-                support=support,
-                label=label,
-            )
-        )
-    pairs.sort(key=lambda p: p.label)
-    return tuple(pairs)
+    order, flip = np.argsort(labels), np.array(reverse, dtype=bool)
+    vectors, values, supports = [], [], []
+    for (vals, vecs), k in zip(spectra, module.shape.block_sizes):
+        ranks = np.arange(module.rank * k).reshape(-1, k)
+        ranks[flip] = ranks[flip, ::-1]
+        ranks = ranks[order]
+        vectors.append(vecs[ranks])
+        diag = np.zeros((module.rank, k, k), dtype=np.complex128)
+        diag[:, np.arange(k), np.arange(k)] = vals[ranks]
+        values.append(diag)
+        supports.append(np.repeat(np.eye(k, dtype=np.complex128)[None], module.rank, axis=0))
+    labels = tuple(int(label) for label in np.asarray(labels)[order])
+    return DiagonalizationResult(module, labels, tuple(vectors), tuple(values), tuple(supports), certificate, float(tol))
 
 
 def diagonalize_selfadjoint(K: ModuleOperator, tol: float = 1e-9) -> DiagonalizationResult:
@@ -182,11 +212,10 @@ def diagonalize_selfadjoint(K: ModuleOperator, tol: float = 1e-9) -> Diagonaliza
     for blk in K.blocks:
         res = eig_hermitian((blk + blk.conj().T) / 2.0, tol=min(tol, 1e-12))
         spectra.append((res.values, res.vectors))
-    values = [v for v, _ in spectra]
-    zero_tol = tol * max(float(np.abs(v).max()) for v in values)
-    labels, reverse, certificate = _windows(values, K.module.shape.block_sizes, zero_tol)
-    pairs = _pairs(K.module, spectra, labels, reverse)
-    return DiagonalizationResult(pairs, certificate, float(tol))
+    # the verifier's order slack uses this same scale (design notes, "Zero classification")
+    zero_tol = tol * _norm_lower_bound(K.blocks)
+    labels, reverse, certificate = _windows([v for v, _ in spectra], K.module.shape.block_sizes, zero_tol)
+    return _result(K.module, spectra, labels, reverse, certificate, tol)
 
 
 def diagonalize_normal(K: ModuleOperator, tol: float = 1e-9) -> DiagonalizationResult:
@@ -197,5 +226,4 @@ def diagonalize_normal(K: ModuleOperator, tol: float = 1e-9) -> DiagonalizationR
         raise NotNormalError("operator is not normal within tolerance")
     spectra = [eig_normal(blk, tol=min(tol, 1e-10)) for blk in K.blocks]
     n = K.module.rank
-    pairs = _pairs(K.module, spectra, range(1, n + 1), [False] * n)
-    return DiagonalizationResult(pairs, (), float(tol))
+    return _result(K.module, spectra, range(1, n + 1), [False] * n, (), tol)

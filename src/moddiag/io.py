@@ -21,9 +21,9 @@ import json
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
-from .diagonalize import DiagonalizationResult, EigenPair, OrderRelation
-from .modules import HilbertModule, ModuleElement
+from .algebra import AlgebraShape
+from .diagonalize import DiagonalizationResult, OrderRelation
+from .modules import HilbertModule
 from .operators import ModuleOperator
 from .verify import VerificationReport
 
@@ -41,8 +41,11 @@ SCHEMA = 1
 
 # Largest magnitude, exclusive, of a number in a problem's operator. Below
 # it every eigenvalue, symmetrized entry and power-of-two scaling exponent
-# of the pipeline stays finite (docs/design-notes.md, "Input bound").
+# of the pipeline stays finite. A nonzero operator's largest magnitude must
+# reach _MIN_ENTRY, so that the residuals and their bounds stay clear of
+# the subnormal range (docs/design-notes.md, "Input bound").
 _MAX_ENTRY = 2.0**1000
+_MIN_ENTRY = 2.0**-1000
 
 
 class InputFormatError(ValueError):
@@ -129,17 +132,17 @@ def _parse_block(data, k: int, loc: str) -> np.ndarray:
         if not isinstance(pair, list) or len(pair) != 2:
             raise InputFormatError("expected an [re, im] pair", f"{loc}[{i}]")
         flat[i] = complex(_number(pair[0], f"{loc}[{i}]"), _number(pair[1], f"{loc}[{i}]"))
-    return flat.reshape(k, k)
+    return flat
 
 
-def _parse_alg(data, shape: AlgebraShape, loc: str) -> AlgebraElement:
+def _parse_alg(data, shape: AlgebraShape, loc: str) -> list:
+    """One algebra element as its flat, row-major blocks."""
     if not isinstance(data, list) or len(data) != shape.num_blocks:
         raise InputFormatError(f"expected {shape.num_blocks} blocks", loc)
-    mats = [
+    return [
         _parse_block(blk, k, f"{loc}.block[{b}]")
         for b, (blk, k) in enumerate(zip(data, shape.block_sizes))
     ]
-    return AlgebraElement(shape, mats)
 
 
 def _walk_operator(op, module: HilbertModule) -> list:
@@ -150,32 +153,28 @@ def _walk_operator(op, module: HilbertModule) -> list:
     for i, row in enumerate(op):
         if not isinstance(row, list) or len(row) != rank:
             raise InputFormatError(f"row must have {rank} entries", f"problem.operator[{i}]")
-        cells.append(
-            [_parse_alg(cell, module.shape, f"problem.operator[{i}][{j}]").blocks for j, cell in enumerate(row)]
-        )
-    return [np.array([[c[b].ravel() for c in row] for row in cells]) for b in range(module.shape.num_blocks)]
+        cells.append([_parse_alg(cell, module.shape, f"problem.operator[{i}][{j}]") for j, cell in enumerate(row)])
+    return [np.array([[c[b] for c in row] for row in cells]) for b in range(module.shape.num_blocks)]
 
 
-def _walk_pairs(raw_pairs: list, module: HilbertModule) -> list:
+def _walk_pairs(raw_pairs: list, module: HilbertModule) -> tuple:
     shape, rank = module.shape, module.rank
-    pairs = []
-    seen = set()
+    labels, vectors, values, supports = [], [], [], []
     for idx, rp in enumerate(raw_pairs):
         loc = f"solution.pairs[{idx}]"
         label = _int_field(rp, "label", loc, 1)
-        if label in seen:
+        if label in labels:
             raise InputFormatError(f"duplicate label {label}", loc)
-        seen.add(label)
+        labels.append(label)
         vec = _field(rp, "vector", loc)
         if not isinstance(vec, list) or len(vec) != rank:
             raise InputFormatError(f"'vector' must have {rank} coordinates", f"{loc}.vector")
-        coords = [
-            _parse_alg(c, shape, f"{loc}.vector[{i}]") for i, c in enumerate(vec)
-        ]
-        value = _parse_alg(_field(rp, "value", loc), shape, f"{loc}.value")
-        support = _parse_alg(_field(rp, "support", loc), shape, f"{loc}.support")
-        pairs.append(EigenPair(module.element(coords), value, support, label))
-    return pairs
+        coords = [_parse_alg(c, shape, f"{loc}.vector[{i}]") for i, c in enumerate(vec)]
+        vectors.append(list(zip(*coords)))  # per algebra block, the pair's coordinates
+        values.append(_parse_alg(_field(rp, "value", loc), shape, f"{loc}.value"))
+        supports.append(_parse_alg(_field(rp, "support", loc), shape, f"{loc}.support"))
+    blocks = range(shape.num_blocks)
+    return labels, *([np.array([x[b] for x in part]) for b in blocks] for part in (vectors, values, supports))
 
 
 # The array path: None wherever the walk has to decide.
@@ -234,6 +233,11 @@ def _array_operator(op, module: HilbertModule):
 
 
 def _array_pairs(raw_pairs: list, module: HilbertModule):
+    """Labels and per-block stacks of the P pairs, as the walk returns them.
+
+    Per algebra block: the (P, n, k*k) vector coordinates and the (P, k*k)
+    values and supports, each block flattened row-major.
+    """
     shape, rank = module.shape, module.rank
     r = shape.num_blocks
     if not all(isinstance(rp, dict) for rp in raw_pairs):
@@ -255,25 +259,14 @@ def _array_pairs(raw_pairs: list, module: HilbertModule):
     ):
         return None
     count = len(raw_pairs)
-    strips, vals, sups = [], [], []
+    vecs, vals, sups = [], [], []
     for b, k in enumerate(shape.block_sizes):
-        vec = _complex_array([[c[b] for c in v] for v in vectors], (count, rank, k * k, 2))
-        val = _complex_array([a[b] for a in values], (count, k * k, 2))
-        sup = _complex_array([a[b] for a in supports], (count, k * k, 2))
-        if vec is None or val is None or sup is None:
+        vecs.append(_complex_array([[c[b] for c in v] for v in vectors], (count, rank, k * k, 2)))
+        vals.append(_complex_array([a[b] for a in values], (count, k * k, 2)))
+        sups.append(_complex_array([a[b] for a in supports], (count, k * k, 2)))
+        if vecs[-1] is None or vals[-1] is None or sups[-1] is None:
             return None
-        strips.append(_stacked_strips(vec, k))
-        vals.append(val.reshape(count, k, k))
-        sups.append(sup.reshape(count, k, k))
-    return [
-        EigenPair(
-            ModuleElement._trusted(module, [s[p] for s in strips]),
-            AlgebraElement._trusted(shape, [v[p] for v in vals]),
-            AlgebraElement._trusted(shape, [s[p] for s in sups]),
-            labels[p],
-        )
-        for p in range(count)
-    ]
+    return labels, vecs, vals, sups
 
 
 def _pair_lists(z: np.ndarray) -> list:
@@ -292,8 +285,13 @@ def parse_problem(text: str) -> ModuleOperator:
     grids = None if _may_hold_booleans(text) else _array_operator(op, module)
     if grids is None:
         grids = _walk_operator(op, module)
-    if max(max(np.abs(g.real).max(), np.abs(g.imag).max()) for g in grids) >= _MAX_ENTRY:
+    top = max(max(np.abs(g.real).max(), np.abs(g.imag).max()) for g in grids)
+    if top >= _MAX_ENTRY:
         raise InputFormatError("every number must be below 2**1000 in magnitude", "problem.operator")
+    if 0.0 < top < _MIN_ENTRY:
+        raise InputFormatError(
+            "the largest number must be at least 2**-1000 in magnitude, or the operator zero", "problem.operator"
+        )
     # row strip i of the stacked matrix holds entries (i, 0..n-1)
     mats = [_stacked_strips(g, k).reshape(rank * k, rank * k) for g, k in zip(grids, shape.block_sizes)]
     return ModuleOperator(module, mats)
@@ -340,30 +338,31 @@ def parse_solution(text: str) -> DiagonalizationResult:
     raw_pairs = _field(obj, "pairs", "solution")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise InputFormatError("'pairs' must be a nonempty list", "solution.pairs")
-    pairs = None if _may_hold_booleans(text) else _array_pairs(raw_pairs, module)
-    if pairs is None:
-        pairs = _walk_pairs(raw_pairs, module)
+    stacks = None if _may_hold_booleans(text) else _array_pairs(raw_pairs, module)
+    if stacks is None:
+        stacks = _walk_pairs(raw_pairs, module)
+    labels, vecs, vals, sups = stacks
     raw_cert = _field(obj, "certificate", "solution")
     if not isinstance(raw_cert, list):
         raise InputFormatError("'certificate' must be a list", "solution.certificate")
     cert = [
         _parse_relation(r, f"solution.certificate[{i}]") for i, r in enumerate(raw_cert)
     ]
-    return DiagonalizationResult(tuple(pairs), tuple(cert), tolerance)
+    sizes = shape.block_sizes
+    strips = tuple(_stacked_strips(v, k) for v, k in zip(vecs, sizes))
+    vals, sups = (tuple(a.reshape(-1, k, k) for a, k in zip(arrays, sizes)) for arrays in (vals, sups))
+    return DiagonalizationResult(module, tuple(labels), strips, vals, sups, tuple(cert), tolerance)
 
 
 def serialize_solution(result: DiagonalizationResult) -> str:
-    if not result.pairs:
-        raise ValueError("cannot serialize an empty result")
-    pairs = result.pairs
-    module = pairs[0].vector.module
-    n, count = module.rank, len(pairs)
+    module = result.module
+    n, count = module.rank, len(result.pair_labels)
     # per algebra block b: vectors[b][p][i], values[b][p] and supports[b][p]
     vectors, values, supports = [], [], []
     for b, k in enumerate(module.shape.block_sizes):
-        vectors.append(_pair_lists(_coordinate_blocks(np.stack([p.vector.stacked[b] for p in pairs]), k)))
-        values.append(_pair_lists(np.stack([p.value.blocks[b] for p in pairs]).reshape(count, k * k)))
-        supports.append(_pair_lists(np.stack([p.support.blocks[b] for p in pairs]).reshape(count, k * k)))
+        vectors.append(_pair_lists(_coordinate_blocks(result.vectors[b], k)))
+        values.append(_pair_lists(result.values[b].reshape(count, k * k)))
+        supports.append(_pair_lists(result.supports[b].reshape(count, k * k)))
     obj = {
         "schema": SCHEMA,
         "algebra": {"blocks": list(module.shape.block_sizes)},
@@ -371,12 +370,12 @@ def serialize_solution(result: DiagonalizationResult) -> str:
         "tolerance": result.tolerance_used,
         "pairs": [
             {
-                "label": p.label,
+                "label": label,
                 "vector": [[v[idx][i] for v in vectors] for i in range(n)],
                 "value": [v[idx] for v in values],
                 "support": [s[idx] for s in supports],
             }
-            for idx, p in enumerate(pairs)
+            for idx, label in enumerate(result.pair_labels)
         ],
         "certificate": [
             {"lhs": rel.lhs, "rhs": rel.rhs} for rel in result.ordering_certificate

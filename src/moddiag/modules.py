@@ -86,15 +86,6 @@ class ModuleElement:
         self.module = module
         self.stacked = tuple(mats)
 
-    @classmethod
-    def _trusted(cls, module: HilbertModule, stacked) -> ModuleElement:
-        """No check, no copy: the strips must be complex128, finite and of the right shape."""
-        out = object.__new__(cls)
-        out.module, out.stacked = module, tuple(stacked)
-        for m in out.stacked:
-            m.setflags(write=False)
-        return out
-
     def coord(self, i: int) -> AlgebraElement:
         if not 0 <= i < self.module.rank:
             raise IndexError(f"coordinate index {i} out of range")
@@ -183,26 +174,25 @@ def module_norm(x: ModuleElement) -> float:
     return float(np.sqrt(inner(x, x).norm()))
 
 
-def orthogonal_complement_trivial(elements: Sequence[ModuleElement], tol: float = 1e-8) -> bool:
+def orthogonal_complement_trivial(vectors: Sequence[np.ndarray], tol: float = 1e-8) -> bool:
     """Whether only the zero element is orthogonal to every given element.
 
-    Flattens z -> (<z, x_i>)_i to a complex-linear system per block, with
-    the stacked elements as rows, and checks the system has full column
-    rank: its smallest singular value must exceed c = tol * max(1, ||rows||_F).
-    That holds exactly when rows* rows - c**2 I is positive definite, which
-    a Cholesky factorization decides, one per block order for the Gram
+    vectors holds, per algebra block, the (P, k, n*k) stack of the given
+    elements' row strips, as in DiagonalizationResult.vectors. Flattens
+    z -> (<z, x_i>)_i to a complex-linear system per block, with the stacked
+    strips as rows, and checks the system has full column rank: its
+    smallest singular value must exceed c = tol * max(1, ||rows||_F). That
+    holds exactly when rows* rows - c**2 I is positive definite, which a
+    Cholesky factorization decides, one per block order for the Gram
     matrices of all blocks of that order; the Frobenius norm is at least
     the largest singular value, so c is never below tol * max(1, smax).
     """
-    if not elements:
+    if not vectors:
         return False
-    module = elements[0].module
-    for e in elements:
-        e._require_same(elements[0])
     by_order: dict = {}
-    for b, k in enumerate(module.shape.block_sizes):
-        rows = np.vstack([e.stacked[b] for e in elements])
+    for stack in vectors:
+        rows = stack.reshape(-1, stack.shape[-1])
         c = tol * max(1.0, float(np.linalg.norm(rows)))
         gram = rows.conj().T @ rows
-        by_order.setdefault(k, []).append(gram - (c * c) * np.eye(gram.shape[0]))
+        by_order.setdefault(gram.shape[0], []).append(gram - (c * c) * np.eye(gram.shape[0]))
     return all(_all_positive_definite(np.stack(group)) for group in by_order.values())

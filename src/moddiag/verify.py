@@ -4,11 +4,11 @@ verify_eigensystem recomputes every claim from scratch: eigen-equation
 residuals, triviality of the orthogonal complement, pairwise orthogonality,
 projection quality of the supports, the support identity value * support =
 value, and the order relations of the certificate. No clause calls the
-eigensolver it audits. Per algebra block the claimed vectors are stacked
-into one matrix V, so the products V K - D V and V V* hold every eigen,
-orthogonality and projection residual at once; the operator scale comes
-from a power iteration, and rank and order are decided by one Cholesky
-factorization per block order. The moment oracle checks spectrum
+eigensolver it audits. Per algebra block the result holds the claimed
+vectors stacked into one matrix V, so the products V K - D V and V V* hold
+every eigen, orthogonality and projection residual at once; the operator
+scale comes from a power iteration, and rank and order are decided by one
+Cholesky factorization per block order. The moment oracle checks spectrum
 preservation without ever eigendecomposing: it compares traces of
 operator powers against traces of powers of the compressed values, so a
 wrong spectrum cannot hide behind a consistent-looking eigenbasis.
@@ -30,9 +30,11 @@ from .operators import ModuleOperator
 __all__ = [
     "VerificationReport",
     "verify_eigensystem",
-    "moment_oracle",
     "moment_deviation",
 ]
+
+# moment_deviation compares the traces of the powers 1 .. _MAX_MOMENT
+_MAX_MOMENT = 6
 
 
 @dataclass(frozen=True)
@@ -106,27 +108,27 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _ordering_ok(result: DiagonalizationResult, values: list, order_tol: float) -> bool:
+def _ordering_ok(result: DiagonalizationResult, order_tol: float) -> bool:
     """Whether every certificate relation holds as ``leq(lhs, rhs, tol=order_tol)``.
 
-    values holds, per algebra block, the stacked value blocks of the pairs.
-    All relations are decided at once: per block a stack of ``rhs - lhs``,
-    per block order one Cholesky factorization. A relation naming a label
-    with no pair, or a value that is not self-adjoint, fails the clause.
+    All relations are decided at once: per block a stack of ``rhs - lhs``
+    from the result's value stacks, per block order one Cholesky
+    factorization. A relation naming a label with no pair, or a value that
+    is not self-adjoint, fails the clause.
     """
     cert = result.ordering_certificate
     if not cert:
         return True
-    index = {p.label: i for i, p in enumerate(result.pairs)}
-    index[None] = len(result.pairs)  # the zero element, stacked after the values
+    index = {label: i for i, label in enumerate(result.pair_labels)}
+    index[None] = len(index)  # the zero element, stacked after the values
     if any(rel.lhs not in index or rel.rhs not in index for rel in cert):
         return False
     lhs, rhs = [index[rel.lhs] for rel in cert], [index[rel.rhs] for rel in cert]
     # AlgebraElement.is_selfadjoint, for each value that a relation names
     used = sorted(set(lhs + rhs) - {index[None]})
-    if (_hermitian_defect([v[used] for v in values]) > 1e-10).any():
+    if (_hermitian_defect([v[used] for v in result.values]) > 1e-10).any():
         return False
-    padded = [np.concatenate([v, np.zeros_like(v[:1])]) for v in values]
+    padded = [np.concatenate([v, np.zeros_like(v[:1])]) for v in result.values]
     return _all_above([v[rhs] - v[lhs] for v in padded], order_tol)
 
 
@@ -143,30 +145,27 @@ def _worst(residuals: np.ndarray, names: list):
     return None if residuals[m] == 0.0 else names[m]
 
 
-def moment_deviation(K: ModuleOperator, result: DiagonalizationResult, max_moment: int = 6) -> float:
+def moment_deviation(K: ModuleOperator, result: DiagonalizationResult) -> float:
     """Worst trace-of-power deviation over all moments and blocks.
 
-    For block b and power p it compares ``tr K_b^p`` with the sum of
-    ``tr c^p`` over the compressed values ``c = s v s`` of the pairs, relative
-    to ``||K_b||_F ||K_b^(p-1)||_F``. That bound on ``|tr K_b^p|``
+    For block b and power p up to _MAX_MOMENT it compares ``tr K_b^p`` with
+    the sum of ``tr c^p`` over the compressed values ``c = s v s`` of the
+    pairs, relative to ``||K_b||_F ||K_b^(p-1)||_F``. That bound on ``|tr K_b^p|``
     (Cauchy-Schwarz) comes from K alone and scales like ``K^p``, so the
     deviation carries no units; where it is 0 only exact equality passes.
     Each block and its values enter scaled by the same exact power of two.
     """
-    if max_moment < 1:
-        raise ValueError("max_moment must be at least 1")
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for b, blk in enumerate(K.blocks):
             e = math.frexp(float(np.abs(blk).max()))[1]
             flat = _times_power_of_two(blk, -e)
-            vals = _times_power_of_two(np.stack([p.value.blocks[b] for p in result.pairs]), -e)
-            sups = np.stack([p.support.blocks[b] for p in result.pairs])
-            compressed = sups @ vals @ sups
+            sups = result.supports[b]
+            compressed = sups @ _times_power_of_two(result.values[b], -e) @ sups
             flat_norm = float(np.linalg.norm(flat))
             below = np.eye(len(flat))  # K_b^(p-1)
             power, compressed_power = flat, compressed
-            for _ in range(max_moment):
+            for _ in range(_MAX_MOMENT):
                 lhs = complex(np.trace(power))
                 rhs = complex(np.trace(compressed_power, axis1=1, axis2=2).sum())
                 diff = abs(lhs - rhs)
@@ -180,35 +179,19 @@ def moment_deviation(K: ModuleOperator, result: DiagonalizationResult, max_momen
     return worst
 
 
-def moment_oracle(
-    K: ModuleOperator,
-    result: DiagonalizationResult,
-    max_moment: int = 6,
-    tol: float = 1e-7,
-) -> bool:
-    return moment_deviation(K, result, max_moment) <= tol
-
-
 def verify_eigensystem(
     K: ModuleOperator,
     result: DiagonalizationResult,
     tol: float = 1e-9,
     moment_tol: float = 1e-7,
-    max_moment: int = 6,
 ) -> VerificationReport:
-    pairs = result.pairs
-    if not pairs:
-        raise ValueError("result has no eigenpairs")
     if not (0.0 < tol < 1.0 and 0.0 < moment_tol < 1.0 and 0.0 < result.tolerance_used < 1.0):
         raise ValueError("tol, moment_tol and result.tolerance_used must be in (0, 1)")
-    shape = K.module.shape
-    for p in pairs:
-        if p.vector.module != K.module or p.value.shape != shape or p.support.shape != shape:
-            raise ShapeMismatchError(f"pair L{p.label} and the operator live on different modules")
-    count = len(pairs)
-    labels = [p.label for p in pairs]
+    if result.module != K.module:
+        raise ShapeMismatchError("the result and the operator live on different modules")
+    labels = result.pair_labels
+    count = len(labels)
     scale = _norm_lower_bound(K.blocks)
-    values = [np.stack([p.value.blocks[b] for p in pairs]) for b in range(shape.num_blocks)]
 
     # per pair (per pair of pairs i < j for orthogonality), the largest
     # Frobenius norm over the blocks; K and the values enter scaled by 2**-e,
@@ -221,12 +204,12 @@ def verify_eigensystem(
     above = np.triu_indices(count, 1)
     orthogonality = np.zeros(above[0].size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, k in enumerate(shape.block_sizes):
-            vecs = np.vstack([p.vector.stacked[b] for p in pairs])
-            vals = _times_power_of_two(values[b], -e)
-            sups = np.stack([p.support.blocks[b] for p in pairs])
+        for b, k in enumerate(K.module.shape.block_sizes):
+            strips, sups = result.vectors[b], result.supports[b]
+            vecs = strips.reshape(count * k, -1)
+            vals = _times_power_of_two(result.values[b], -e)
             image = (vecs @ _times_power_of_two(K.blocks[b], -e)).reshape(count, k, -1)
-            eigen = np.maximum(eigen, _frobenius(image - vals @ vecs.reshape(count, k, -1)))
+            eigen = np.maximum(eigen, _frobenius(image - vals @ strips))
             # gram[i, j] is the k x k block <x_i, x_j>
             gram = (vecs @ vecs.conj().T).reshape(count, k, count, k).swapaxes(1, 2)
             orthogonality = np.maximum(orthogonality, _frobenius(gram[above]))
@@ -240,8 +223,8 @@ def verify_eigensystem(
         eigen_residual = float(np.ldexp(eigen.max(), e))
         support_residual = float(np.ldexp(support.max(), e))
         # a claim with non-finite products has no Cholesky factor and fails
-        complement = orthogonal_complement_trivial([p.vector for p in pairs], tol=1e-8)
-        ordering = _ordering_ok(result, values, max(tol, result.tolerance_used) * scale)
+        complement = orthogonal_complement_trivial(result.vectors, tol=1e-8)
+        ordering = _ordering_ok(result, max(tol, result.tolerance_used) * scale)
     worst_pairs = {
         "eigen": _worst(eigen, labels),
         "orthogonality": _worst(orthogonality, [(labels[i], labels[j]) for i, j in zip(*above)]),
@@ -249,7 +232,7 @@ def verify_eigensystem(
         "support": _worst(support, labels),
     }
 
-    worst = moment_deviation(K, result, max_moment)
+    worst = moment_deviation(K, result)
     return VerificationReport(
         eigen_residual=eigen_residual,
         complement_trivial=bool(complement),

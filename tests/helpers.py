@@ -77,3 +77,12 @@ def random_element(module, rng, scale=1.0):
 
 def module_over(sizes, rank):
     return HilbertModule(AlgebraShape(tuple(sizes)), rank)
+
+
+def strip_stacks(elements, module=None):
+    """Per algebra block, the (P, k, n*k) stack of the elements' row strips."""
+    module = module or elements[0].module
+    return [
+        np.array([e.stacked[b] for e in elements]).reshape(len(elements), k, module.rank * k)
+        for b, k in enumerate(module.shape.block_sizes)
+    ]

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moddiag import (
+    DiagonalizationResult,
     ModuleOperator,
     NotNormalError,
     NotSelfAdjointError,
+    ShapeMismatchError,
     diagonalize_normal,
     diagonalize_selfadjoint,
     left_action,
@@ -16,6 +18,7 @@ from moddiag import (
     theta,
     verify_eigensystem,
 )
+from moddiag.algebra import _norm_lower_bound
 
 from helpers import (
     module_over,
@@ -162,6 +165,71 @@ def test_values_are_diagonal_with_unit_support():
         assert p.support.isclose(mod.shape.identity())
         for blk in p.value.blocks:
             assert np.abs(blk - np.diag(np.diag(blk))).max() <= 1e-12
+
+
+def test_value_stacks_hold_no_negative_zeros():
+    # the windows' scalars go onto a zero-filled diagonal; vals * eye would
+    # write -0.0 beside every negative scalar, and the files would show it
+    mod = module_over((2, 3), 2)
+    res = diagonalize_selfadjoint(-1.0 * random_positive_operator(mod, np.random.default_rng(79)))
+    for vals, k in zip(res.values, mod.shape.block_sizes):
+        off = vals[:, ~np.eye(k, dtype=bool)]
+        assert (vals.real.diagonal(axis1=1, axis2=2) < 0).all()
+        assert not np.signbit(off.real).any() and not np.signbit(off.imag).any()
+
+
+def test_result_stacks_and_the_pairs_view_agree():
+    mod = module_over((2, 1, 3), 3)
+    res = diagonalize_selfadjoint(random_selfadjoint_operator(mod, np.random.default_rng(80)))
+    assert res.module == mod and res.labels() == (1, 2, 3)
+    for b, k in enumerate(mod.shape.block_sizes):
+        assert res.vectors[b].shape == (3, k, 3 * k) and res.values[b].shape == res.supports[b].shape == (3, k, k)
+    for p, pair in enumerate(res.pairs):
+        assert pair.label == res.labels()[p]
+        assert all(np.array_equal(st[p], x) for st, x in zip(res.vectors, pair.vector.stacked))
+        assert all(np.array_equal(st[p], x) for st, x in zip(res.values, pair.value.blocks))
+    assert res.pairs is res.pairs
+    again = DiagonalizationResult.from_pairs(res.pairs, res.ordering_certificate, res.tolerance_used)
+    for name in ("vectors", "values", "supports"):
+        assert all(np.array_equal(x, y) for x, y in zip(getattr(res, name), getattr(again, name)))
+    assert again.labels() == res.labels() and again.ordering_certificate == res.ordering_certificate
+    with pytest.raises(ValueError):
+        res.values[0][0, 0, 0] = 1.0
+
+
+def test_from_pairs_refuses_a_pair_on_another_module():
+    mod = module_over((2,), 2)
+    res = diagonalize_selfadjoint(random_selfadjoint_operator(mod, np.random.default_rng(81)))
+    other = diagonalize_selfadjoint(ModuleOperator.identity(module_over((2,), 3)))
+    with pytest.raises(ShapeMismatchError):
+        DiagonalizationResult.from_pairs(res.pairs + other.pairs[:1], (), 1e-9)
+    with pytest.raises(ValueError):
+        DiagonalizationResult.from_pairs((), (), 1e-9)
+
+
+def test_a_scalar_in_the_old_zero_band_keeps_its_link_through_zero():
+    # z lies above tol * operator_scale (the verifier's order slack) but
+    # below tol * ||K||; classed zero against ||K||, its window got the
+    # relation L <= 0 and failed it
+    tol = 1e-9
+    mod = module_over((1,), 4)
+    rng = np.random.default_rng(4)
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+
+    def operator(z):
+        h = q @ np.diag([1.0, 0.995, z, -0.5]) @ q.conj().T
+        return ModuleOperator(mod, [(h + h.conj().T) / 2.0])
+
+    scale = _norm_lower_bound(operator(0.0).blocks)
+    z = tol * 0.5 * (1.0 + scale)
+    k = operator(z)
+    norm = float(np.abs(np.linalg.eigvalsh(k.blocks[0])).max())
+    assert tol * _norm_lower_bound(k.blocks) < z - 1e-15 and z + 1e-15 < tol * norm
+    res = diagonalize_selfadjoint(k, tol=tol)
+    report = verify_eigensystem(k, res, tol=tol)
+    assert report.ordering_ok and report.overall, report.summary()
+    (small,) = [p.label for p in res.pairs if abs(p.value.blocks[0][0, 0] - z) < 1e-12]
+    assert small % 2 == 1  # a positive window: odd label, linked by 0 <= L
 
 
 def test_deterministic_repeat():

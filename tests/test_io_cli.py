@@ -9,6 +9,7 @@ from moddiag import (
     ConvergenceError,
     InputFormatError,
     ModuleOperator,
+    diagonalize_normal,
     diagonalize_selfadjoint,
     parse_problem,
     parse_solution,
@@ -22,7 +23,7 @@ import moddiag.cli
 import moddiag.io
 from moddiag.cli import main
 
-from helpers import module_over, random_selfadjoint_operator
+from helpers import ACCEPTANCE_SHAPES, module_over, random_normal_operator, random_selfadjoint_operator
 
 
 def _problem_text(seed=91, sizes=(2, 1), rank=2):
@@ -37,12 +38,29 @@ def test_problem_round_trip_is_bit_identical():
     assert again == text
 
 
-def test_solution_round_trip_is_bit_identical():
-    k = parse_problem(_problem_text())
-    res = diagonalize_selfadjoint(k)
+@pytest.mark.parametrize("path", ["array", "walk"])
+@pytest.mark.parametrize("solver", ["selfadjoint", "normal"])
+@pytest.mark.parametrize("sizes", ACCEPTANCE_SHAPES, ids=lambda sizes: "+".join(map(str, sizes)))
+def test_solution_round_trip_is_bit_identical(monkeypatch, sizes, solver, path):
+    rng = np.random.default_rng(sum(sizes))
+    mod = module_over(sizes, 3)
+    if solver == "normal":
+        res = diagonalize_normal(random_normal_operator(mod, rng))
+    else:
+        res = diagonalize_selfadjoint(random_selfadjoint_operator(mod, rng))
     text = serialize_solution(res)
-    again = serialize_solution(parse_solution(text))
-    assert again == text
+    walks = []
+    walk = moddiag.io._walk_pairs
+    monkeypatch.setattr(moddiag.io, "_walk_pairs", lambda *args: walks.append(1) or walk(*args))
+    # any JSON boolean sends the file to the walk
+    read = json.dumps(dict(json.loads(text), note=True)) + "\n" if path == "walk" else text
+    again = parse_solution(read)
+    assert bool(walks) == (path == "walk")
+    assert serialize_solution(again) == text
+    assert again.module == res.module and again.labels() == res.labels()
+    assert again.ordering_certificate == res.ordering_certificate and again.tolerance_used == res.tolerance_used
+    for name in ("vectors", "values", "supports"):
+        assert _bits(getattr(again, name)) == _bits(getattr(res, name)), name
 
 
 def test_parsed_solution_still_verifies():
@@ -501,6 +519,44 @@ def test_cli_an_operator_just_below_the_input_bound_passes(tmp_path):
     assert main(["diagonalize", "--input", problem, "--solution", solution]) == 0
     assert main(["verify", "--input", problem, "--solution", solution]) == 0
     assert main(["spectrum", "--input", problem]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_an_operator_below_the_lower_input_bound_exits_2(tmp_path, capsys):
+    # at 2**-1060 the residuals and their bound tol * operator_scale reach
+    # the subnormal range, and a valid file failed its own verification
+    good = _write(tmp_path, "good.json", _scaled_problem_text(1.0))
+    solution = str(tmp_path / "solution.json")
+    assert main(["diagonalize", "--input", good, "--solution", solution]) == 0
+    doc = json.loads(_scaled_problem_text(2.0**-1060))
+    for name, text in (("array.json", json.dumps(doc)), ("walk.json", json.dumps(dict(doc, note=True)))):
+        problem = _write(tmp_path, name, text)
+        runs = (
+            ["diagonalize", "--input", problem],
+            ["verify", "--input", problem, "--solution", solution],
+            ["spectrum", "--input", problem],
+        )
+        for argv in runs:
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: problem.operator: ") and "2**-1000" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_an_operator_just_above_the_lower_input_bound_passes(tmp_path):
+    problem = _write(tmp_path, "problem.json", _scaled_problem_text(2.0**-990))
+    solution = str(tmp_path / "solution.json")
+    assert main(["diagonalize", "--input", problem, "--solution", solution]) == 0
+    assert main(["verify", "--input", problem, "--solution", solution]) == 0
+    assert main(["spectrum", "--input", problem]) == 0
+
+
+def test_cli_the_zero_operator_passes_the_lower_input_bound(tmp_path):
+    problem = _write(tmp_path, "problem.json", _scaled_problem_text(0.0))
+    solution = str(tmp_path / "solution.json")
+    assert main(["diagonalize", "--input", problem, "--solution", solution]) == 0
+    assert main(["verify", "--input", problem, "--solution", solution]) == 0
 
 
 def _huge_vector(doc):

@@ -14,7 +14,7 @@ from moddiag import (
     right_action,
 )
 
-from helpers import module_over, random_algebra_element, random_element
+from helpers import module_over, random_algebra_element, random_element, strip_stacks
 
 TOL = 1e-10
 
@@ -124,12 +124,13 @@ def test_cauchy_schwarz():
 
 def test_complement_trivial_for_full_basis():
     basis = [MOD.basis_element(i) for i in range(MOD.rank)]
-    assert orthogonal_complement_trivial(basis)
+    assert orthogonal_complement_trivial(strip_stacks(basis))
 
 
 def test_complement_not_trivial_when_one_missing():
     basis = [MOD.basis_element(i) for i in range(MOD.rank - 1)]
-    assert not orthogonal_complement_trivial(basis)
+    assert not orthogonal_complement_trivial(strip_stacks(basis))
+    assert not orthogonal_complement_trivial(strip_stacks([], MOD))
     assert not orthogonal_complement_trivial([])
 
 
@@ -141,7 +142,7 @@ def test_complement_cross_check_with_svd():
     full = all(
         np.linalg.matrix_rank(s, tol=1e-10) == s.shape[1] for s in stacked
     )
-    assert orthogonal_complement_trivial(vecs) == full
+    assert orthogonal_complement_trivial(strip_stacks(vecs)) == full
 
 
 def _svd_complement_trivial(vecs, tol=1e-8):
@@ -164,7 +165,7 @@ def test_complement_near_rank_deficient():
         vecs = base[:-1] + [base[-2] + eps * base[-1]]
         full = _svd_complement_trivial(vecs)
         assert full == (eps >= 1e-6)
-        assert orthogonal_complement_trivial(vecs, tol=1e-8) == full
+        assert orthogonal_complement_trivial(strip_stacks(vecs), tol=1e-8) == full
 
 
 @pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (2, 1, 3, 1, 2)])
@@ -183,7 +184,7 @@ def test_stacked_complement_check_agrees_with_svd(sizes):
             strips[b] = vecs[0].stacked[b] + eps * strips[b]
             vecs[-1] = ModuleElement(mod, strips)
         expected = _svd_complement_trivial(vecs)
-        assert orthogonal_complement_trivial(vecs, tol=1e-8) == expected, (trial, eps)
+        assert orthogonal_complement_trivial(strip_stacks(vecs), tol=1e-8) == expected, (trial, eps)
         seen.add(expected)
     assert seen == {True, False}
 
