@@ -86,8 +86,8 @@ def _hermitian_defect(mats):
     0 when all vanish. The mats may also be stacks ``(p, k, k)`` with one p,
     the blocks of p elements: the defect is then one per element.
     """
-    top = np.max([np.abs(m).max(axis=(-2, -1)) for m in mats], axis=0)
-    defect = np.max([np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) for m in mats], axis=0)
+    top = functools.reduce(np.maximum, [np.abs(m).max(axis=(-2, -1)) for m in mats])
+    defect = functools.reduce(np.maximum, [np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) for m in mats])
     return defect / np.maximum(top, math.ulp(0.0))  # where top is 0 so is defect
 
 
@@ -110,26 +110,27 @@ def _normality_defect(mats) -> float:
     return worst / math.ldexp(top, -e) ** 2
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
+def _offdiag_norm(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of the off-diagonal part of each matrix in a stack ``(m, n, n)``."""
     # summing the masked entries avoids the cancellation of total minus
     # diagonal, which floors near sqrt(eps) * frobenius and never converges
-    off = np.abs(a) ** 2
-    np.fill_diagonal(off, 0.0)
-    return float(np.sqrt(off.sum()))
+    sq = (np.abs(a) ** 2).reshape(len(a), -1)
+    sq[:, :: a.shape[-1] + 1] = 0.0
+    return np.sqrt(sq.sum(axis=1))
 
 
 def _fix_row_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each row so its first sizable entry lands on the positive real axis."""
-    out = np.array(vectors)
-    for r in range(out.shape[0]):
-        mags = np.abs(out[r])
-        top = mags.max()
-        if top == 0.0:
-            continue
-        lead = int(np.argmax(mags > 1e-8 * top))
-        pivot = out[r, lead]
-        out[r] *= np.conj(pivot) / abs(pivot)
-    return out
+    """Rotate each row so its first sizable entry lands on the positive real axis.
+
+    vectors is a matrix or a stack of them; no row may be zero.
+    """
+    rows = vectors.reshape(-1, vectors.shape[-1])
+    mags = np.abs(rows)
+    lead = np.argmax(mags > 1e-8 * mags.max(axis=1, keepdims=True), axis=1)
+    pivot = rows[np.arange(len(rows)), lead][:, None]
+    # np.hypot rounds as abs() of one complex number does; np.abs of a
+    # complex array may differ from both in the last bit
+    return (rows * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))).reshape(vectors.shape)
 
 
 @functools.lru_cache(maxsize=128)
@@ -196,51 +197,79 @@ def _cyclic_sweep(a: np.ndarray, v: np.ndarray, thr: float) -> int:
     return applied
 
 
-def _tournament_sweep(a: np.ndarray, v: np.ndarray, thr: float) -> int:
-    """One sweep in round-robin order, a round of disjoint rotations per step.
+def _stacked_sweep(a: np.ndarray, v: np.ndarray, thr):
+    """One round-robin sweep of a matrix, or of every matrix in a stack; returns the rotations applied.
 
+    ``a`` and ``v`` are an ``(n, n)`` matrix and its row eigenvectors so
+    far, with a float ``thr``, or ``(m, n, n)`` stacks of both, with one
+    threshold per matrix; the count is an int or one per matrix to match.
     Same rotation and core write-back as ``_cyclic_sweep``. The rotations
-    of one round touch disjoint row and column pairs, so they commute and
-    none reads an entry another writes: applying all column updates, then
-    all row updates, equals applying the rotations one after another.
-    Returns the rotations applied.
+    of one round touch disjoint row and column pairs of their matrix, so
+    they commute and none reads an entry another writes: applying all
+    column updates, then all row updates, equals applying the rotations one
+    after another. A round indexes only the (matrix, pair) rotations above
+    their matrix's threshold and touches no other entry.
     """
-    applied = 0
-    for p, q in _tournament_rounds(a.shape[0]):
-        m = a[p, q]
+    # i picks each rotation's matrix; for a lone matrix it is ..., so that
+    # a[i, p, q] is a[p, q]
+    lone = a.ndim == 2
+    if not lone:
+        everyone = np.arange(len(a))[:, None]
+        thr = thr[:, None]
+    full, parts = 0, []
+    for p, q in _tournament_rounds(a.shape[-1]):
+        m = a[..., p, q]
         beta = np.abs(m)
         live = beta > thr
-        if not live.all():
+        if live.all():
+            i = ... if lone else everyone
+            full += p.size
+        else:
             if not live.any():
                 continue
-            p, q, m, beta = p[live], q[live], m[live], beta[live]
-        app = a[p, p].real
-        aqq = a[q, q].real
+            where = live.nonzero()
+            i = ... if lone else where[0]
+            p, q, m, beta = p[where[-1]], q[where[-1]], m[live], beta[live]
+            parts.append(where[0])
+        app = a[i, p, p].real
+        aqq = a[i, q, q].real
         tau = (aqq - app) / (2.0 * beta)
-        t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-        t = np.where(tau < 0.0, -t, t)
+        # t takes the sign of tau; adding 0.0 turns a tau of -0.0 into +0.0
+        t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
         c = 1.0 / np.sqrt(1.0 + t * t)
         sc = (t * c) * (m / beta)
         csc = np.conj(sc)
-        col_p = a[:, p]
-        col_q = a[:, q]
-        a[:, p] = c * col_p - csc * col_q
-        a[:, q] = sc * col_p + c * col_q
-        c_r, sc_r, csc_r = c[:, None], sc[:, None], csc[:, None]
-        row_p = a[p, :]
-        row_q = a[q, :]
-        a[p, :] = c_r * row_p - sc_r * row_q
-        a[q, :] = csc_r * row_p + c_r * row_q
-        a[p, p] = app - t * beta
-        a[q, q] = aqq + t * beta
-        a[p, q] = 0.0
-        a[q, p] = 0.0
-        vp = v[p, :]
-        vq = v[q, :]
-        v[p, :] = c_r * vp - sc_r * vq
-        v[q, :] = csc_r * vp + c_r * vq
-        applied += p.size
+        # a lone matrix's gathered columns are (n, pairs), a stack's (rotations, n)
+        c_r, sc_r, csc_r = c[..., None], sc[..., None], csc[..., None]
+        c_c, sc_c, csc_c = (c, sc, csc) if lone else (c_r, sc_r, csc_r)
+        col_p = a[i, :, p]
+        col_q = a[i, :, q]
+        a[i, :, p] = c_c * col_p - csc_c * col_q
+        a[i, :, q] = sc_c * col_p + c_c * col_q
+        row_p = a[i, p, :]
+        row_q = a[i, q, :]
+        a[i, p, :] = c_r * row_p - sc_r * row_q
+        a[i, q, :] = csc_r * row_p + c_r * row_q
+        shift = t * beta
+        a[i, p, p] = app - shift
+        a[i, q, q] = aqq + shift
+        a[i, p, q] = 0.0
+        a[i, q, p] = 0.0
+        vp = v[i, p, :]
+        vq = v[i, q, :]
+        v[i, p, :] = c_r * vp - sc_r * vq
+        v[i, q, :] = csc_r * vp + c_r * vq
+    if lone:
+        return full + sum(map(len, parts))
+    applied = np.full(len(a), full)
+    if parts:
+        applied += np.bincount(np.concatenate(parts), minlength=len(a))
     return applied
+
+
+def _which(i, count) -> str:
+    """How errors name matrix i of a stacked solve of count matrices."""
+    return "matrix" if count == 1 else f"matrix {i} of the stack"
 
 
 def _solve_stats(d, tournament, sweeps, rotations, off, target, e) -> str:
@@ -252,6 +281,92 @@ def _solve_stats(d, tournament, sweeps, rotations, off, target, e) -> str:
         f"d={d}, {ordering} ordering, {sweeps} sweeps, {rotations} rotations, "
         f"off-diagonal norm {off:.3e} (target {target:.3e})"
     )
+
+
+def _eig_hermitian_stack(mats, tol: float) -> list:
+    """``eig_hermitian`` of every matrix in a sequence, in one stacked solve.
+
+    The matrices may differ in order; they are then zero-padded to the
+    largest. Each keeps its own prescale, threshold, target, convergence,
+    sort and phase rule, so its result does not depend on its neighbours
+    beyond round-off, and not at all when every matrix has the same order
+    (design notes, "Stacked solves"). A lone matrix below
+    ``_TOURNAMENT_MIN_ORDER`` sweeps row-cyclically, as a lone call always
+    did. Returns one HermitianEig per matrix. NotHermitianError and
+    ConvergenceError name the failing matrices of a stack by index.
+    """
+    mats = [_square_complex(m) for m in mats]
+    dims = [len(m) for m in mats]
+    count, n = len(mats), max(dims)
+    if min(dims) == n:
+        h = np.array(mats)
+    else:
+        h = np.zeros((count, n, n), dtype=np.complex128)
+        for pad, m in zip(h, mats):
+            pad[: len(m), : len(m)] = m
+    bad = _hermitian_defect([h]) > tol
+    if bad.any():
+        raise NotHermitianError(f"{_which(np.argmax(bad), count)} is not Hermitian within tolerance")
+
+    e = np.frexp(np.abs(h).max(axis=(1, 2)))[1]
+    a = _times_power_of_two(h, -e[:, None, None])
+    del h  # the stack is symmetrized in place, with no second copy alive
+    a += a.conj().swapaxes(1, 2)
+    a *= 0.5
+    v = np.zeros_like(a)
+    v.reshape(count, -1)[:, :: n + 1] = 1.0
+
+    tournament = count > 1 or n >= _TOURNAMENT_MIN_ORDER
+    frob = np.sqrt((np.abs(a) ** 2).reshape(count, -1).sum(axis=1))
+    target = max(tol, 1e-14) * frob
+    thr = target / (2.0 * np.array(dims))
+    off = _offdiag_norm(a)
+    sweeps = np.zeros(count, dtype=int)
+    rotations = np.zeros(count, dtype=int)
+    sweep = _stacked_sweep if tournament else _cyclic_sweep
+    # a lone matrix sweeps as a matrix, which indexes faster than a stack of one
+    every = (a[0], v[0], thr[0]) if count == 1 else (a, v, thr)
+    for _ in range(MAX_SWEEPS):
+        active = off > target
+        if active.all():
+            rotations += sweep(*every)
+            sweeps += 1
+            off = _offdiag_norm(a)
+        elif active.any():
+            # the converged matrices sit out: the rest sweep as a copy
+            active = active.nonzero()[0]
+            sub_a, sub_v = a[active], v[active]
+            rotations[active] += _stacked_sweep(sub_a, sub_v, thr[active])
+            a[active], v[active] = sub_a, sub_v
+            sweeps[active] += 1
+            off[active] = _offdiag_norm(sub_a)
+        else:
+            break
+
+    failed = off > target
+    if failed.any() or _log.isEnabledFor(logging.DEBUG):
+        stats = [
+            _solve_stats(d, tournament, *args)
+            for d, *args in zip(dims, sweeps, rotations, off, target, e)
+        ]
+        if count > 1:
+            stats = [f"matrix {i} of {count}: {s}" for i, s in enumerate(stats)]
+        if failed.any():
+            described = "; ".join(s for s, f in zip(stats, failed) if f)
+            raise ConvergenceError(f"Jacobi did not converge: {described}")
+        for s in stats:
+            _log.debug("eig_hermitian %s", s)
+
+    vals = np.real(np.diagonal(a, axis1=1, axis2=2))
+    if min(dims) < n:
+        vals = vals.copy()
+        for row, d in zip(vals, dims):
+            row[d:] = -np.inf  # padding sorts last
+    order = np.argsort(-vals, axis=1, kind="stable")
+    rows = np.arange(count)[:, None]
+    values = np.ldexp(vals[rows, order], e[:, None])
+    vectors = _fix_row_phases(v[rows, order])
+    return [HermitianEig(values[i, :d], vectors[i, :d, :d]) for i, d in enumerate(dims)]
 
 
 def eig_hermitian(matrix, tol: float = 1e-12) -> HermitianEig:
@@ -284,44 +399,72 @@ def eig_hermitian(matrix, tol: float = 1e-12) -> HermitianEig:
     disjoint rotations per numpy step; smaller ones sweep row-cyclically,
     where per-call overhead outweighs the vectorization. One DEBUG record
     on the ``moddiag.eigen`` logger reports each call's sweeps, rotations
-    and final off-diagonal norm.
+    and final off-diagonal norm. The diagonalizers solve all blocks of an
+    operator in one stacked call instead (design notes, "Stacked solves").
     """
-    h = _square_complex(matrix)
-    if _hermitian_defect([h]) > tol:
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    d = h.shape[0]
-    v = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        _log.debug("eig_hermitian d=1, no rotation needed")
-        return HermitianEig(np.array([h[0, 0].real]), v)
+    return _eig_hermitian_stack([matrix], tol)[0]
 
-    e = math.frexp(float(np.abs(h).max()))[1]
-    a = _times_power_of_two(h, -e)
-    a = 0.5 * (a + a.conj().T)
 
-    tournament = d >= _TOURNAMENT_MIN_ORDER
-    sweep = _tournament_sweep if tournament else _cyclic_sweep
-    frob = float(np.sqrt((np.abs(a) ** 2).sum()))
-    target = max(tol, 1e-14) * frob
-    thr = target / (2.0 * d)
-    off = _offdiag_norm(a)
-    sweeps = rotations = 0
-    while off > target and sweeps < MAX_SWEEPS:
-        rotations += sweep(a, v, thr)
-        sweeps += 1
-        off = _offdiag_norm(a)
-    if off > target:
-        stats = _solve_stats(d, tournament, sweeps, rotations, off, target, e)
-        raise ConvergenceError(f"Jacobi did not converge: {stats}")
-    if _log.isEnabledFor(logging.DEBUG):
-        stats = _solve_stats(d, tournament, sweeps, rotations, off, target, e)
-        _log.debug("eig_hermitian %s", stats)
+def _eig_normal_stack(mats, tol: float) -> list:
+    """``eig_normal`` of every matrix in a sequence, in two stacked Hermitian solves.
 
-    vals = np.real(np.diag(a)).copy()
-    order = np.argsort(-vals, kind="stable")
-    values = np.ldexp(vals[order], e)
-    vectors = _fix_row_phases(v[order])
-    return HermitianEig(values, vectors)
+    The first solves the Hermitian parts of all matrices, the second the
+    compressions of their skew parts inside every run of tied Hermitian-part
+    eigenvalues, over all matrices at once. Returns ``(values, vectors)``
+    per matrix.
+    """
+    mats = [_square_complex(m) for m in mats]
+    for i, m in enumerate(mats):
+        if _normality_defect([m]) > tol:
+            raise NotNormalError(f"{_which(i, len(mats))} is not normal within tolerance")
+    bases = _eig_hermitian_stack([0.5 * (m + m.conj().T) for m in mats], 1e-12)
+
+    vecs, clusters, runs = [], [], []
+    for m, base in zip(mats, bases):
+        vec = np.array(base.vectors)
+        hv = base.values
+        d = len(m)
+        skew = (m - m.conj().T) / 2j
+        # relative to N itself, so the runs (and the output order) do not
+        # depend on its units, and a skew-Hermitian N, whose H is round-off,
+        # is one run
+        gap = max(tol, 1e-12) * float(np.abs(m).max())
+        # cluster[r] is the first row of the run of Hermitian-part eigenvalues
+        # within ``gap`` of each other that row r belongs to; it orders the
+        # output, so round-off in tied real parts cannot
+        cluster = np.empty(d, dtype=np.intp)
+        start = 0
+        while start < d:
+            stop = start + 1
+            while stop < d and hv[stop - 1] - hv[stop] <= gap:
+                stop += 1
+            cluster[start:stop] = start
+            if stop - start > 1:
+                sub = vec[start:stop]
+                comp = sub @ skew @ sub.conj().T
+                runs.append((vec, start, stop, 0.5 * (comp + comp.conj().T)))
+            start = stop
+        vecs.append(vec)
+        clusters.append(cluster)
+
+    if runs:
+        refines = _eig_hermitian_stack([comp for *_, comp in runs], 1e-12)
+        for (vec, start, stop, _), refine in zip(runs, refines):
+            vec[start:stop] = refine.vectors @ vec[start:stop]
+
+    out = []
+    for i, (m, vec, cluster) in enumerate(zip(mats, vecs, clusters)):
+        n_ = vec @ m @ vec.conj().T
+        values = np.diag(n_).copy()
+        resid = float(np.abs(n_ - np.diag(values)).max())
+        if resid > 10.0 * max(tol, 1e-12) * float(np.abs(m).max()):
+            raise NotNormalError(
+                f"{_which(i, len(mats))} could not be diagonalized to tolerance; it is either "
+                "not normal or has nearly degenerate Hermitian-part eigenvalues"
+            )
+        order = np.lexsort((-values.imag, cluster))
+        out.append((values[order], _fix_row_phases(vec[order])))
+    return out
 
 
 def eig_normal(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +472,8 @@ def eig_normal(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
 
     Splits N into its Hermitian part H and skew part S (both Hermitian,
     commuting exactly when N is normal), diagonalizes H, then diagonalizes
-    the compression of S inside every eigenspace of H.
+    the compression of S inside every eigenspace of H; the compressions
+    are solved in one stacked call.
 
     Returns ``(values, vectors)`` with complex values sorted by descending
     real part and row eigenvectors forming a unitary, so
@@ -342,48 +486,4 @@ def eig_normal(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     off-diagonal entry above ``10 * max(tol, 1e-12) * max|entry|``; both
     bounds are relative, so neither passes a small non-normal matrix.
     """
-    n_ = _square_complex(matrix)
-    scale = float(np.abs(n_).max())
-    if _normality_defect([n_]) > tol:
-        raise NotNormalError("matrix is not normal within tolerance")
-
-    herm = 0.5 * (n_ + n_.conj().T)
-    skew = (n_ - n_.conj().T) / 2j
-    base = eig_hermitian(herm)
-    vec = np.array(base.vectors)
-    hv = base.values
-    d = n_.shape[0]
-
-    # relative to N itself, so the runs (and the output order) do not depend
-    # on its units, and a skew-Hermitian N, whose H is round-off, is one run
-    gap = max(tol, 1e-12) * scale
-    # cluster[r] is the first row of the run of Hermitian-part eigenvalues
-    # within ``gap`` of each other that row r belongs to; it orders the
-    # output, so round-off in tied real parts cannot
-    cluster = np.empty(d, dtype=np.intp)
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and hv[stop - 1] - hv[stop] <= gap:
-            stop += 1
-        cluster[start:stop] = start
-        if stop - start > 1:
-            sub = vec[start:stop]
-            comp = sub @ skew @ sub.conj().T
-            comp = 0.5 * (comp + comp.conj().T)
-            refine = eig_hermitian(comp)
-            vec[start:stop] = refine.vectors @ sub
-        start = stop
-
-    m = vec @ n_ @ vec.conj().T
-    values = np.diag(m).copy()
-    resid = float(np.abs(m - np.diag(values)).max())
-    if resid > 10.0 * max(tol, 1e-12) * scale:
-        raise NotNormalError(
-            "matrix could not be diagonalized to tolerance; it is either "
-            "not normal or has nearly degenerate Hermitian-part eigenvalues"
-        )
-    order = np.lexsort((-values.imag, cluster))
-    values = values[order]
-    vectors = _fix_row_phases(vec[order])
-    return values, vectors
+    return _eig_normal_stack([matrix], tol)[0]

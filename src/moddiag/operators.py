@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, ShapeMismatchError, _top_singular_value
+from .algebra import AlgebraElement, ShapeMismatchError, _norm_lower_bound, _top_singular_value
 from .eigen import _hermitian_defect, _normality_defect
 from .modules import HilbertModule, ModuleElement
 
@@ -27,7 +27,7 @@ __all__ = [
 class ModuleOperator:
     """A-linear map on A^n, represented per block by its flattened action."""
 
-    __slots__ = ("module", "blocks")
+    __slots__ = ("module", "blocks", "_lower_bound")
 
     def __init__(self, module: HilbertModule, blocks: Sequence):
         mats = []
@@ -44,6 +44,7 @@ class ModuleOperator:
             raise ShapeMismatchError("wrong number of operator blocks")
         self.module = module
         self.blocks = tuple(mats)
+        self._lower_bound = None
 
     @classmethod
     def zero(cls, module: HilbertModule) -> ModuleOperator:
@@ -113,6 +114,12 @@ class ModuleOperator:
     def norm(self) -> float:
         """Operator norm: the top singular value of the flattened action."""
         return _top_singular_value(self.blocks)
+
+    def _norm_lower_bound(self) -> float:
+        """``algebra._norm_lower_bound`` of the blocks, run once: the blocks are read-only."""
+        if self._lower_bound is None:
+            self._lower_bound = _norm_lower_bound(self.blocks)
+        return self._lower_bound
 
     def entrywise_max(self) -> float:
         return max(float(np.abs(blk).max()) for blk in self.blocks)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ShapeMismatchError, _all_above, _norm_lower_bound
+from .algebra import ShapeMismatchError, _all_above
 from .diagonalize import DiagonalizationResult
 from .eigen import _hermitian_defect, _times_power_of_two
 from .modules import orthogonal_complement_trivial
@@ -35,6 +35,10 @@ __all__ = [
 
 # moment_deviation compares the traces of the powers 1 .. _MAX_MOMENT
 _MAX_MOMENT = 6
+# and holds the powers of at most this many bytes of blocks at once (of one
+# block at least): large arrays that come and go leave the process larger
+# (design notes, "Moment oracle")
+_POWERS_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -154,28 +158,43 @@ def moment_deviation(K: ModuleOperator, result: DiagonalizationResult) -> float:
     (Cauchy-Schwarz) comes from K alone and scales like ``K^p``, so the
     deviation carries no units; where it is 0 only exact equality passes.
     Each block and its values enter scaled by the same exact power of two.
+    Blocks of equal size are stacked, up to _POWERS_BYTES of powers at a
+    time, so each power is one batched product and the traces and norms
+    of all powers are one call each.
     """
+    sizes = K.module.shape.block_sizes
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, blk in enumerate(K.blocks):
-            e = math.frexp(float(np.abs(blk).max()))[1]
-            flat = _times_power_of_two(blk, -e)
-            sups = result.supports[b]
-            compressed = sups @ _times_power_of_two(result.values[b], -e) @ sups
-            flat_norm = float(np.linalg.norm(flat))
-            below = np.eye(len(flat))  # K_b^(p-1)
-            power, compressed_power = flat, compressed
-            for _ in range(_MAX_MOMENT):
-                lhs = complex(np.trace(power))
-                rhs = complex(np.trace(compressed_power, axis1=1, axis2=2).sum())
-                diff = abs(lhs - rhs)
-                bound = flat_norm * float(np.linalg.norm(below))
-                if math.isnan(diff) or (bound == 0.0 and diff > 0.0):
+        for k in dict.fromkeys(sizes):
+            same = [b for b, size in enumerate(sizes) if size == k]
+            step = max(1, _POWERS_BYTES // (16 * _MAX_MOMENT * (K.module.rank * k) ** 2))
+            for group in (same[i : i + step] for i in range(0, len(same), step)):
+                blocks = np.stack([K.blocks[b] for b in group])
+                e = np.frexp(np.abs(blocks).max(axis=(1, 2)))[1][:, None, None]
+                flat = _times_power_of_two(blocks, -e)
+                sups = np.stack([result.supports[b] for b in group])
+                vals = _times_power_of_two(np.stack([result.values[b] for b in group]), -e[..., None])
+                compressed = sups @ vals @ sups
+                powers = np.empty((_MAX_MOMENT,) + flat.shape, dtype=np.complex128)
+                compressed_powers = np.empty((_MAX_MOMENT,) + compressed.shape, dtype=np.complex128)
+                powers[0], compressed_powers[0] = flat, compressed
+                for p in range(1, _MAX_MOMENT):
+                    np.matmul(powers[p - 1], flat, out=powers[p])
+                    np.matmul(compressed_powers[p - 1], compressed, out=compressed_powers[p])
+                # np.hypot and the dot products of real and imaginary parts
+                # round as abs() of a complex number and np.linalg.norm do
+                gap = powers.trace(axis1=-2, axis2=-1) - compressed_powers.trace(axis1=-2, axis2=-1).sum(axis=-1)
+                diff = np.hypot(gap.real, gap.imag)
+                # ||K_b^(p-1)||_F for p = 1 .. _MAX_MOMENT; K_b^0 is the identity
+                rows = powers[:-1].reshape(_MAX_MOMENT - 1, len(group), -1)
+                squares = np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag)
+                below = np.sqrt(np.concatenate([np.full((1, len(group)), float(flat.shape[-1])), squares]))
+                bound = below[1] * below
+                if np.isnan(diff).any() or (diff[bound == 0.0] > 0.0).any():
                     return math.inf
-                if bound > 0.0:
-                    worst = max(worst, diff / bound)
-                below, power = power, power @ flat
-                compressed_power = compressed_power @ compressed
+                positive = bound > 0.0
+                if positive.any():
+                    worst = max(worst, float((diff[positive] / bound[positive]).max()))
     return worst
 
 
@@ -191,7 +210,7 @@ def verify_eigensystem(
         raise ShapeMismatchError("the result and the operator live on different modules")
     labels = result.pair_labels
     count = len(labels)
-    scale = _norm_lower_bound(K.blocks)
+    scale = K._norm_lower_bound()  # a function of K alone, never of the claim
 
     # per pair (per pair of pairs i < j for orthogonality), the largest
     # Frobenius norm over the blocks; K and the values enter scaled by 2**-e,

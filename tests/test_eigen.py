@@ -5,7 +5,14 @@ import logging
 import numpy as np
 import pytest
 
-from moddiag import ConvergenceError, NotHermitianError, NotNormalError, eig_hermitian, eig_normal
+from moddiag import (
+    ConvergenceError,
+    NotHermitianError,
+    NotNormalError,
+    eig_hermitian,
+    eig_normal,
+    projection_ladder,
+)
 from moddiag import eigen
 
 from helpers import random_hermitian
@@ -260,3 +267,173 @@ def test_nonconvergence_reports_the_solve(monkeypatch):
         msg = str(exc.value)
         assert f"d={d}" in msg and ", 1 sweeps, " in msg
         assert "off-diagonal norm" in msg and "target" in msg
+
+
+# --- stacked solves: one kernel call for many matrices -------------------
+
+
+def _lone(mats, tol=1e-12):
+    return [eig_hermitian(m, tol) for m in mats]
+
+
+def test_padded_stack_agrees_with_lone_calls():
+    # orders 1..16 pad to 16; padding is exact, so only the order of the
+    # rotations inside a sweep differs from a lone call
+    rng = np.random.default_rng(31)
+    mats = [random_hermitian(rng, d) for d in range(1, 17)]
+    for got, want, a in zip(eigen._eig_hermitian_stack(mats, 1e-12), _lone(mats), mats):
+        d = len(a)
+        assert got.values.shape == (d,) and got.vectors.shape == (d, d)
+        assert np.abs(got.values - want.values).max() <= 1e-13 * np.linalg.norm(a, 2)
+        recon = got.vectors.conj().T @ np.diag(got.values) @ got.vectors
+        assert np.abs(recon - a).max() <= RESIDUAL_TOL * (1.0 + np.abs(a).max())
+        assert np.abs(got.vectors @ got.vectors.conj().T - np.eye(d)).max() <= UNITARY_TOL
+
+
+def test_equal_order_stacks_are_bit_identical_to_lone_calls():
+    rng = np.random.default_rng(32)
+    ladder = [(b + b.conj().T) / 2.0 for b in projection_ladder(32).operator.blocks]
+    stacks = [
+        ladder,
+        [random_hermitian(rng, 96) for _ in range(2)],
+        [random_hermitian(rng, 7) for _ in range(5)],
+        [random_hermitian(rng, 6), _partly_live(rng)[:6, :6], np.eye(6, dtype=complex)],
+        [_partly_live(rng) for _ in range(3)],
+    ]
+    for mats in stacks:
+        for got, want in zip(eigen._eig_hermitian_stack(mats, 1e-12), _lone(mats)):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.vectors, want.vectors)
+
+
+def _phase_rule_holds(vectors):
+    for row in vectors:
+        mags = np.abs(row)
+        lead = row[np.argmax(mags > 1e-8 * mags.max())]
+        if not (abs(lead.imag) <= 1e-15 * abs(lead) and lead.real > 0.0):
+            return False
+    return True
+
+
+def test_degenerate_blocks_keep_tie_order_and_phase_rule():
+    rng = np.random.default_rng(33)
+    q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+    repeated = q @ np.diag([2.0, -1.0, 2.0, -1.0, 2.0]) @ q.conj().T
+    ties = np.diag([1.0, 3.0, 1.0, 3.0]).astype(complex)
+    ladder = [(b + b.conj().T) / 2.0 for b in projection_ladder(4).operator.blocks]
+    mats = [np.eye(3, dtype=complex), ties, repeated] + ladder
+    res = eigen._eig_hermitian_stack(mats, 1e-12)
+    for r, a in zip(res, mats):
+        assert np.all(np.diff(r.values) <= 0.0)
+        assert _phase_rule_holds(r.vectors)
+        want = np.sort(np.linalg.eigvalsh(a))[::-1]
+        assert np.abs(r.values - want).max() <= 1e-13 * np.abs(want).max()
+    # nothing rotates in the identity or in the diagonal ties, so the
+    # stable sort alone orders them: equal values keep their input order
+    assert np.array_equal(res[0].values, [1.0, 1.0, 1.0]) and np.array_equal(res[0].vectors, np.eye(3))
+    assert np.array_equal(res[1].values, [3.0, 3.0, 1.0, 1.0])
+    assert np.array_equal(res[1].vectors, np.eye(4)[[1, 3, 0, 2]])
+
+
+def test_stack_scaling_by_powers_of_two_is_exact():
+    # each matrix has its own prescale, so its neighbour's units do not matter
+    rng = np.random.default_rng(34)
+    for d in (3, 8):
+        a, b = random_hermitian(rng, d), random_hermitian(rng, d + 2)
+        base = eigen._eig_hermitian_stack([a, b], 1e-12)
+        for j in (-600, 600):
+            scaled = eigen._eig_hermitian_stack([2.0**-j * a, 2.0**j * b], 1e-12)
+            assert np.array_equal(scaled[0].values, 2.0**-j * base[0].values)
+            assert np.array_equal(scaled[1].values, 2.0**j * base[1].values)
+            for got, want in zip(scaled, base):
+                assert np.array_equal(got.vectors, want.vectors)
+
+
+def test_zero_and_one_by_one_blocks_inside_a_stack():
+    rng = np.random.default_rng(35)
+    h = random_hermitian(rng, 5)
+    mats = [np.zeros((4, 4), dtype=complex), np.array([[-2.5 + 0j]]), h, np.zeros((1, 1), dtype=complex)]
+    zero, single, dense, tiny = eigen._eig_hermitian_stack(mats, 1e-12)
+    assert np.array_equal(zero.values, np.zeros(4)) and np.array_equal(zero.vectors, np.eye(4))
+    assert np.array_equal(single.values, [-2.5]) and np.array_equal(single.vectors, [[1.0]])
+    assert np.array_equal(tiny.values, [0.0]) and np.array_equal(tiny.vectors, [[1.0]])
+    want = np.sort(np.linalg.eigvalsh(h))[::-1]
+    assert np.abs(dense.values - want).max() <= VALUE_TOL * np.abs(want).max()
+
+
+def test_non_hermitian_element_of_a_stack_is_rejected():
+    rng = np.random.default_rng(36)
+    mats = [random_hermitian(rng, 3), JORDAN, random_hermitian(rng, 4)]
+    with pytest.raises(NotHermitianError, match="matrix 1 of the stack"):
+        eigen._eig_hermitian_stack(mats, 1e-12)
+
+
+def test_stacked_nonconvergence_names_each_unconverged_matrix(monkeypatch):
+    rng = np.random.default_rng(37)
+    mats = [np.diag([1.0, 2.0]).astype(complex), random_hermitian(rng, 4), random_hermitian(rng, 8)]
+    monkeypatch.setattr(eigen, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError) as exc:
+        eigen._eig_hermitian_stack(mats, 1e-12)
+    msg = str(exc.value)
+    assert "matrix 0 of 3" not in msg
+    for i, d in ((1, 4), (2, 8)):
+        assert f"matrix {i} of 3: d={d}, tournament ordering, 1 sweeps, " in msg
+    assert msg.count("off-diagonal norm") == 2 and msg.count("target") == 2
+
+
+def test_stacked_solve_logs_one_record_per_matrix(caplog):
+    rng = np.random.default_rng(38)
+    caplog.set_level(logging.DEBUG, logger="moddiag.eigen")
+    eigen._eig_hermitian_stack([random_hermitian(rng, d) for d in (2, 9, 1)], 1e-12)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 3
+    for i, (msg, d) in enumerate(zip(messages, (2, 9, 1))):
+        assert f"matrix {i} of 3: d={d}, tournament ordering" in msg
+        assert "sweeps" in msg and "rotations" in msg and "target" in msg
+
+
+def test_equal_order_stack_records_match_lone_calls(caplog):
+    # a nearly diagonal matrix converges sweeps before its neighbours and
+    # sits out the rest; each record still counts its own sweeps and rotations
+    rng = np.random.default_rng(40)
+    easy = np.diag(np.arange(8.0)).astype(complex) + 1e-6 * random_hermitian(rng, 8)
+    mats = [random_hermitian(rng, 8), easy, random_hermitian(rng, 8)]
+    caplog.set_level(logging.DEBUG, logger="moddiag.eigen")
+    _lone(mats)
+    lone = [r.getMessage().removeprefix("eig_hermitian ") for r in caplog.records]
+    caplog.clear()
+    eigen._eig_hermitian_stack(mats, 1e-12)
+    stacked = [r.getMessage() for r in caplog.records]
+    assert stacked == [f"eig_hermitian matrix {i} of 3: {msg}" for i, msg in enumerate(lone)]
+    assert lone[0].split(", ")[2] != lone[1].split(", ")[2]  # sweep counts differ
+
+
+def test_row_phases_round_as_one_row_at_a_time():
+    # the vectorized rule must give the bits of the per-row scalar rule
+    rng = np.random.default_rng(41)
+    q = np.linalg.qr(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))[0]
+    want = np.array(q)
+    for r in range(len(want)):
+        mags = np.abs(want[r])
+        pivot = want[r, int(np.argmax(mags > 1e-8 * mags.max()))]
+        want[r] *= np.conj(pivot) / abs(pivot)
+    assert np.array_equal(eigen._fix_row_phases(q), want)
+
+
+def test_stacked_normal_solve_agrees_with_lone_calls():
+    # several tie runs per matrix, over matrices of different orders, share
+    # one stacked solve of the compressions
+    rng = np.random.default_rng(39)
+    mats = []
+    for vals in (
+        np.array([1.0 + 1.0j, 1.0 + 2.0j, 3.0 + 0.0j]),
+        np.array([2.0, -1.0 - 1.0j, 0.5j, 2.0 + 3.0j, -1.0 + 2.0j, 0.0, -1.0, 2.0 - 1.0j]),
+        np.array([0.5 + 1.0j, -2.0]),
+    ):
+        d = vals.size
+        q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        mats.append(q @ np.diag(vals) @ q.conj().T)
+    for (got, vectors), m in zip(eigen._eig_normal_stack(mats, 1e-10), mats):
+        want = eig_normal(m)[0]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(vectors @ m @ vectors.conj().T - np.diag(got)).max() <= 1e-9

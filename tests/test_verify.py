@@ -188,6 +188,67 @@ def test_moment_oracle_catches_shifted_values():
     assert moment_deviation(k, tampered) > 1e-5
 
 
+def _moment_deviation_reference(k, result):
+    """The moment oracle one block and one power at a time, as first written."""
+    worst = 0.0
+    for b, blk in enumerate(k.blocks):
+        e = np.frexp(np.abs(blk).max())[1]
+        flat = np.ldexp(blk.real, -e) + 1j * np.ldexp(blk.imag, -e)
+        sups = result.supports[b]
+        vals = result.values[b]
+        compressed = sups @ (np.ldexp(vals.real, -e) + 1j * np.ldexp(vals.imag, -e)) @ sups
+        below, power, compressed_power = np.eye(len(flat)), flat, compressed
+        for _ in range(6):
+            diff = abs(np.trace(power) - np.trace(compressed_power, axis1=1, axis2=2).sum())
+            bound = np.linalg.norm(flat) * np.linalg.norm(below)
+            if np.isnan(diff) or (bound == 0.0 and diff > 0.0):
+                return np.inf
+            if bound > 0.0:
+                worst = max(worst, diff / bound)
+            below, power = power, power @ flat
+            compressed_power = compressed_power @ compressed
+    return worst
+
+
+@pytest.mark.parametrize("powers_bytes", [None, 1])
+@pytest.mark.parametrize("shape", ACCEPTANCE_SHAPES + [(1, 1, 2, 2)])
+def test_stacked_moment_deviation_matches_the_per_block_loop(shape, powers_bytes, monkeypatch):
+    if powers_bytes is not None:  # one block per stack
+        monkeypatch.setattr(moddiag.verify, "_POWERS_BYTES", powers_bytes)
+    # blocks of equal size share one stack of power chains; every product,
+    # trace and norm rounds as in the loop, so the figure is the same float
+    rng = np.random.default_rng(89)
+    for rank in (1, 3):
+        mod = module_over(shape, rank)
+        k = random_selfadjoint_operator(mod, rng)
+        res = diagonalize_selfadjoint(k)
+        halved = DiagonalizationResult(
+            res.module, res.pair_labels, res.vectors, tuple(0.5 * v for v in res.values),
+            res.supports, res.ordering_certificate, res.tolerance_used,
+        )
+        for r in (res, halved):
+            assert moment_deviation(k, r) == _moment_deviation_reference(k, r)
+
+
+def test_one_power_iteration_per_operator(monkeypatch):
+    # diagonalize and verify read one memoized operator scale, computed
+    # from K alone; it equals a fresh power iteration
+    from moddiag import algebra, operators
+
+    calls = []
+
+    def spy(blocks):
+        calls.append(blocks)
+        return algebra._norm_lower_bound(blocks)
+
+    monkeypatch.setattr(operators, "_norm_lower_bound", spy)
+    mod = module_over((2, 1), 3)
+    k = random_selfadjoint_operator(mod, np.random.default_rng(90))
+    report = verify_eigensystem(k, diagonalize_selfadjoint(k))
+    assert report.overall and len(calls) == 1 and calls[0] is k.blocks
+    assert report.operator_scale == algebra._norm_lower_bound(k.blocks)
+
+
 def test_moment_deviation_zero_operator():
     mod = module_over((1, 2), 2)
     k = ModuleOperator.zero(mod)
