@@ -122,7 +122,8 @@ def _offdiag_norm(a: np.ndarray) -> np.ndarray:
 def _fix_row_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each row so its first sizable entry lands on the positive real axis.
 
-    vectors is a matrix or a stack of them; no row may be zero.
+    vectors is a matrix or a stack of them; no row may be zero. A
+    contiguous array is rotated in place.
     """
     rows = vectors.reshape(-1, vectors.shape[-1])
     mags = np.abs(rows)
@@ -130,7 +131,8 @@ def _fix_row_phases(vectors: np.ndarray) -> np.ndarray:
     pivot = rows[np.arange(len(rows)), lead][:, None]
     # np.hypot rounds as abs() of one complex number does; np.abs of a
     # complex array may differ from both in the last bit
-    return (rows * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))).reshape(vectors.shape)
+    rows *= np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
+    return rows.reshape(vectors.shape)
 
 
 @functools.lru_cache(maxsize=128)
@@ -267,8 +269,17 @@ def _stacked_sweep(a: np.ndarray, v: np.ndarray, thr):
     return applied
 
 
+def _square_matrices(matrix) -> tuple[list, bool]:
+    """The matrices of a call, and whether it was given one matrix rather than a sequence.
+
+    A sequence is a nonempty list or tuple whose items are 2-d.
+    """
+    lone = not (isinstance(matrix, (list, tuple)) and matrix and all(np.ndim(m) == 2 for m in matrix))
+    return [_square_complex(m) for m in ([matrix] if lone else matrix)], lone
+
+
 def _which(i, count) -> str:
-    """How errors name matrix i of a stacked solve of count matrices."""
+    """How errors name matrix i of a solve of count matrices."""
     return "matrix" if count == 1 else f"matrix {i} of the stack"
 
 
@@ -283,24 +294,52 @@ def _solve_stats(d, tournament, sweeps, rotations, off, target, e) -> str:
     )
 
 
-def _eig_hermitian_stack(mats, tol: float) -> list:
-    """``eig_hermitian`` of every matrix in a sequence, in one stacked solve.
+def eig_hermitian(matrix, tol: float = 1e-12):
+    """Diagonalize a Hermitian matrix, or many in one stacked solve, by complex Jacobi rotations.
 
-    The matrices may differ in order; they are then zero-padded to the
-    largest. Each keeps its own prescale, threshold, target, convergence,
-    sort and phase rule, so its result does not depend on its neighbours
-    beyond round-off, and not at all when every matrix has the same order
-    (design notes, "Stacked solves"). A lone matrix below
-    ``_TOURNAMENT_MIN_ORDER`` sweeps row-cyclically, as a lone call always
-    did. Returns one HermitianEig per matrix. NotHermitianError and
-    ConvergenceError name the failing matrices of a stack by index.
+    Parameters
+    ----------
+    matrix : (d, d) array_like, or a sequence of them
+        Hermitian up to ``tol * max|entry|`` in entrywise distance. A
+        sequence (a list or tuple of 2-d arrays) is solved in one stacked
+        call; its matrices may differ in order.
+    tol : float
+        Also sets the sweep target: rotations stop once the off-diagonal
+        Frobenius mass drops below ``tol * frobenius(matrix)``. At most
+        ``MAX_SWEEPS`` sweeps are attempted.
+
+    Returns
+    -------
+    HermitianEig, or a list of one per matrix of a sequence
+        Descending eigenvalues and a unitary matrix of row eigenvectors.
+        Ties keep the sweep order (stable sort); each row's phase is fixed
+        by making its first sizable component real positive, so the output
+        is deterministic for a fixed input.
+
+    Notes
+    -----
+    The block is first scaled by the power of two that brings its largest
+    entry into ``[1/2, 1)``, and the values are scaled back, both exactly,
+    so no squared entry under- or overflows and ``eig_hermitian(2**k * A)``
+    returns ``2**k`` times the values of ``A``. A lone matrix of order
+    ``_TOURNAMENT_MIN_ORDER`` and up sweeps in round-robin order, a round
+    of disjoint rotations per numpy step; a smaller one sweeps
+    row-cyclically, where per-call overhead outweighs the vectorization.
+    A sequence always sweeps in round-robin order. Each of its matrices
+    keeps its own prescale, threshold, target, convergence, sort and phase
+    rule: its result does not depend on its neighbours beyond round-off,
+    and not at all when they all have the same order (design notes,
+    "Stacked solves"). One DEBUG record per matrix on the ``moddiag.eigen``
+    logger reports its sweeps, rotations and final off-diagonal norm;
+    NotHermitianError and ConvergenceError name the failing matrices.
     """
-    mats = [_square_complex(m) for m in mats]
+    mats, lone = _square_matrices(matrix)
     dims = [len(m) for m in mats]
     count, n = len(mats), max(dims)
     if min(dims) == n:
         h = np.array(mats)
     else:
+        # zero padding is exact (design notes, "Stacked solves")
         h = np.zeros((count, n, n), dtype=np.complex128)
         for pad, m in zip(h, mats):
             pad[: len(m), : len(m)] = m
@@ -328,20 +367,13 @@ def _eig_hermitian_stack(mats, tol: float) -> list:
     every = (a[0], v[0], thr[0]) if count == 1 else (a, v, thr)
     for _ in range(MAX_SWEEPS):
         active = off > target
-        if active.all():
-            rotations += sweep(*every)
-            sweeps += 1
-            off = _offdiag_norm(a)
-        elif active.any():
-            # the converged matrices sit out: the rest sweep as a copy
-            active = active.nonzero()[0]
-            sub_a, sub_v = a[active], v[active]
-            rotations[active] += _stacked_sweep(sub_a, sub_v, thr[active])
-            a[active], v[active] = sub_a, sub_v
-            sweeps[active] += 1
-            off[active] = _offdiag_norm(sub_a)
-        else:
+        if not active.any():
             break
+        # a converged matrix sits out: no pair passes an infinite threshold
+        thr[~active] = np.inf
+        rotations += sweep(*every)
+        sweeps += active
+        off = _offdiag_norm(a)
 
     failed = off > target
     if failed.any() or _log.isEnabledFor(logging.DEBUG):
@@ -357,67 +389,48 @@ def _eig_hermitian_stack(mats, tol: float) -> list:
         for s in stats:
             _log.debug("eig_hermitian %s", s)
 
-    vals = np.real(np.diagonal(a, axis1=1, axis2=2))
+    # a copy of the diagonal, so the rotated stack is freed before the sort
+    vals = np.real(np.diagonal(a, axis1=1, axis2=2)).copy()
+    del a, every
     if min(dims) < n:
-        vals = vals.copy()
         for row, d in zip(vals, dims):
             row[d:] = -np.inf  # padding sorts last
     order = np.argsort(-vals, axis=1, kind="stable")
     rows = np.arange(count)[:, None]
     values = np.ldexp(vals[rows, order], e[:, None])
     vectors = _fix_row_phases(v[rows, order])
-    return [HermitianEig(values[i, :d], vectors[i, :d, :d]) for i, d in enumerate(dims)]
+    out = [HermitianEig(values[i, :d], vectors[i, :d, :d]) for i, d in enumerate(dims)]
+    return out[0] if lone else out
 
 
-def eig_hermitian(matrix, tol: float = 1e-12) -> HermitianEig:
-    """Diagonalize a Hermitian matrix by complex Jacobi rotations.
+def eig_normal(matrix, tol: float = 1e-10):
+    """Diagonalize a normal matrix, or many in two stacked Hermitian solves.
 
-    Parameters
-    ----------
-    matrix : (d, d) array_like
-        Hermitian up to ``tol * max|entry|`` in entrywise distance.
-    tol : float
-        Also sets the sweep target: rotations stop once the off-diagonal
-        Frobenius mass drops below ``tol * frobenius(matrix)``. At most
-        ``MAX_SWEEPS`` sweeps are attempted.
+    Splits N into its Hermitian part H and skew part S (both Hermitian,
+    commuting exactly when N is normal), diagonalizes H, then diagonalizes
+    the compression of S inside every eigenspace of H. One `eig_hermitian`
+    call solves the Hermitian parts of all matrices of a sequence, and one
+    more the compressions in every run of all of them.
 
-    Returns
-    -------
-    HermitianEig
-        Descending eigenvalues and a unitary matrix of row eigenvectors.
-        Ties keep the sweep order (stable sort); each row's phase is fixed
-        by making its first sizable component real positive, so the output
-        is deterministic for a fixed input.
+    Returns ``(values, vectors)``, or a list of one per matrix of a
+    sequence, with complex values sorted by descending real part and row
+    eigenvectors forming a unitary, so ``vectors @ N @ vectors.conj().T``
+    is diagonal. Real parts that chain together in steps of at most
+    ``max(tol, 1e-12) * max|entry|`` count as tied, and descending
+    imaginary part breaks the tie. Where a matrix has two or more such
+    runs, they are solved as a stack: its values may differ in the last
+    bits from those of solving each run alone.
 
-    Notes
-    -----
-    The block is first scaled by the power of two that brings its largest
-    entry into ``[1/2, 1)``, and the values are scaled back, both exactly,
-    so no squared entry under- or overflows and ``eig_hermitian(2**k * A)``
-    returns ``2**k`` times the values of ``A``. Blocks of order
-    ``_TOURNAMENT_MIN_ORDER`` and up sweep in round-robin order, a round of
-    disjoint rotations per numpy step; smaller ones sweep row-cyclically,
-    where per-call overhead outweighs the vectorization. One DEBUG record
-    on the ``moddiag.eigen`` logger reports each call's sweeps, rotations
-    and final off-diagonal norm. The diagonalizers solve all blocks of an
-    operator in one stacked call instead (design notes, "Stacked solves").
+    N counts as normal when the largest entry of ``N N* - N* N`` is at most
+    ``tol * max|entry|**2``, and the diagonalized form must leave no
+    off-diagonal entry above ``10 * max(tol, 1e-12) * max|entry|``; both
+    bounds are relative, so neither passes a small non-normal matrix.
     """
-    return _eig_hermitian_stack([matrix], tol)[0]
-
-
-def _eig_normal_stack(mats, tol: float) -> list:
-    """``eig_normal`` of every matrix in a sequence, in two stacked Hermitian solves.
-
-    The first solves the Hermitian parts of all matrices, the second the
-    compressions of their skew parts inside every run of tied Hermitian-part
-    eigenvalues, over all matrices at once. Returns ``(values, vectors)``
-    per matrix.
-    """
-    mats = [_square_complex(m) for m in mats]
+    mats, lone = _square_matrices(matrix)
     for i, m in enumerate(mats):
         if _normality_defect([m]) > tol:
             raise NotNormalError(f"{_which(i, len(mats))} is not normal within tolerance")
-    bases = _eig_hermitian_stack([0.5 * (m + m.conj().T) for m in mats], 1e-12)
+    bases = eig_hermitian([0.5 * (m + m.conj().T) for m in mats], 1e-12)
 
     vecs, clusters, runs = [], [], []
     for m, base in zip(mats, bases):
@@ -448,7 +461,7 @@ def _eig_normal_stack(mats, tol: float) -> list:
         clusters.append(cluster)
 
     if runs:
-        refines = _eig_hermitian_stack([comp for *_, comp in runs], 1e-12)
+        refines = eig_hermitian([comp for *_, comp in runs], 1e-12)
         for (vec, start, stop, _), refine in zip(runs, refines):
             vec[start:stop] = refine.vectors @ vec[start:stop]
 
@@ -464,26 +477,4 @@ def _eig_normal_stack(mats, tol: float) -> list:
             )
         order = np.lexsort((-values.imag, cluster))
         out.append((values[order], _fix_row_phases(vec[order])))
-    return out
-
-
-def eig_normal(matrix, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a normal matrix.
-
-    Splits N into its Hermitian part H and skew part S (both Hermitian,
-    commuting exactly when N is normal), diagonalizes H, then diagonalizes
-    the compression of S inside every eigenspace of H; the compressions
-    are solved in one stacked call.
-
-    Returns ``(values, vectors)`` with complex values sorted by descending
-    real part and row eigenvectors forming a unitary, so
-    ``vectors @ N @ vectors.conj().T`` is diagonal. Real parts that chain
-    together in steps of at most ``max(tol, 1e-12) * max|entry|`` count as
-    tied, and descending imaginary part breaks the tie.
-
-    N counts as normal when the largest entry of ``N N* - N* N`` is at most
-    ``tol * max|entry|**2``, and the diagonalized form must leave no
-    off-diagonal entry above ``10 * max(tol, 1e-12) * max|entry|``; both
-    bounds are relative, so neither passes a small non-normal matrix.
-    """
-    return _eig_normal_stack([matrix], tol)[0]
+    return out[0] if lone else out

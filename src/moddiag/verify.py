@@ -182,12 +182,13 @@ def moment_deviation(K: ModuleOperator, result: DiagonalizationResult) -> float:
                     np.matmul(powers[p - 1], flat, out=powers[p])
                     np.matmul(compressed_powers[p - 1], compressed, out=compressed_powers[p])
                 # np.hypot and the dot products of real and imaginary parts
-                # round as abs() of a complex number and np.linalg.norm do
+                # round as abs() of a complex number and np.linalg.norm do;
+                # matmul of a row by a column is numpy's dot loop
                 gap = powers.trace(axis1=-2, axis2=-1) - compressed_powers.trace(axis1=-2, axis2=-1).sum(axis=-1)
                 diff = np.hypot(gap.real, gap.imag)
                 # ||K_b^(p-1)||_F for p = 1 .. _MAX_MOMENT; K_b^0 is the identity
-                rows = powers[:-1].reshape(_MAX_MOMENT - 1, len(group), -1)
-                squares = np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag)
+                rows = powers[:-1].reshape(_MAX_MOMENT - 1, len(group), 1, -1)
+                squares = (rows.real @ rows.real.swapaxes(-2, -1) + rows.imag @ rows.imag.swapaxes(-2, -1))[..., 0, 0]
                 below = np.sqrt(np.concatenate([np.full((1, len(group)), float(flat.shape[-1])), squares]))
                 bound = below[1] * below
                 if np.isnan(diff).any() or (diff[bound == 0.0] > 0.0).any():

@@ -281,7 +281,7 @@ def test_padded_stack_agrees_with_lone_calls():
     # rotations inside a sweep differs from a lone call
     rng = np.random.default_rng(31)
     mats = [random_hermitian(rng, d) for d in range(1, 17)]
-    for got, want, a in zip(eigen._eig_hermitian_stack(mats, 1e-12), _lone(mats), mats):
+    for got, want, a in zip(eig_hermitian(mats), _lone(mats), mats):
         d = len(a)
         assert got.values.shape == (d,) and got.vectors.shape == (d, d)
         assert np.abs(got.values - want.values).max() <= 1e-13 * np.linalg.norm(a, 2)
@@ -301,7 +301,7 @@ def test_equal_order_stacks_are_bit_identical_to_lone_calls():
         [_partly_live(rng) for _ in range(3)],
     ]
     for mats in stacks:
-        for got, want in zip(eigen._eig_hermitian_stack(mats, 1e-12), _lone(mats)):
+        for got, want in zip(eig_hermitian(mats), _lone(mats)):
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.vectors, want.vectors)
 
@@ -322,7 +322,7 @@ def test_degenerate_blocks_keep_tie_order_and_phase_rule():
     ties = np.diag([1.0, 3.0, 1.0, 3.0]).astype(complex)
     ladder = [(b + b.conj().T) / 2.0 for b in projection_ladder(4).operator.blocks]
     mats = [np.eye(3, dtype=complex), ties, repeated] + ladder
-    res = eigen._eig_hermitian_stack(mats, 1e-12)
+    res = eig_hermitian(mats)
     for r, a in zip(res, mats):
         assert np.all(np.diff(r.values) <= 0.0)
         assert _phase_rule_holds(r.vectors)
@@ -340,9 +340,9 @@ def test_stack_scaling_by_powers_of_two_is_exact():
     rng = np.random.default_rng(34)
     for d in (3, 8):
         a, b = random_hermitian(rng, d), random_hermitian(rng, d + 2)
-        base = eigen._eig_hermitian_stack([a, b], 1e-12)
+        base = eig_hermitian([a, b])
         for j in (-600, 600):
-            scaled = eigen._eig_hermitian_stack([2.0**-j * a, 2.0**j * b], 1e-12)
+            scaled = eig_hermitian([2.0**-j * a, 2.0**j * b])
             assert np.array_equal(scaled[0].values, 2.0**-j * base[0].values)
             assert np.array_equal(scaled[1].values, 2.0**j * base[1].values)
             for got, want in zip(scaled, base):
@@ -353,7 +353,7 @@ def test_zero_and_one_by_one_blocks_inside_a_stack():
     rng = np.random.default_rng(35)
     h = random_hermitian(rng, 5)
     mats = [np.zeros((4, 4), dtype=complex), np.array([[-2.5 + 0j]]), h, np.zeros((1, 1), dtype=complex)]
-    zero, single, dense, tiny = eigen._eig_hermitian_stack(mats, 1e-12)
+    zero, single, dense, tiny = eig_hermitian(mats)
     assert np.array_equal(zero.values, np.zeros(4)) and np.array_equal(zero.vectors, np.eye(4))
     assert np.array_equal(single.values, [-2.5]) and np.array_equal(single.vectors, [[1.0]])
     assert np.array_equal(tiny.values, [0.0]) and np.array_equal(tiny.vectors, [[1.0]])
@@ -365,7 +365,7 @@ def test_non_hermitian_element_of_a_stack_is_rejected():
     rng = np.random.default_rng(36)
     mats = [random_hermitian(rng, 3), JORDAN, random_hermitian(rng, 4)]
     with pytest.raises(NotHermitianError, match="matrix 1 of the stack"):
-        eigen._eig_hermitian_stack(mats, 1e-12)
+        eig_hermitian(mats)
 
 
 def test_stacked_nonconvergence_names_each_unconverged_matrix(monkeypatch):
@@ -373,7 +373,7 @@ def test_stacked_nonconvergence_names_each_unconverged_matrix(monkeypatch):
     mats = [np.diag([1.0, 2.0]).astype(complex), random_hermitian(rng, 4), random_hermitian(rng, 8)]
     monkeypatch.setattr(eigen, "MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError) as exc:
-        eigen._eig_hermitian_stack(mats, 1e-12)
+        eig_hermitian(mats)
     msg = str(exc.value)
     assert "matrix 0 of 3" not in msg
     for i, d in ((1, 4), (2, 8)):
@@ -384,7 +384,7 @@ def test_stacked_nonconvergence_names_each_unconverged_matrix(monkeypatch):
 def test_stacked_solve_logs_one_record_per_matrix(caplog):
     rng = np.random.default_rng(38)
     caplog.set_level(logging.DEBUG, logger="moddiag.eigen")
-    eigen._eig_hermitian_stack([random_hermitian(rng, d) for d in (2, 9, 1)], 1e-12)
+    eig_hermitian([random_hermitian(rng, d) for d in (2, 9, 1)])
     messages = [r.getMessage() for r in caplog.records]
     assert len(messages) == 3
     for i, (msg, d) in enumerate(zip(messages, (2, 9, 1))):
@@ -402,7 +402,7 @@ def test_equal_order_stack_records_match_lone_calls(caplog):
     _lone(mats)
     lone = [r.getMessage().removeprefix("eig_hermitian ") for r in caplog.records]
     caplog.clear()
-    eigen._eig_hermitian_stack(mats, 1e-12)
+    eig_hermitian(mats)
     stacked = [r.getMessage() for r in caplog.records]
     assert stacked == [f"eig_hermitian matrix {i} of 3: {msg}" for i, msg in enumerate(lone)]
     assert lone[0].split(", ")[2] != lone[1].split(", ")[2]  # sweep counts differ
@@ -433,7 +433,24 @@ def test_stacked_normal_solve_agrees_with_lone_calls():
         d = vals.size
         q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
         mats.append(q @ np.diag(vals) @ q.conj().T)
-    for (got, vectors), m in zip(eigen._eig_normal_stack(mats, 1e-10), mats):
+    for (got, vectors), m in zip(eig_normal(mats), mats):
         want = eig_normal(m)[0]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(vectors @ m @ vectors.conj().T - np.diag(got)).max() <= 1e-9
+
+
+def test_a_sequence_gets_a_list_and_a_matrix_one_result():
+    # a matrix as nested lists is one matrix; a list or tuple of matrices,
+    # even of one, is a stacked solve with one result per matrix
+    rng = np.random.default_rng(42)
+    h = random_hermitian(rng, 7)
+    lone = eig_hermitian(h.tolist())
+    assert isinstance(lone, eigen.HermitianEig) and lone.values.shape == (7,)
+    for seq in ([h], (h,), [h.tolist()]):
+        (got,) = eig_hermitian(seq)
+        assert np.array_equal(got.values, lone.values) and np.array_equal(got.vectors, lone.vectors)
+    values, vectors = eig_normal(h)
+    ((got_values, got_vectors),) = eig_normal((h,))
+    assert np.array_equal(got_values, values) and np.array_equal(got_vectors, vectors)
+    with pytest.raises(ValueError):
+        eig_hermitian([])
