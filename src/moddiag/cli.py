@@ -138,19 +138,18 @@ def _cmd_prop4(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     K = parse_problem(_read(args.input))
+    # every block in one stacked solve, as the diagonalizers make it
     if K.is_selfadjoint(1e-10):
-        for b, blk in enumerate(K.blocks):
-            vals = eig_hermitian((blk + blk.conj().T) / 2.0).values
-            line = ", ".join(f"{v:.10g}" for v in vals)
-            print(f"block {b} (size {K.module.shape.block_sizes[b]}): {line}")
-        return 0
-    if K.is_normal(1e-10):
-        for b, blk in enumerate(K.blocks):
-            vals, _ = eig_normal(blk)
-            line = ", ".join(f"{v.real:.10g}{v.imag:+.10g}i" for v in vals)
-            print(f"block {b} (size {K.module.shape.block_sizes[b]}): {line}")
-        return 0
-    raise InputFormatError("operator is neither self-adjoint nor normal", "problem.operator")
+        spectra = eig_hermitian([(blk + blk.conj().T) / 2.0 for blk in K.blocks])
+        lines = [", ".join(f"{v:.10g}" for v in vals) for vals, _ in spectra]
+    elif K.is_normal(1e-10):
+        spectra = eig_normal(K.blocks)
+        lines = [", ".join(f"{v.real:.10g}{v.imag:+.10g}i" for v in vals) for vals, _ in spectra]
+    else:
+        raise InputFormatError("operator is neither self-adjoint nor normal", "problem.operator")
+    for b, (k, line) in enumerate(zip(K.module.shape.block_sizes, lines)):
+        print(f"block {b} (size {k}): {line}")
+    return 0
 
 
 def _alpha_list(text: str):

@@ -27,10 +27,6 @@ __all__ = [
 
 MAX_SWEEPS = 60
 
-# Order from which eig_hermitian sweeps in round-robin rounds rather than
-# one rotation at a time; design-notes.md has the timings that place it.
-_TOURNAMENT_MIN_ORDER = 6
-
 _log = logging.getLogger(__name__)
 
 
@@ -158,81 +154,36 @@ def _tournament_rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
-def _cyclic_sweep(a: np.ndarray, v: np.ndarray, thr: float) -> int:
-    """One row-cyclic sweep, one rotation at a time; returns the rotations applied."""
-    d = a.shape[0]
-    applied = 0
-    for p in range(d - 1):
-        for q in range(p + 1, d):
-            m = a[p, q]
-            beta = abs(m)
-            if beta <= thr:
-                continue
-            app = a[p, p].real
-            aqq = a[q, q].real
-            tau = (aqq - app) / (2.0 * beta)
-            t = 1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau))
-            if tau < 0.0:
-                t = -t
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sc = (t * c) * (m / beta)
-            csc = np.conj(sc)
-            col_p = a[:, p].copy()
-            col_q = a[:, q].copy()
-            a[:, p] = c * col_p - csc * col_q
-            a[:, q] = sc * col_p + c * col_q
-            row_p = a[p, :].copy()
-            row_q = a[q, :].copy()
-            a[p, :] = c * row_p - sc * row_q
-            a[q, :] = csc * row_p + c * row_q
-            # the 2x2 core is known in closed form; writing it back
-            # kills the rounding drift of the slice updates
-            a[p, p] = app - t * beta
-            a[q, q] = aqq + t * beta
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            vp = v[p, :].copy()
-            vq = v[q, :].copy()
-            v[p, :] = c * vp - sc * vq
-            v[q, :] = csc * vp + c * vq
-            applied += 1
-    return applied
+def _stacked_sweep(av: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """One round-robin sweep of every matrix in a stack; returns the rotations applied to each.
 
-
-def _stacked_sweep(a: np.ndarray, v: np.ndarray, thr):
-    """One round-robin sweep of a matrix, or of every matrix in a stack; returns the rotations applied.
-
-    ``a`` and ``v`` are an ``(n, n)`` matrix and its row eigenvectors so
-    far, with a float ``thr``, or ``(m, n, n)`` stacks of both, with one
-    threshold per matrix; the count is an int or one per matrix to match.
-    Same rotation and core write-back as ``_cyclic_sweep``. The rotations
-    of one round touch disjoint row and column pairs of their matrix, so
-    they commute and none reads an entry another writes: applying all
-    column updates, then all row updates, equals applying the rotations one
-    after another. A round indexes only the (matrix, pair) rotations above
-    their matrix's threshold and touches no other entry.
+    ``av`` is an ``(m, n, 2n)`` stack: each matrix, then beside it its row
+    eigenvectors so far; ``thr`` holds one threshold per matrix. The
+    rotations of one round touch disjoint row and column pairs of their
+    matrix, so they commute and none reads an entry another writes:
+    applying all column updates, then all row updates, equals applying the
+    rotations one after another. A round indexes only the (matrix, pair)
+    rotations above their matrix's threshold and touches no other entry.
     """
-    # i picks each rotation's matrix; for a lone matrix it is ..., so that
-    # a[i, p, q] is a[p, q]
-    lone = a.ndim == 2
-    if not lone:
-        everyone = np.arange(len(a))[:, None]
-        thr = thr[:, None]
+    a = av[..., : av.shape[1]]
+    # the columns of a are the rows of its transpose, so one gather shape,
+    # (rotations, row length), serves the column and the row updates
+    at = a.swapaxes(1, 2)
+    thr = thr[:, None]
     full, parts = 0, []
     for p, q in _tournament_rounds(a.shape[-1]):
-        m = a[..., p, q]
+        m = a[:, p, q]
         beta = np.abs(m)
         live = beta > thr
         if live.all():
-            i = ... if lone else everyone
+            i = slice(None)
             full += p.size
         else:
             if not live.any():
                 continue
-            where = live.nonzero()
-            i = ... if lone else where[0]
-            p, q, m, beta = p[where[-1]], q[where[-1]], m[live], beta[live]
-            parts.append(where[0])
+            i, pair = live.nonzero()
+            p, q, m, beta = p[pair], q[pair], m[live], beta[live]
+            parts.append(i)
         app = a[i, p, p].real
         aqq = a[i, q, q].real
         tau = (aqq - app) / (2.0 * beta)
@@ -240,29 +191,22 @@ def _stacked_sweep(a: np.ndarray, v: np.ndarray, thr):
         t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
         c = 1.0 / np.sqrt(1.0 + t * t)
         sc = (t * c) * (m / beta)
-        csc = np.conj(sc)
-        # a lone matrix's gathered columns are (n, pairs), a stack's (rotations, n)
-        c_r, sc_r, csc_r = c[..., None], sc[..., None], csc[..., None]
-        c_c, sc_c, csc_c = (c, sc, csc) if lone else (c_r, sc_r, csc_r)
-        col_p = a[i, :, p]
-        col_q = a[i, :, q]
-        a[i, :, p] = c_c * col_p - csc_c * col_q
-        a[i, :, q] = sc_c * col_p + c_c * col_q
-        row_p = a[i, p, :]
-        row_q = a[i, q, :]
-        a[i, p, :] = c_r * row_p - sc_r * row_q
-        a[i, q, :] = csc_r * row_p + c_r * row_q
+        c, sc, csc = c[..., None], sc[..., None], np.conj(sc)[..., None]
+        col_p = at[i, p]
+        col_q = at[i, q]
+        at[i, p] = c * col_p - csc * col_q
+        at[i, q] = sc * col_p + c * col_q
+        row_p = av[i, p]
+        row_q = av[i, q]
+        av[i, p] = c * row_p - sc * row_q
+        av[i, q] = csc * row_p + c * row_q
+        # the 2x2 core is known in closed form; writing it back kills the
+        # rounding drift of the slice updates
         shift = t * beta
         a[i, p, p] = app - shift
         a[i, q, q] = aqq + shift
         a[i, p, q] = 0.0
         a[i, q, p] = 0.0
-        vp = v[i, p, :]
-        vq = v[i, q, :]
-        v[i, p, :] = c_r * vp - sc_r * vq
-        v[i, q, :] = csc_r * vp + c_r * vq
-    if lone:
-        return full + sum(map(len, parts))
     applied = np.full(len(a), full)
     if parts:
         applied += np.bincount(np.concatenate(parts), minlength=len(a))
@@ -283,13 +227,12 @@ def _which(i, count) -> str:
     return "matrix" if count == 1 else f"matrix {i} of the stack"
 
 
-def _solve_stats(d, tournament, sweeps, rotations, off, target, e) -> str:
+def _solve_stats(d, sweeps, rotations, off, target, e) -> str:
     # the norms are reported in the units of the input, not of the scaled block
     with np.errstate(over="ignore"):
         off, target = np.ldexp(off, e), np.ldexp(target, e)
-    ordering = "tournament" if tournament else "cyclic"
     return (
-        f"d={d}, {ordering} ordering, {sweeps} sweeps, {rotations} rotations, "
+        f"d={d}, {sweeps} sweeps, {rotations} rotations, "
         f"off-diagonal norm {off:.3e} (target {target:.3e})"
     )
 
@@ -321,64 +264,60 @@ def eig_hermitian(matrix, tol: float = 1e-12):
     The block is first scaled by the power of two that brings its largest
     entry into ``[1/2, 1)``, and the values are scaled back, both exactly,
     so no squared entry under- or overflows and ``eig_hermitian(2**k * A)``
-    returns ``2**k`` times the values of ``A``. A lone matrix of order
-    ``_TOURNAMENT_MIN_ORDER`` and up sweeps in round-robin order, a round
-    of disjoint rotations per numpy step; a smaller one sweeps
-    row-cyclically, where per-call overhead outweighs the vectorization.
-    A sequence always sweeps in round-robin order. Each of its matrices
-    keeps its own prescale, threshold, target, convergence, sort and phase
-    rule: its result does not depend on its neighbours beyond round-off,
-    and not at all when they all have the same order (design notes,
-    "Stacked solves"). One DEBUG record per matrix on the ``moddiag.eigen``
-    logger reports its sweeps, rotations and final off-diagonal norm;
-    NotHermitianError and ConvergenceError name the failing matrices.
+    returns ``2**k`` times the values of ``A``. Every call, a lone matrix
+    too, sweeps a stack in round-robin order, a round of disjoint rotations
+    per numpy step. Each matrix of a sequence keeps its own prescale,
+    threshold, target, convergence, sort and phase rule: its result does
+    not depend on its neighbours beyond round-off, and not at all when they
+    all have the same order, so it equals a lone call's bit for bit (design
+    notes, "The Jacobi sweep"). One DEBUG record per matrix on the
+    ``moddiag.eigen`` logger reports its sweeps, rotations and final
+    off-diagonal norm; NotHermitianError and ConvergenceError name the
+    failing matrices.
     """
     mats, lone = _square_matrices(matrix)
     dims = [len(m) for m in mats]
     count, n = len(mats), max(dims)
-    if min(dims) == n:
-        h = np.array(mats)
-    else:
-        # zero padding is exact (design notes, "Stacked solves")
-        h = np.zeros((count, n, n), dtype=np.complex128)
-        for pad, m in zip(h, mats):
-            pad[: len(m), : len(m)] = m
+    # zero padding is exact (design notes, "The Jacobi sweep")
+    h = np.zeros((count, n, n), dtype=np.complex128)
+    for i, m in enumerate(mats):
+        h[i, : len(m), : len(m)] = m
     bad = _hermitian_defect([h]) > tol
     if bad.any():
         raise NotHermitianError(f"{_which(np.argmax(bad), count)} is not Hermitian within tolerance")
 
     e = np.frexp(np.abs(h).max(axis=(1, 2)))[1]
-    a = _times_power_of_two(h, -e[:, None, None])
-    del h  # the stack is symmetrized in place, with no second copy alive
-    a += a.conj().swapaxes(1, 2)
-    a *= 0.5
-    v = np.zeros_like(a)
-    v.reshape(count, -1)[:, :: n + 1] = 1.0
+    h = _times_power_of_two(h, -e[:, None, None])
+    h += h.conj().swapaxes(1, 2)
+    h *= 0.5
+    # each matrix's eigenvector rows sit beside its rows, so one row
+    # rotation of av turns both
+    av = np.zeros((count, n, 2 * n), dtype=np.complex128)
+    a, v = av[..., :n], av[..., n:]
+    a[...] = h
+    v[:, range(n), range(n)] = 1.0
+    del h
 
-    tournament = count > 1 or n >= _TOURNAMENT_MIN_ORDER
     frob = np.sqrt((np.abs(a) ** 2).reshape(count, -1).sum(axis=1))
     target = max(tol, 1e-14) * frob
     thr = target / (2.0 * np.array(dims))
     off = _offdiag_norm(a)
     sweeps = np.zeros(count, dtype=int)
     rotations = np.zeros(count, dtype=int)
-    sweep = _stacked_sweep if tournament else _cyclic_sweep
-    # a lone matrix sweeps as a matrix, which indexes faster than a stack of one
-    every = (a[0], v[0], thr[0]) if count == 1 else (a, v, thr)
     for _ in range(MAX_SWEEPS):
         active = off > target
         if not active.any():
             break
         # a converged matrix sits out: no pair passes an infinite threshold
         thr[~active] = np.inf
-        rotations += sweep(*every)
+        rotations += _stacked_sweep(av, thr)
         sweeps += active
         off = _offdiag_norm(a)
 
     failed = off > target
     if failed.any() or _log.isEnabledFor(logging.DEBUG):
         stats = [
-            _solve_stats(d, tournament, *args)
+            _solve_stats(d, *args)
             for d, *args in zip(dims, sweeps, rotations, off, target, e)
         ]
         if count > 1:
@@ -389,16 +328,15 @@ def eig_hermitian(matrix, tol: float = 1e-12):
         for s in stats:
             _log.debug("eig_hermitian %s", s)
 
-    # a copy of the diagonal, so the rotated stack is freed before the sort
     vals = np.real(np.diagonal(a, axis1=1, axis2=2)).copy()
-    del a, every
-    if min(dims) < n:
-        for row, d in zip(vals, dims):
-            row[d:] = -np.inf  # padding sorts last
+    for row, d in zip(vals, dims):
+        row[d:] = -np.inf  # padding sorts last
     order = np.argsort(-vals, axis=1, kind="stable")
     rows = np.arange(count)[:, None]
     values = np.ldexp(vals[rows, order], e[:, None])
-    vectors = _fix_row_phases(v[rows, order])
+    vectors = v[rows, order]
+    del av, a, v  # the rotated stack is freed before the phases are fixed
+    vectors = _fix_row_phases(vectors)
     out = [HermitianEig(values[i, :d], vectors[i, :d, :d]) for i, d in enumerate(dims)]
     return out[0] if lone else out
 
@@ -417,9 +355,9 @@ def eig_normal(matrix, tol: float = 1e-10):
     eigenvectors forming a unitary, so ``vectors @ N @ vectors.conj().T``
     is diagonal. Real parts that chain together in steps of at most
     ``max(tol, 1e-12) * max|entry|`` count as tied, and descending
-    imaginary part breaks the tie. Where a matrix has two or more such
-    runs, they are solved as a stack: its values may differ in the last
-    bits from those of solving each run alone.
+    imaginary part breaks the tie. The runs of all matrices are solved as
+    one stack; runs of different orders are zero-padded there, so their
+    values may differ in the last bits from those of solving each run alone.
 
     N counts as normal when the largest entry of ``N N* - N* N`` is at most
     ``tol * max|entry|**2``, and the diagonalized form must leave no

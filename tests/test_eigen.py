@@ -33,7 +33,7 @@ def _partly_live(rng):
 
 def test_matches_numpy_eigenvalues():
     rng = np.random.default_rng(11)
-    for d in (1, 2, 3, 5, 6, 7, 8, 13, 21, 40, 96, "partly live"):
+    for d in (1, 2, 3, 5, 6, 7, 8, 9, 13, 16, 21, 32, 40, 96, "partly live"):
         a = _partly_live(rng) if d == "partly live" else random_hermitian(rng, d)
         got = eig_hermitian(a).values
         want = np.sort(np.linalg.eigvalsh(a))[::-1]
@@ -212,18 +212,6 @@ def test_tournament_schedule_covers_every_pair_once():
         assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
 
 
-def test_tournament_matches_cyclic_reference(monkeypatch):
-    # the row-cyclic sweep is the reference; only round-off and the order of
-    # rotations within a sweep differ, so values agree to a few ulps of ||A||
-    rng = np.random.default_rng(25)
-    inputs = [random_hermitian(rng, d) for d in (6, 9, 16, 32)] + [_partly_live(rng)]
-    tournament = [eig_hermitian(a).values for a in inputs]
-    monkeypatch.setattr(eigen, "_TOURNAMENT_MIN_ORDER", 10**9)
-    for a, got in zip(inputs, tournament):
-        want = eig_hermitian(a).values
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
 def test_power_of_two_scaling_is_exact():
     rng = np.random.default_rng(19)
     for d in (3, 8):
@@ -254,9 +242,10 @@ def test_debug_record_reports_the_solve(caplog):
     eig_hermitian(random_hermitian(rng, 3))
     eig_hermitian(random_hermitian(rng, 8))
     first, second = (r.getMessage() for r in caplog.records)
-    assert "d=3, cyclic ordering" in first and "d=8, tournament ordering" in second
+    assert first.startswith("eig_hermitian d=3, ") and second.startswith("eig_hermitian d=8, ")
     for msg in (first, second):
         assert "sweeps" in msg and "rotations" in msg and "target" in msg
+        assert "ordering" not in msg
 
 
 def test_nonconvergence_reports_the_solve(monkeypatch):
@@ -293,7 +282,7 @@ def test_padded_stack_agrees_with_lone_calls():
 def test_equal_order_stacks_are_bit_identical_to_lone_calls():
     rng = np.random.default_rng(32)
     ladder = [(b + b.conj().T) / 2.0 for b in projection_ladder(32).operator.blocks]
-    stacks = [
+    stacks = [[random_hermitian(rng, d) for _ in range(4)] for d in (2, 3, 4, 5)] + [
         ladder,
         [random_hermitian(rng, 96) for _ in range(2)],
         [random_hermitian(rng, 7) for _ in range(5)],
@@ -377,7 +366,7 @@ def test_stacked_nonconvergence_names_each_unconverged_matrix(monkeypatch):
     msg = str(exc.value)
     assert "matrix 0 of 3" not in msg
     for i, d in ((1, 4), (2, 8)):
-        assert f"matrix {i} of 3: d={d}, tournament ordering, 1 sweeps, " in msg
+        assert f"matrix {i} of 3: d={d}, 1 sweeps, " in msg
     assert msg.count("off-diagonal norm") == 2 and msg.count("target") == 2
 
 
@@ -388,7 +377,7 @@ def test_stacked_solve_logs_one_record_per_matrix(caplog):
     messages = [r.getMessage() for r in caplog.records]
     assert len(messages) == 3
     for i, (msg, d) in enumerate(zip(messages, (2, 9, 1))):
-        assert f"matrix {i} of 3: d={d}, tournament ordering" in msg
+        assert f"matrix {i} of 3: d={d}, " in msg
         assert "sweeps" in msg and "rotations" in msg and "target" in msg
 
 
@@ -405,7 +394,7 @@ def test_equal_order_stack_records_match_lone_calls(caplog):
     eig_hermitian(mats)
     stacked = [r.getMessage() for r in caplog.records]
     assert stacked == [f"eig_hermitian matrix {i} of 3: {msg}" for i, msg in enumerate(lone)]
-    assert lone[0].split(", ")[2] != lone[1].split(", ")[2]  # sweep counts differ
+    assert lone[0].split(", ")[1] != lone[1].split(", ")[1]  # sweep counts differ
 
 
 def test_row_phases_round_as_one_row_at_a_time():

@@ -194,6 +194,23 @@ def test_cli_spectrum_prints_blocks(tmp_path, capsys):
     assert "block 0" in out and "block 1" in out
 
 
+def test_cli_spectrum_prints_the_diagonalizer_spectrum(monkeypatch, tmp_path, capsys):
+    # one stacked solve over all blocks, as diagonalize_selfadjoint makes it
+    text = _problem_text(seed=17, sizes=(2, 1, 3), rank=2)
+    problem = _write(tmp_path, "problem.json", text)
+    calls = []
+    solve = moddiag.cli.eig_hermitian
+    monkeypatch.setattr(moddiag.cli, "eig_hermitian", lambda *args: calls.append(1) or solve(*args))
+    assert main(["spectrum", "--input", problem]) == 0
+    assert len(calls) == 1
+    spectra = diagonalize_selfadjoint(parse_problem(text)).scalar_spectrum()
+    want = [
+        f"block {b} (size {k}): " + ", ".join(f"{z.real:.10g}" for z in spectrum)
+        for b, (k, spectrum) in enumerate(zip((2, 1, 3), spectra))
+    ]
+    assert capsys.readouterr().out.splitlines() == want
+
+
 def test_cli_example8(capsys):
     assert main(["example8"]) == 0
     out = capsys.readouterr().out
