@@ -44,19 +44,14 @@ def _top_singular_value(blocks) -> float:
     """Largest singular value over a list of square matrices; 0 when all vanish.
 
     Each block is scaled by the power of two that brings its largest entry
-    into ``[1/2, 1)`` before ``a* a`` is formed, exactly, so the square
-    neither under- nor overflows.
+    into ``[1/2, 1)`` (a zero block by 1) before ``a* a`` is formed, exactly,
+    so the square neither under- nor overflows. All the squares go to one
+    stacked ``eig_hermitian`` call.
     """
-    out = 0.0
-    for a in blocks:
-        top = float(np.abs(a).max())
-        if top == 0.0:
-            continue
-        e = math.frexp(top)[1]
-        s = _times_power_of_two(a, -e)
-        sq = eig_hermitian(s.conj().T @ s).values[0]
-        out = max(out, math.ldexp(math.sqrt(max(sq, 0.0)), e))
-    return out
+    exps = [math.frexp(float(np.abs(a).max()))[1] for a in blocks]
+    scaled = [_times_power_of_two(a, -e) for a, e in zip(blocks, exps)]
+    sols = eig_hermitian([s.conj().T @ s for s in scaled])
+    return max(math.ldexp(math.sqrt(max(r.values[0], 0.0)), e) for r, e in zip(sols, exps))
 
 
 def _norm_lower_bound(blocks) -> float:
@@ -179,61 +174,81 @@ class AlgebraShape:
         return AlgebraElement(self, mats)
 
 
-class AlgebraElement:
-    """One element of a block matrix algebra: a tuple of square blocks."""
+class _Blocks:
+    """One read-only complex array per algebra block.
 
-    __slots__ = ("shape", "blocks")
+    The shared base of AlgebraElement, ModuleElement and ModuleOperator. A
+    subclass sets its space before calling this constructor, takes
+    ``(space, blocks)`` in its own, and gives ``_space`` and the block
+    shapes that space asks for. The block count is checked before any block
+    is read, so surplus blocks are refused rather than dropped by ``zip``.
+    """
 
-    def __init__(self, shape: AlgebraShape, blocks: Sequence):
-        if len(blocks) != shape.num_blocks:
-            raise ShapeMismatchError(
-                f"expected {shape.num_blocks} blocks, got {len(blocks)}"
-            )
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: Sequence):
+        shapes = self._block_shapes()
+        if len(blocks) != len(shapes):
+            raise ShapeMismatchError(f"expected {len(shapes)} blocks, got {len(blocks)}")
         mats = []
-        for k, raw in zip(shape.block_sizes, blocks):
+        for want, raw in zip(shapes, blocks):
             m = np.array(raw, dtype=np.complex128)
-            if m.shape != (k, k):
-                raise ShapeMismatchError(f"block must be {k}x{k}, got {m.shape}")
+            if m.shape != want:
+                raise ShapeMismatchError(f"block must be {want}, got {m.shape}")
             if not np.isfinite(m).all():
-                raise ValueError("algebra element has non-finite entries")
+                raise ValueError(f"{type(self).__name__} has non-finite entries")
             m.setflags(write=False)
             mats.append(m)
-        self.shape = shape
         self.blocks = tuple(mats)
 
-    def _require_same(self, other: AlgebraElement):
-        if self.shape != other.shape:
-            raise ShapeMismatchError("elements live in different algebras")
+    def _require_same(self, other):
+        if self._space() != other._space():
+            raise ShapeMismatchError(f"operands live in {self._space()} and {other._space()}")
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._require_same(other)
-        return AlgebraElement(self.shape, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return type(self)(self._space(), [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._require_same(other)
-        return AlgebraElement(self.shape, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return type(self)(self._space(), [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __neg__(self):
-        return AlgebraElement(self.shape, [-a for a in self.blocks])
+        return type(self)(self._space(), [-a for a in self.blocks])
+
+    def __mul__(self, other):
+        if isinstance(other, Complex):
+            z = complex(other)
+            return type(self)(self._space(), [z * a for a in self.blocks])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+class AlgebraElement(_Blocks):
+    """One element of a block matrix algebra: a tuple of square blocks."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, shape: AlgebraShape, blocks: Sequence):
+        self.shape = shape
+        super().__init__(blocks)
+
+    def _space(self) -> AlgebraShape:
+        return self.shape
+
+    def _block_shapes(self):
+        return [(k, k) for k in self.shape.block_sizes]
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._require_same(other)
             return AlgebraElement(self.shape, [a @ b for a, b in zip(self.blocks, other.blocks)])
-        if isinstance(other, Complex):
-            z = complex(other)
-            return AlgebraElement(self.shape, [z * a for a in self.blocks])
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, Complex):
-            z = complex(other)
-            return AlgebraElement(self.shape, [z * a for a in self.blocks])
-        return NotImplemented
+        return super().__mul__(other)
 
     def adjoint(self) -> AlgebraElement:
         return AlgebraElement(self.shape, [a.conj().T for a in self.blocks])

@@ -220,13 +220,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (NotSelfAdjointError, NotNormalError) as exc:
+    except (InputFormatError, OSError, NotSelfAdjointError, NotNormalError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -94,7 +94,7 @@ class DiagonalizationResult:
             if p.vector.module != module or p.value.shape != module.shape or p.support.shape != module.shape:
                 raise ShapeMismatchError(f"pair L{p.label} lives on another module than pair L{pairs[0].label}")
         # per part (vectors, values, supports), per algebra block, one stack over the pairs
-        parts = zip(*((p.vector.stacked, p.value.blocks, p.support.blocks) for p in pairs))
+        parts = zip(*((p.vector.blocks, p.value.blocks, p.support.blocks) for p in pairs))
         stacks = (tuple(map(np.stack, zip(*part))) for part in parts)
         return cls(module, tuple(p.label for p in pairs), *stacks, tuple(certificate), tolerance)
 

@@ -10,12 +10,11 @@ multiplication of each block strip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Complex
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, _all_positive_definite
+from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, _all_positive_definite, _Blocks
 
 __all__ = [
     "HilbertModule",
@@ -47,11 +46,11 @@ class HilbertModule:
         for c in coords:
             if c.shape != self.shape:
                 raise ShapeMismatchError("coordinate from a different algebra")
-        stacked = [
+        blocks = [
             np.hstack([c.blocks[b] for c in coords])
             for b in range(self.shape.num_blocks)
         ]
-        return ModuleElement(self, stacked)
+        return ModuleElement(self, blocks)
 
     def zero_element(self) -> ModuleElement:
         return self.element([self.shape.zero()] * self.rank)
@@ -64,27 +63,20 @@ class HilbertModule:
         return self.element(coords)
 
 
-class ModuleElement:
+class ModuleElement(_Blocks):
     """One element of a free Hilbert module, stored per block as a row strip."""
 
-    __slots__ = ("module", "stacked")
+    __slots__ = ("module",)
 
-    def __init__(self, module: HilbertModule, stacked: Sequence):
-        shape = module.shape
-        mats = []
-        for k, raw in zip(shape.block_sizes, stacked):
-            m = np.array(raw, dtype=np.complex128)
-            want = (k, module.rank * k)
-            if m.shape != want:
-                raise ShapeMismatchError(f"stacked block must be {want}, got {m.shape}")
-            if not np.isfinite(m).all():
-                raise ValueError("module element has non-finite entries")
-            m.setflags(write=False)
-            mats.append(m)
-        if len(mats) != shape.num_blocks:
-            raise ShapeMismatchError("wrong number of stacked blocks")
+    def __init__(self, module: HilbertModule, blocks: Sequence):
         self.module = module
-        self.stacked = tuple(mats)
+        super().__init__(blocks)
+
+    def _space(self) -> HilbertModule:
+        return self.module
+
+    def _block_shapes(self):
+        return [(k, self.module.rank * k) for k in self.module.shape.block_sizes]
 
     def coord(self, i: int) -> AlgebraElement:
         if not 0 <= i < self.module.rank:
@@ -92,49 +84,24 @@ class ModuleElement:
         shape = self.module.shape
         mats = [
             st[:, i * k : (i + 1) * k]
-            for k, st in zip(shape.block_sizes, self.stacked)
+            for k, st in zip(shape.block_sizes, self.blocks)
         ]
         return AlgebraElement(shape, mats)
 
     def coords(self) -> tuple[AlgebraElement, ...]:
         return tuple(self.coord(i) for i in range(self.module.rank))
 
-    def _require_same(self, other: ModuleElement):
-        if self.module != other.module:
-            raise ShapeMismatchError("elements live in different modules")
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        self._require_same(other)
-        return ModuleElement(self.module, [a + b for a, b in zip(self.stacked, other.stacked)])
-
-    def __sub__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        self._require_same(other)
-        return ModuleElement(self.module, [a - b for a, b in zip(self.stacked, other.stacked)])
-
-    def __neg__(self):
-        return ModuleElement(self.module, [-a for a in self.stacked])
-
     def __mul__(self, other):
         # x * a multiplies every coordinate by a on the right
         if isinstance(other, AlgebraElement):
             return right_action(self, other)
-        if isinstance(other, Complex):
-            z = complex(other)
-            return ModuleElement(self.module, [z * a for a in self.stacked])
-        return NotImplemented
+        return super().__mul__(other)
 
     def __rmul__(self, other):
         # a * x is the left action, z * x the scalar one
         if isinstance(other, AlgebraElement):
             return left_action(other, self)
-        if isinstance(other, Complex):
-            z = complex(other)
-            return ModuleElement(self.module, [z * a for a in self.stacked])
-        return NotImplemented
+        return super().__rmul__(other)
 
     def norm(self) -> float:
         return module_norm(self)
@@ -149,14 +116,14 @@ class ModuleElement:
 def inner(x: ModuleElement, y: ModuleElement) -> AlgebraElement:
     """Algebra-valued inner product, linear in the first slot."""
     x._require_same(y)
-    mats = [a @ b.conj().T for a, b in zip(x.stacked, y.stacked)]
+    mats = [a @ b.conj().T for a, b in zip(x.blocks, y.blocks)]
     return AlgebraElement(x.module.shape, mats)
 
 
 def left_action(a: AlgebraElement, x: ModuleElement) -> ModuleElement:
     if a.shape != x.module.shape:
         raise ShapeMismatchError("algebra element from a different algebra")
-    return ModuleElement(x.module, [blk @ st for blk, st in zip(a.blocks, x.stacked)])
+    return ModuleElement(x.module, [blk @ st for blk, st in zip(a.blocks, x.blocks)])
 
 
 def right_action(x: ModuleElement, a: AlgebraElement) -> ModuleElement:
@@ -165,7 +132,7 @@ def right_action(x: ModuleElement, a: AlgebraElement) -> ModuleElement:
         raise ShapeMismatchError("algebra element from a different algebra")
     n = x.module.rank
     mats = []
-    for st, blk, k in zip(x.stacked, a.blocks, x.module.shape.block_sizes):
+    for st, blk, k in zip(x.blocks, a.blocks, x.module.shape.block_sizes):
         mats.append(np.hstack([st[:, i * k : (i + 1) * k] @ blk for i in range(n)]))
     return ModuleElement(x.module, mats)
 

@@ -9,12 +9,11 @@ composition, adjoint and norms are single matrix operations per block.
 
 from __future__ import annotations
 
-from numbers import Complex
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, ShapeMismatchError, _norm_lower_bound, _top_singular_value
+from .algebra import AlgebraElement, _Blocks, _norm_lower_bound, _top_singular_value
 from .eigen import _hermitian_defect, _normality_defect
 from .modules import HilbertModule, ModuleElement
 
@@ -24,27 +23,21 @@ __all__ = [
 ]
 
 
-class ModuleOperator:
+class ModuleOperator(_Blocks):
     """A-linear map on A^n, represented per block by its flattened action."""
 
-    __slots__ = ("module", "blocks", "_lower_bound")
+    __slots__ = ("module", "_lower_bound")
 
     def __init__(self, module: HilbertModule, blocks: Sequence):
-        mats = []
-        for k, raw in zip(module.shape.block_sizes, blocks):
-            m = np.array(raw, dtype=np.complex128)
-            want = module.rank * k
-            if m.shape != (want, want):
-                raise ShapeMismatchError(f"operator block must be {want}x{want}, got {m.shape}")
-            if not np.isfinite(m).all():
-                raise ValueError("operator has non-finite entries")
-            m.setflags(write=False)
-            mats.append(m)
-        if len(mats) != module.shape.num_blocks:
-            raise ShapeMismatchError("wrong number of operator blocks")
         self.module = module
-        self.blocks = tuple(mats)
+        super().__init__(blocks)
         self._lower_bound = None
+
+    def _space(self) -> HilbertModule:
+        return self.module
+
+    def _block_shapes(self):
+        return [(self.module.rank * k,) * 2 for k in self.module.shape.block_sizes]
 
     @classmethod
     def zero(cls, module: HilbertModule) -> ModuleOperator:
@@ -65,9 +58,8 @@ class ModuleOperator:
         return AlgebraElement(self.module.shape, mats)
 
     def __call__(self, x: ModuleElement) -> ModuleElement:
-        if x.module != self.module:
-            raise ShapeMismatchError("element from a different module")
-        return ModuleElement(self.module, [st @ blk for st, blk in zip(x.stacked, self.blocks)])
+        self._require_same(x)
+        return ModuleElement(self.module, [st @ blk for st, blk in zip(x.blocks, self.blocks)])
 
     def compose(self, other: ModuleOperator) -> ModuleOperator:
         """self after other: (self.compose(other))(x) = self(other(x))."""
@@ -83,33 +75,6 @@ class ModuleOperator:
 
     def adjoint(self) -> ModuleOperator:
         return ModuleOperator(self.module, [blk.conj().T for blk in self.blocks])
-
-    def _require_same(self, other: ModuleOperator):
-        if self.module != other.module:
-            raise ShapeMismatchError("operators act on different modules")
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleOperator):
-            return NotImplemented
-        self._require_same(other)
-        return ModuleOperator(self.module, [a + b for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other):
-        if not isinstance(other, ModuleOperator):
-            return NotImplemented
-        self._require_same(other)
-        return ModuleOperator(self.module, [a - b for a, b in zip(self.blocks, other.blocks)])
-
-    def __neg__(self):
-        return ModuleOperator(self.module, [-a for a in self.blocks])
-
-    def __mul__(self, other):
-        if isinstance(other, Complex):
-            z = complex(other)
-            return ModuleOperator(self.module, [z * a for a in self.blocks])
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def norm(self) -> float:
         """Operator norm: the top singular value of the flattened action."""
@@ -139,5 +104,5 @@ class ModuleOperator:
 def theta(x: ModuleElement, y: ModuleElement) -> ModuleOperator:
     """Rank-one style map z -> <z, x> y; entry (i, j) is x_i* y_j."""
     x._require_same(y)
-    mats = [xa.conj().T @ ya for xa, ya in zip(x.stacked, y.stacked)]
+    mats = [xa.conj().T @ ya for xa, ya in zip(x.blocks, y.blocks)]
     return ModuleOperator(x.module, mats)

@@ -37,7 +37,7 @@ __all__ = [
 _MAX_MOMENT = 6
 # and holds the powers of at most this many bytes of blocks at once (of one
 # block at least): large arrays that come and go leave the process larger
-# (design notes, "Moment oracle")
+# (design notes, "Verifier without the eigensolver")
 _POWERS_BYTES = 1 << 19
 
 

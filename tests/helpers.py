@@ -83,6 +83,6 @@ def strip_stacks(elements, module=None):
     """Per algebra block, the (P, k, n*k) stack of the elements' row strips."""
     module = module or elements[0].module
     return [
-        np.array([e.stacked[b] for e in elements]).reshape(len(elements), k, module.rank * k)
+        np.array([e.blocks[b] for e in elements]).reshape(len(elements), k, module.rank * k)
         for b, k in enumerate(module.shape.block_sizes)
     ]

@@ -9,6 +9,7 @@ from moddiag import (
     AlgebraElement,
     AlgebraShape,
     HilbertModule,
+    ModuleElement,
     ModuleOperator,
     NotSelfAdjointError,
     ShapeMismatchError,
@@ -45,6 +46,45 @@ def test_element_validates_block_shapes():
         AlgebraElement(SHAPE, [np.eye(2), np.eye(2), np.eye(3)])
 
 
+TWO = AlgebraShape((2, 1))
+CONTAINERS = {
+    "algebra": (AlgebraElement, TWO, [(2, 2), (1, 1)]),
+    "module": (ModuleElement, HilbertModule(TWO, 2), [(2, 4), (1, 2)]),
+    "operator": (ModuleOperator, HilbertModule(TWO, 2), [(4, 4), (2, 2)]),
+}
+
+
+@pytest.mark.parametrize("kind", list(CONTAINERS))
+def test_block_containers_check_their_blocks(kind):
+    cls, space, shapes = CONTAINERS[kind]
+    good = [np.ones(sh) for sh in shapes]
+    x = cls(space, good)
+    assert all(not blk.flags.writeable and blk.dtype == np.complex128 for blk in x.blocks)
+    good[0][0, 0] = 7.0  # the blocks are copies
+    assert x.blocks[0][0, 0] == 1.0
+    # surplus blocks are refused before any block is read, not dropped
+    for extra in (np.ones(shapes[0]), np.full(shapes[-1], np.nan), "x"):
+        with pytest.raises(ShapeMismatchError):
+            cls(space, good + [extra])
+    with pytest.raises(ShapeMismatchError):
+        cls(space, good[:1])
+    with pytest.raises(ShapeMismatchError):
+        cls(space, [np.ones(shapes[1]), np.ones(shapes[1])])
+    for bad in (np.nan, np.inf):
+        blocks = [np.ones(sh) for sh in shapes]
+        blocks[1][0, -1] = bad
+        with pytest.raises(ValueError) as err:
+            cls(space, blocks)
+        assert not isinstance(err.value, ShapeMismatchError)
+    for other_kind, (other_cls, other_space, other_shapes) in CONTAINERS.items():
+        if other_kind != kind:
+            y = other_cls(other_space, [np.ones(sh) for sh in other_shapes])
+            with pytest.raises(TypeError):
+                x + y
+            with pytest.raises(TypeError):
+                y - x
+
+
 def test_diagonal_and_block_projection():
     a = SHAPE.diagonal([[1, 2], [3], [4, 5, 6]])
     assert a.trace() == pytest.approx(21)
@@ -77,9 +117,15 @@ def test_adjoint_is_blockwise_conjugate_transpose():
 
 def test_norm_is_largest_block_spectral_norm():
     rng = np.random.default_rng(23)
-    a = random_algebra_element(SHAPE, rng)
-    want = max(np.linalg.norm(blk, 2) for blk in a.blocks)
-    assert a.norm() == pytest.approx(want, rel=1e-10)
+    first = random_algebra_element(SHAPE, rng)
+    # the second input mixes orders 1, 4 and 2 at scales 1e-6, 0 and 1e6
+    # in the one stacked solve of all blocks
+    mixed = AlgebraShape((1, 4, 2))
+    c = random_algebra_element(mixed, rng)
+    second = AlgebraElement(mixed, [s * blk for s, blk in zip((1e-6, 0.0, 1e6), c.blocks)])
+    for a in (first, second):
+        want = max(np.linalg.norm(blk, 2) for blk in a.blocks)
+        assert a.norm() == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("s", [1e-200, 1e200])

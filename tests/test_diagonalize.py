@@ -186,7 +186,7 @@ def test_result_stacks_and_the_pairs_view_agree():
         assert res.vectors[b].shape == (3, k, 3 * k) and res.values[b].shape == res.supports[b].shape == (3, k, k)
     for p, pair in enumerate(res.pairs):
         assert pair.label == res.labels()[p]
-        assert all(np.array_equal(st[p], x) for st, x in zip(res.vectors, pair.vector.stacked))
+        assert all(np.array_equal(st[p], x) for st, x in zip(res.vectors, pair.vector.blocks))
         assert all(np.array_equal(st[p], x) for st, x in zip(res.values, pair.value.blocks))
     assert res.pairs is res.pairs
     again = DiagonalizationResult.from_pairs(res.pairs, res.ordering_certificate, res.tolerance_used)
@@ -240,7 +240,7 @@ def test_deterministic_repeat():
     b = diagonalize_selfadjoint(k)
     assert a.labels() == b.labels()
     for pa, pb in zip(a.pairs, b.pairs):
-        assert all(np.array_equal(x, y) for x, y in zip(pa.vector.stacked, pb.vector.stacked))
+        assert all(np.array_equal(x, y) for x, y in zip(pa.vector.blocks, pb.vector.blocks))
         assert all(np.array_equal(x, y) for x, y in zip(pa.value.blocks, pb.value.blocks))
 
 
@@ -332,4 +332,4 @@ def test_diagonalize_is_scale_covariant(case, seed, rank_deficient, exponent, j)
     # an exact power of two scales every value exactly and moves no vector
     for p, q in zip(base.pairs, res.pairs):
         assert all(np.array_equal(s * a, b) for a, b in zip(p.value.blocks, q.value.blocks))
-        assert all(np.array_equal(a, b) for a, b in zip(p.vector.stacked, q.vector.stacked))
+        assert all(np.array_equal(a, b) for a, b in zip(p.vector.blocks, q.vector.blocks))

@@ -312,8 +312,8 @@ def _same_result(a, b):
         return False
     return all(
         p.vector.module == q.vector.module
-        and _bits(p.vector.stacked + p.value.blocks + p.support.blocks)
-        == _bits(q.vector.stacked + q.value.blocks + q.support.blocks)
+        and _bits(p.vector.blocks + p.value.blocks + p.support.blocks)
+        == _bits(q.vector.blocks + q.value.blocks + q.support.blocks)
         for p, q in zip(a.pairs, b.pairs)
     )
 

@@ -34,7 +34,7 @@ def test_coords_round_trip():
     rng = np.random.default_rng(31)
     x = random_element(MOD, rng)
     again = MOD.element(x.coords())
-    for st1, st2 in zip(x.stacked, again.stacked):
+    for st1, st2 in zip(x.blocks, again.blocks):
         assert np.array_equal(st1, st2)
 
 
@@ -138,7 +138,7 @@ def test_complement_cross_check_with_svd():
     # compare against the rank of the stacked span computed by numpy
     rng = np.random.default_rng(42)
     vecs = [random_element(MOD, rng) for _ in range(MOD.rank)]
-    stacked = [np.vstack([v.stacked[b] for v in vecs]) for b in range(MOD.shape.num_blocks)]
+    stacked = [np.vstack([v.blocks[b] for v in vecs]) for b in range(MOD.shape.num_blocks)]
     full = all(
         np.linalg.matrix_rank(s, tol=1e-10) == s.shape[1] for s in stacked
     )
@@ -151,7 +151,7 @@ def _svd_complement_trivial(vecs, tol=1e-8):
     # Cholesky test applies
     full = True
     for b in range(vecs[0].module.shape.num_blocks):
-        rows = np.vstack([v.stacked[b] for v in vecs])
+        rows = np.vstack([v.blocks[b] for v in vecs])
         smin = np.linalg.svd(rows, compute_uv=False)[-1]
         full = full and smin > tol * max(1.0, np.linalg.norm(rows))
     return full
@@ -180,8 +180,8 @@ def test_stacked_complement_check_agrees_with_svd(sizes):
         b = trial % len(sizes)
         eps = (0.0, 1e-12, 1e-4, None)[trial % 4]
         if eps is not None:
-            strips = [np.array(s) for s in vecs[-1].stacked]
-            strips[b] = vecs[0].stacked[b] + eps * strips[b]
+            strips = [np.array(s) for s in vecs[-1].blocks]
+            strips[b] = vecs[0].blocks[b] + eps * strips[b]
             vecs[-1] = ModuleElement(mod, strips)
         expected = _svd_complement_trivial(vecs)
         assert orthogonal_complement_trivial(strip_stacks(vecs), tol=1e-8) == expected, (trial, eps)
