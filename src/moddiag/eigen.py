@@ -348,16 +348,16 @@ def eig_normal(matrix, tol: float = 1e-10):
     commuting exactly when N is normal), diagonalizes H, then diagonalizes
     the compression of S inside every eigenspace of H. One `eig_hermitian`
     call solves the Hermitian parts of all matrices of a sequence, and one
-    more the compressions in every run of all of them.
+    more, when some real parts tie, the compressions of all of them.
 
     Returns ``(values, vectors)``, or a list of one per matrix of a
     sequence, with complex values sorted by descending real part and row
     eigenvectors forming a unitary, so ``vectors @ N @ vectors.conj().T``
     is diagonal. Real parts that chain together in steps of at most
     ``max(tol, 1e-12) * max|entry|`` count as tied, and descending
-    imaginary part breaks the tie. The runs of all matrices are solved as
-    one stack; runs of different orders are zero-padded there, so their
-    values may differ in the last bits from those of solving each run alone.
+    imaginary part breaks the tie. S is compressed once into the eigenbasis
+    of H, with every entry that couples two runs set to zero, so a tied
+    value may differ in the last bits from that of solving its run alone.
 
     N counts as normal when the largest entry of ``N N* - N* N`` is at most
     ``tol * max|entry|**2``, and the diagonalized form must leave no
@@ -370,12 +370,9 @@ def eig_normal(matrix, tol: float = 1e-10):
             raise NotNormalError(f"{_which(i, len(mats))} is not normal within tolerance")
     bases = eig_hermitian([0.5 * (m + m.conj().T) for m in mats], 1e-12)
 
-    vecs, clusters, runs = [], [], []
-    for m, base in zip(mats, bases):
-        vec = np.array(base.vectors)
-        hv = base.values
-        d = len(m)
-        skew = (m - m.conj().T) / 2j
+    vecs = [base.vectors for base in bases]
+    clusters, comps = [], []
+    for m, (hv, vec) in zip(mats, bases):
         # relative to N itself, so the runs (and the output order) do not
         # depend on its units, and a skew-Hermitian N, whose H is round-off,
         # is one run
@@ -383,25 +380,19 @@ def eig_normal(matrix, tol: float = 1e-10):
         # cluster[r] is the first row of the run of Hermitian-part eigenvalues
         # within ``gap`` of each other that row r belongs to; it orders the
         # output, so round-off in tied real parts cannot
-        cluster = np.empty(d, dtype=np.intp)
-        start = 0
-        while start < d:
-            stop = start + 1
-            while stop < d and hv[stop - 1] - hv[stop] <= gap:
-                stop += 1
-            cluster[start:stop] = start
-            if stop - start > 1:
-                sub = vec[start:stop]
-                comp = sub @ skew @ sub.conj().T
-                runs.append((vec, start, stop, 0.5 * (comp + comp.conj().T)))
-            start = stop
-        vecs.append(vec)
+        cluster = np.maximum.accumulate(np.arange(len(m)) * np.r_[True, hv[:-1] - hv[1:] > gap])
+        comp = vec @ ((m - m.conj().T) / 2j) @ vec.conj().T
+        # entries that couple two runs become exact zeros, which Jacobi never
+        # rotates (design notes, "Tie order in `eig_normal`")
+        comp = np.where(cluster[:, None] == cluster, comp, 0.0)
+        comps.append(0.5 * (comp + comp.conj().T))
         clusters.append(cluster)
 
-    if runs:
-        refines = eig_hermitian([comp for *_, comp in runs], 1e-12)
-        for (vec, start, stop, _), refine in zip(runs, refines):
-            vec[start:stop] = refine.vectors @ vec[start:stop]
+    if any((c[1:] == c[:-1]).any() for c in clusters):
+        refines = eig_hermitian(comps, 1e-12)
+        # each refined row lies in one run: the run of its first nonzero entry
+        clusters = [c[np.argmax(r.vectors != 0, axis=1)] for c, r in zip(clusters, refines)]
+        vecs = [r.vectors @ vec for r, vec in zip(refines, vecs)]
 
     out = []
     for i, (m, vec, cluster) in enumerate(zip(mats, vecs, clusters)):

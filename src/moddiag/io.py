@@ -103,7 +103,7 @@ def _number(val, loc: str) -> float:
 
 def _check_schema(obj, loc: str):
     val = _field(obj, "schema", loc)
-    if val != SCHEMA:
+    if isinstance(val, bool) or not isinstance(val, int) or val != SCHEMA:
         raise InputFormatError(f"unsupported schema {val!r}, expected {SCHEMA}", f"{loc}.schema")
 
 

@@ -1,5 +1,7 @@
 """Labeled block diagonalization and the ordering certificate."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from moddiag import (
 from moddiag.algebra import _norm_lower_bound
 
 from helpers import (
+    ACCEPTANCE_SHAPES,
     module_over,
     random_normal_operator,
     random_positive_operator,
@@ -278,6 +281,11 @@ def test_normal_rejects_non_normal():
     mod = module_over((2,), 2)
     with pytest.raises(NotNormalError):
         diagonalize_normal(ModuleOperator(mod, [np.triu(np.ones((4, 4)), 1)]))
+    # normal relative to the largest entry of the operator, but each block
+    # is held to its own largest entry, so the small Jordan block is refused
+    small_jordan = [np.diag([3.0 + 1.0j, -1.0, 2.0]), 1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]])]
+    with pytest.raises(NotNormalError, match="matrix 1 of the stack"):
+        diagonalize_normal(ModuleOperator(module_over((3, 2), 1), small_jordan))
 
 
 def test_both_paths_agree_on_selfadjoint_input():
@@ -333,3 +341,19 @@ def test_diagonalize_is_scale_covariant(case, seed, rank_deficient, exponent, j)
     for p, q in zip(base.pairs, res.pairs):
         assert all(np.array_equal(s * a, b) for a, b in zip(p.value.blocks, q.value.blocks))
         assert all(np.array_equal(a, b) for a, b in zip(p.vector.blocks, q.vector.blocks))
+
+
+def test_diagonalize_is_unitarily_covariant():
+    # a unitary of each block's order is a unitary module operator U, and
+    # U K U* has the labels, the certificate and the values of K
+    rng = np.random.default_rng(29)
+    solvers = [(random_selfadjoint_operator, diagonalize_selfadjoint), (random_normal_operator, diagonalize_normal)]
+    for sizes, rank, (draw, diagonalize) in itertools.product(ACCEPTANCE_SHAPES, (1, 2, 3), solvers):
+        k = draw(module_over(sizes, rank), rng)
+        us = [np.linalg.qr(rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape))[0] for b in k.blocks]
+        base = diagonalize(k)
+        res = diagonalize(ModuleOperator(k.module, [u @ b @ u.conj().T for u, b in zip(us, k.blocks)]))
+        assert res.labels() == base.labels()
+        assert res.ordering_certificate == base.ordering_certificate
+        top = max(float(np.abs(v).max()) for v in base.values)
+        assert all(np.abs(a - b).max() <= 1e-12 * top for a, b in zip(base.values, res.values))

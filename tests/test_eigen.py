@@ -129,6 +129,9 @@ def test_normal_with_tied_real_parts():
     rng = np.random.default_rng(17)
     cases = [np.array([1.0 + 1.0j, 1.0 + 2.0j, 3.0 + 0.0j])] * 50
     cases.append(np.array([2.0, -1.0 - 1.0j, 0.5j, 2.0 + 3.0j, -1.0 + 2.0j, 0.0, -1.0, 2.0 - 1.0j]))
+    # an exactly repeated eigenvalue, and one run over the whole matrix
+    cases.append(np.array([1.0 + 1.0j, 1.0 + 1.0j, 2.0, -1.0 + 0.5j]))
+    cases.append(np.array([0.5 + 2.0j, 0.5 - 1.0j, 0.5 + 0.3j, 0.5, 0.5 - 3.0j]))
     for vals in cases:
         d = vals.size
         q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]

@@ -92,12 +92,24 @@ def test_invalid_json_error_carries_position():
     assert "invalid JSON" in str(exc.value)
 
 
-def test_wrong_schema_rejected():
+def test_wrong_schema_rejected(tmp_path):
     doc = json.loads(_problem_text())
-    doc["schema"] = 99
+    # true and 1.0 equal 1 in Python, but neither is the integer marker
+    for marker in (99, True, 1.0):
+        doc["schema"] = marker
+        with pytest.raises(InputFormatError) as exc:
+            parse_problem(json.dumps(doc))
+        assert exc.value.location == "problem.schema"
+    problem = _write(tmp_path, "problem.json", _problem_text())
+    solution_path = str(tmp_path / "solution.json")
+    assert main(["diagonalize", "--input", problem, "--solution", solution_path]) == 0
+    solution = json.loads((tmp_path / "solution.json").read_text())
+    solution["schema"] = True
+    marked = _write(tmp_path, "marked.json", json.dumps(solution))
     with pytest.raises(InputFormatError) as exc:
-        parse_problem(json.dumps(doc))
-    assert "schema" in exc.value.location
+        parse_solution(json.dumps(solution))
+    assert exc.value.location == "solution.schema"
+    assert main(["verify", "--input", problem, "--solution", marked]) == 2
 
 
 def test_operator_grid_validated():

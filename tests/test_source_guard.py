@@ -1,7 +1,9 @@
-"""numpy and scipy never compute eigenvalues or singular values inside the package.
+"""Source guards over the package.
 
-The tests and the benchmark's correctness gate check the package against
-numpy.linalg; the package must not call the oracle it is checked against.
+numpy and scipy never compute eigenvalues or singular values inside the
+package: the tests and the benchmark's correctness gate check the package
+against numpy.linalg, so the package must not call the oracle it is checked
+against. And no module imports a name it never uses.
 """
 
 import ast
@@ -77,3 +79,32 @@ def test_the_guard_catches_each_form(source):
 def test_the_guard_passes_the_package_solvers_and_other_linalg():
     source = "from .eigen import eig_hermitian\nimport numpy as np\neigen.eig_normal(a)\nnp.linalg.cholesky(a)"
     assert _offences(source) == []
+
+
+def _unused_imports(source: str) -> list:
+    """Each name an import binds that the module neither reads nor lists in ``__all__``, with its line."""
+    tree = ast.parse(source)
+    bound, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_import_in_the_package(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_unused_import_guard_catches_it():
+    source = (
+        "from __future__ import annotations\nimport math\nimport numpy.linalg\n"
+        "from .eigen import NotNormalError, eig_normal\nfrom .io import parse_problem\n"
+        "__all__ = ['parse_problem']\nnumpy.linalg.norm(eig_normal(math.pi))"
+    )
+    assert _unused_imports(source) == [(4, "NotNormalError")]
