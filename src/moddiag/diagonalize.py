@@ -125,10 +125,18 @@ class DiagonalizationResult:
 
         Valid for results produced here, whose values are diagonal with full
         support. Each block's list is sorted by descending real part, then
-        descending imaginary part.
+        descending imaginary part. As in eig_normal, real parts that chain
+        together in steps of at most 1e-10 times the largest |value| of the
+        result count as tied, so round-off in them cannot set the order.
         """
-        diagonals = (np.diagonal(vals, axis1=1, axis2=2).ravel() for vals in self.values)
-        return tuple(tuple(sorted(map(complex, d), key=lambda z: (-z.real, -z.imag))) for d in diagonals)
+        diagonals = [np.diagonal(vals, axis1=1, axis2=2).ravel() for vals in self.values]
+        gap = 1e-10 * max(float(np.abs(d).max()) for d in diagonals)
+        spectrum = []
+        for d in diagonals:
+            d = d[np.argsort(-d.real, kind="stable")]
+            run = np.cumsum(np.r_[False, d.real[:-1] - d.real[1:] > gap])
+            spectrum.append(tuple(map(complex, d[np.lexsort((-d.real, -d.imag, run))])))
+        return tuple(spectrum)
 
 
 def _windows(spectra, block_sizes, zero_tol: float):

@@ -6,18 +6,21 @@ lists of such pairs, so every value survives a round trip bit for bit.
 Problems and solutions are written compactly; whitespace is not part of the
 schema. Parsing errors carry a location string naming the offending field.
 
-Numbers move one array at a time: each algebra block of an operator grid,
-and of all vectors, values and supports of a solution, is read by one
-np.array call and written by one tolist call. np.array is more lenient than
-the schema, so the array path accepts only an exactly shaped, finite int or
-float array from a text holding no JSON boolean. Anything else goes to the
-entry-by-entry walk, which either raises the error with its location or
-returns the same numbers.
+Numbers move one array at a time. Each file part (a problem's operator
+grid; a solution's vectors, values and supports) is read by one np.array
+call over all its algebra blocks, and each algebra block of a part is
+written by one tolist call. np.array is more lenient than the schema, so
+the array path accepts only blocks and pairs of exactly the right lengths
+whose numbers make a finite int or float array, from a text holding no JSON
+boolean. Anything else goes to the entry-by-entry walk, which either raises
+the error with its location or returns the same numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -185,19 +188,30 @@ def _may_hold_booleans(text: str) -> bool:
     return "true" in text or "false" in text
 
 
-def _complex_array(nested, shape: tuple):
-    """Nested [re, im] pairs as a complex array of shape[:-1].
+def _complex_blocks(blocks, sizes: tuple, lead: tuple):
+    """One file part's [re, im] pairs as one complex array per algebra block.
 
-    None unless np.array gives exactly shape, an int or float dtype and
-    finite entries.
+    blocks yields the part's block lists in reading order: for each index of
+    lead, row-major, one list of k*k pairs per algebra block of size k. All
+    numbers of the part go through one np.array call, and block b comes back
+    as a contiguous array of shape lead + (k*k,), the layout a per-block
+    np.array call would give. None unless every block has k*k pairs, every
+    pair two numbers, and the numbers make a finite int or float array.
     """
+    squares, count = [k * k for k in sizes], math.prod(lead)
     try:
-        arr = np.array(nested)
-    except ValueError:  # ragged or too deep
+        blocks = list(blocks)
+        if list(map(len, blocks)) != squares * count:
+            return None
+        if list(map(len, chain.from_iterable(blocks))).count(2) != sum(squares) * count:
+            return None
+        flat = np.array(list(chain.from_iterable(chain.from_iterable(blocks))))
+    except (TypeError, ValueError):  # a number where a list belongs, or a list where a number does
         return None
-    if arr.shape != shape or arr.dtype.kind not in "fiu" or not np.isfinite(arr).all():
+    if flat.ndim != 1 or flat.dtype.kind not in "fiu" or not np.isfinite(flat).all():
         return None
-    return arr.astype(np.float64, copy=False).view(np.complex128)[..., 0]
+    z = flat.astype(np.float64, copy=False).view(np.complex128).reshape(*lead, sum(squares))
+    return [np.ascontiguousarray(part) for part in np.split(z, np.cumsum(squares)[:-1], axis=-1)]
 
 
 def _list_of(data, length: int) -> bool:
@@ -223,13 +237,7 @@ def _array_operator(op, module: HilbertModule):
         _list_of(row, rank) and all(_list_of(cell, r) for cell in row) for row in op
     ):
         return None
-    grids = []
-    for b, k in enumerate(module.shape.block_sizes):
-        grid = _complex_array([[cell[b] for cell in row] for row in op], (rank, rank, k * k, 2))
-        if grid is None:
-            return None
-        grids.append(grid)
-    return grids
+    return _complex_blocks(chain.from_iterable(chain.from_iterable(op)), module.shape.block_sizes, (rank, rank))
 
 
 def _array_pairs(raw_pairs: list, module: HilbertModule):
@@ -258,14 +266,14 @@ def _array_pairs(raw_pairs: list, module: HilbertModule):
         and all(_list_of(a, r) for a in values + supports)
     ):
         return None
-    count = len(raw_pairs)
-    vecs, vals, sups = [], [], []
-    for b, k in enumerate(shape.block_sizes):
-        vecs.append(_complex_array([[c[b] for c in v] for v in vectors], (count, rank, k * k, 2)))
-        vals.append(_complex_array([a[b] for a in values], (count, k * k, 2)))
-        sups.append(_complex_array([a[b] for a in supports], (count, k * k, 2)))
-        if vecs[-1] is None or vals[-1] is None or sups[-1] is None:
-            return None
+    sizes, count = shape.block_sizes, len(raw_pairs)
+    vecs = _complex_blocks(chain.from_iterable(chain.from_iterable(vectors)), sizes, (count, rank))
+    if vecs is None:
+        return None
+    vals = _complex_blocks(chain.from_iterable(values), sizes, (count,))
+    sups = _complex_blocks(chain.from_iterable(supports), sizes, (count,))
+    if vals is None or sups is None:
+        return None
     return labels, vecs, vals, sups
 
 

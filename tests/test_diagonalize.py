@@ -160,6 +160,33 @@ def test_scalar_spectrum_matches_numpy():
         assert np.abs(np.sort(got)[::-1] - want).max() <= 1e-9
 
 
+def _integer_normal_operator(mod, rng):
+    """Unitary conjugates of diagonals with integer real and imaginary parts in -2..2: many ties."""
+    blocks = []
+    for k in mod.shape.block_sizes:
+        d = mod.rank * k
+        q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        vals = rng.integers(-2, 3, d) + 1j * rng.integers(-2, 3, d)
+        blocks.append(q @ np.diag(vals) @ q.conj().T)
+    return ModuleOperator(mod, blocks)
+
+
+def test_scalar_spectrum_breaks_tied_real_parts_by_imaginary_part():
+    rng = np.random.default_rng(80)
+    mod = module_over((2, 3), 2)
+    for _ in range(20):
+        spectrum = diagonalize_normal(_integer_normal_operator(mod, rng)).scalar_spectrum()
+        for per_block in spectrum:
+            exact = [complex(round(z.real), round(z.imag)) for z in per_block]
+            assert exact == sorted(exact, key=lambda z: (-z.real, -z.imag))
+    # self-adjoint results, whose imaginary parts are zero, keep the exact descending order
+    for seed in range(5):
+        res = diagonalize_selfadjoint(random_selfadjoint_operator(mod, np.random.default_rng(seed)))
+        for per_block, vals in zip(res.scalar_spectrum(), res.values):
+            diagonal = map(complex, np.diagonal(vals, axis1=1, axis2=2).ravel())
+            assert per_block == tuple(sorted(diagonal, key=lambda z: (-z.real, -z.imag)))
+
+
 def test_values_are_diagonal_with_unit_support():
     rng = np.random.default_rng(76)
     mod = module_over((2, 1, 3), 2)

@@ -354,9 +354,14 @@ def test_compact_files_parse_to_the_bits_of_indented_ones(monkeypatch):
         assert _same_result(parse_solution(json.dumps(solution_doc, indent=2) + "\n"), res)
         # and so does the walk alone
         with monkeypatch.context() as m:
-            m.setattr(moddiag.io, "_complex_array", lambda nested, shape: None)
+            m.setattr(moddiag.io, "_complex_blocks", lambda *args: None)
             assert _same_operator(parse_problem(problem), K)
             assert _same_result(parse_solution(solution), res)
+
+
+def _dense_96():
+    # a dense_block-sized file: one 96x96 Hermitian block, (8,) at rank 12
+    return random_selfadjoint_operator(module_over((8,), 12), np.random.default_rng(96))
 
 
 def test_valid_files_never_reach_the_walk(monkeypatch):
@@ -364,10 +369,25 @@ def test_valid_files_never_reach_the_walk(monkeypatch):
         raise AssertionError("the entry-by-entry walk ran on a valid file")
 
     monkeypatch.setattr(moddiag.io, "_parse_alg", walk)
-    for K in (parse_problem(_problem_text()), projection_ladder(4).operator):
+    cases = (parse_problem(_problem_text()), projection_ladder(4).operator, projection_ladder(32).operator, _dense_96())
+    for K in cases:
         res = diagonalize_selfadjoint(K)
         assert _same_operator(parse_problem(serialize_problem(K)), K)
         assert _same_result(parse_solution(serialize_solution(res)), res)
+
+
+def test_the_array_path_runs_once_per_file_part(monkeypatch):
+    calls = []
+    array_path = moddiag.io._complex_blocks
+    monkeypatch.setattr(moddiag.io, "_complex_blocks", lambda *args: calls.append(1) or array_path(*args))
+    for K in (parse_problem(_problem_text()), projection_ladder(32).operator):
+        res = diagonalize_selfadjoint(K)
+        calls.clear()
+        parse_problem(serialize_problem(K))
+        assert len(calls) == 1  # the operator grid, whatever the number of algebra blocks
+        calls.clear()
+        parse_solution(serialize_solution(res))
+        assert len(calls) == 3  # the vectors, the values and the supports
 
 
 HUGE = 10**400
@@ -381,18 +401,31 @@ MALFORMED = [
     ([1.0, 0.0, 0.0], ".block[0][2]"),
     ("ragged", ".block[0]"),
     ([HUGE, 0], ".block[0][2]"),
+    # faults a parser that flattens a whole file part at once could miss
+    ("3+1", ".block[0][2]"),
+    ("moved", ".block[0]"),
+    ("12", ".block[0][2]"),
+    ("dict", ".block[0]"),
 ]
 
 
 def _break(element, bad):
     if bad == "ragged":
         del element[0][-1]
+    elif bad == "3+1":  # a 3-item pair next to a 1-item pair: as many numbers as before
+        element[0][2:] = [[1.0, 0.0, 0.0], [1.0]]
+    elif bad == "moved":  # k*k + 1 pairs in block 0 and k*k - 1 in block 1: as many pairs as before
+        element[0].append(element[1].pop())
+    elif bad == "dict":  # as many keys as block 0 has pairs, each of two characters
+        element[0] = {"re": 1.0, "im": 0.0, "ab": 1.0, "cd": 0.0}
     else:
         element[0][2] = bad
 
 
 @pytest.mark.parametrize(
-    "bad, where", MALFORMED, ids=["true", "string", "null", "nan", "triple", "ragged", "huge-int"]
+    "bad, where",
+    MALFORMED,
+    ids=["true", "string", "null", "nan", "triple", "ragged", "huge-int", "3+1", "moved", "2-char", "dict"],
 )
 def test_malformed_numbers_are_located_like_the_walk(bad, where):
     problem = json.loads(_problem_text())
