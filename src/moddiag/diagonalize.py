@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import AlgebraElement, NotSelfAdjointError, ShapeMismatchError
-from .eigen import eig_hermitian, eig_normal
+from .eigen import eig_hermitian, eig_normal, tie_runs
 from .modules import HilbertModule, ModuleElement
 from .operators import ModuleOperator
 
@@ -125,17 +125,17 @@ class DiagonalizationResult:
 
         Valid for results produced here, whose values are diagonal with full
         support. Each block's list is sorted by descending real part, then
-        descending imaginary part. As in eig_normal, real parts that chain
-        together in steps of at most 1e-10 times the largest |value| of the
-        result count as tied, so round-off in them cannot set the order.
+        descending imaginary part. Real parts that chain together in steps of
+        at most 1e-10 times the block's largest |value| count as tied (the
+        runs of eig_normal, with each block's own gap), so round-off in them
+        cannot set the order.
         """
-        diagonals = [np.diagonal(vals, axis1=1, axis2=2).ravel() for vals in self.values]
-        gap = 1e-10 * max(float(np.abs(d).max()) for d in diagonals)
         spectrum = []
-        for d in diagonals:
+        for vals in self.values:
+            d = np.diagonal(vals, axis1=1, axis2=2).ravel()
             d = d[np.argsort(-d.real, kind="stable")]
-            run = np.cumsum(np.r_[False, d.real[:-1] - d.real[1:] > gap])
-            spectrum.append(tuple(map(complex, d[np.lexsort((-d.real, -d.imag, run))])))
+            run = tie_runs(d.real, 1e-10 * float(np.abs(d).max()))
+            spectrum.append(tuple(map(complex, d[np.lexsort((-d.imag, run))])))
         return tuple(spectrum)
 
 

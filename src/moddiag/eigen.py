@@ -341,6 +341,16 @@ def eig_hermitian(matrix, tol: float = 1e-12):
     return out[0] if lone else out
 
 
+def tie_runs(descending: np.ndarray, gap: float) -> np.ndarray:
+    """Run ids of real values sorted in descending order.
+
+    Neighbours at most ``gap`` apart chain into one run of tied values;
+    entry r gets the index of the first entry of its run, so sorting by
+    (run id, anything) keeps the runs in descending order.
+    """
+    return np.maximum.accumulate(np.arange(len(descending)) * np.r_[True, descending[:-1] - descending[1:] > gap])
+
+
 def eig_normal(matrix, tol: float = 1e-10):
     """Diagonalize a normal matrix, or many in two stacked Hermitian solves.
 
@@ -377,10 +387,9 @@ def eig_normal(matrix, tol: float = 1e-10):
         # depend on its units, and a skew-Hermitian N, whose H is round-off,
         # is one run
         gap = max(tol, 1e-12) * float(np.abs(m).max())
-        # cluster[r] is the first row of the run of Hermitian-part eigenvalues
-        # within ``gap`` of each other that row r belongs to; it orders the
-        # output, so round-off in tied real parts cannot
-        cluster = np.maximum.accumulate(np.arange(len(m)) * np.r_[True, hv[:-1] - hv[1:] > gap])
+        # the runs of tied Hermitian-part eigenvalues order the output, so
+        # round-off in tied real parts cannot
+        cluster = tie_runs(hv, gap)
         comp = vec @ ((m - m.conj().T) / 2j) @ vec.conj().T
         # entries that couple two runs become exact zeros, which Jacobi never
         # rotates (design notes, "Tie order in `eig_normal`")

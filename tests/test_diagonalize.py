@@ -179,6 +179,10 @@ def test_scalar_spectrum_breaks_tied_real_parts_by_imaginary_part():
         for per_block in spectrum:
             exact = [complex(round(z.real), round(z.imag)) for z in per_block]
             assert exact == sorted(exact, key=lambda z: (-z.real, -z.imag))
+    # each block has its own gap: the large block 0 does not tie block 1's real parts 2 and 1
+    mod = module_over((1, 1), 2)
+    K = ModuleOperator(mod, [np.diag([1e12, 0.0]), np.diag([2.0, 1 + 5j])])
+    assert diagonalize_normal(K).scalar_spectrum() == ((1e12, 0j), (2 + 0j, 1 + 5j))
     # self-adjoint results, whose imaginary parts are zero, keep the exact descending order
     for seed in range(5):
         res = diagonalize_selfadjoint(random_selfadjoint_operator(mod, np.random.default_rng(seed)))

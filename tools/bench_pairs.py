@@ -10,15 +10,13 @@ registered in .git), and `perfbench/run.py` runs there and in the working
 tree, uncommitted changes included. Pair i of a workload runs the parent
 first when i is even and the change first when i is odd, and both sides use
 seed `--seed + 100 * w + i`, w being the workload's place on the command
-line. After its timed pairs, each workload gets one traced pair
-(`--trace 1`) for the per-layer figures.
+line. Every run lasts BENCHMARK.json's `run_seconds`.
 
 The file holds the claim, the command, the parent, the pairing rule, the
 host, a summary per workload and the raw result of every run. Per
 end-to-end metric the summary gives each side's quartiles, the ratio of the
 medians (change over parent) and the pairs the change won, ties counting
-for neither side; which way is better is read from BENCHMARK.json. Traced
-runs are summarized per layer by each side's median.
+for neither side; which way is better is read from BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -53,10 +51,9 @@ def export_revision(rev: str, dest: Path) -> None:
             raise SystemExit(f"bench_pairs: git archive {rev} failed")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
     """One perfbench run in tree: (its env line as a dict, its result JSON)."""
-    argv = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+    argv = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=20 * seconds + 600)
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: {' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -80,10 +77,8 @@ def summarize(runs: list, better: dict) -> dict:
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         ours = [r for r in runs if r["workload"] == workload]
-        timed = [r for r in ours if r["trace"] == 0]
-        traced = [r for r in ours if r["trace"] == 1]
-        seeds = sorted({r["seed"] for r in timed})
-        by_seed = {(r["side"], r["seed"]): r["result"] for r in timed}
+        seeds = sorted({r["seed"] for r in ours})
+        by_seed = {(r["side"], r["seed"]): r["result"] for r in ours}
         metrics = {}
         for name, direction in better.items():
             parent = [by_seed["parent", s]["metrics"][name]["value"] for s in seeds]
@@ -103,13 +98,6 @@ def summarize(runs: list, better: dict) -> dict:
             "failed_of_attempted": {
                 side: [sum(r["result"][key] for r in ours if r["side"] == side) for key in ("failed", "attempted")]
                 for side in ("parent", "change")
-            },
-            "layers_median": {
-                name: {
-                    side: statistics.median(r["result"]["metrics"][name]["value"] for r in traced if r["side"] == side)
-                    for side in ("parent", "change")
-                }
-                for name in (traced[0]["result"]["metrics"] if traced else ())
             },
         }
     return summary
@@ -131,7 +119,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--claim", required=True)
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=COUNT")
-    parser.add_argument("--seconds", type=float, help="per run; BENCHMARK.json's run_seconds by default")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair of the first workload")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -139,7 +126,7 @@ def main(argv=None) -> int:
     unknown = set(counts) - {w["name"] for w in spec["workloads"]}
     if unknown:
         parser.error(f"unknown workloads {sorted(unknown)}")
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parent_rev = _git("rev-parse", "--short", args.parent)
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
@@ -150,20 +137,19 @@ def main(argv=None) -> int:
         export_revision(parent_rev, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         for w, (workload, count) in enumerate(counts.items()):
-            for i in range(count + 1):
-                seed, trace = args.seed + 100 * w + i, int(i >= count)
+            for i in range(count):
+                seed = args.seed + 100 * w + i
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for order, side in enumerate(sides):
-                    env, result = run_once(trees[side], workload, seed, seconds, trace)
-                    runs.append({"side": side, "workload": workload, "seed": seed, "order": order,
-                                 "trace": trace, "result": result})
-                    print(f"{workload} seed {seed} trace {trace} {side}: failed {result['failed']}", flush=True)
+                    env, result = run_once(trees[side], workload, seed, seconds)
+                    runs.append({"side": side, "workload": workload, "seed": seed, "order": order, "result": result})
+                    print(f"{workload} seed {seed} {side}: failed {result['failed']}", flush=True)
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)
 
     doc = {
         "claim": args.claim,
-        "command": f"python3 {RUN} --workload <w> --seed <s> --seconds {seconds:g} --trace <0|1>",
+        "command": f"python3 {RUN} --workload <w> --seed <s> --seconds {seconds:g}",
         "parent": parent_rev,
         "change": f"working tree on {_git('rev-parse', '--short', 'HEAD')}" + (" with uncommitted changes" if dirty else ""),
         "pairing": "pair i runs parent first when i is even and the change first when i is odd; "
