@@ -87,21 +87,26 @@ def _norm_lower_bound(blocks) -> float:
     return out
 
 
-def _all_positive_definite(stack: np.ndarray) -> bool:
-    """Whether every Hermitian matrix in a stack ``(m, k, k)`` has a Cholesky factor.
+def _all_positive_definite(stacks) -> bool:
+    """Whether every Hermitian matrix in the ``(m, k, k)`` stacks has a Cholesky factor.
 
-    One factorization call decides the stack. Each matrix is first scaled by
-    the power of two that brings its own largest entry into ``[1/2, 1)``,
-    exactly, so the answer does not depend on its units. A matrix with a
-    non-finite or no nonzero entry has no factor.
+    One factorization call decides all the stacks of one order k. Each
+    matrix is first scaled by the power of two that brings its own largest
+    entry into ``[1/2, 1)``, exactly, so the answer does not depend on its
+    units. A matrix with a non-finite or no nonzero entry has no factor.
     """
-    top = np.abs(stack).max(axis=(1, 2))
-    if not ((0.0 < top) & (top < math.inf)).all():
-        return False
-    try:
-        np.linalg.cholesky(_times_power_of_two(stack, -np.frexp(top)[1][:, None, None]))
-    except np.linalg.LinAlgError:
-        return False
+    by_order: dict = {}
+    for st in stacks:
+        by_order.setdefault(st.shape[-1], []).append(st)
+    for group in by_order.values():
+        stack = np.concatenate(group)
+        top = np.abs(stack).max(axis=(1, 2))
+        if not ((0.0 < top) & (top < math.inf)).all():
+            return False
+        try:
+            np.linalg.cholesky(_times_power_of_two(stack, -np.frexp(top)[1][:, None, None]))
+        except np.linalg.LinAlgError:
+            return False
     return True
 
 
@@ -110,15 +115,10 @@ def _all_above(stacks, tol: float) -> bool:
 
     By Sylvester's law of inertia that holds for x exactly when
     ``sym(x) + tol I`` has a Cholesky factor. Shifted matrices that are
-    exactly zero are semidefinite and dropped; the rest are factorized in
-    one call per order.
+    exactly zero are semidefinite and dropped.
     """
-    by_order: dict = {}
-    for st in stacks:
-        k = st.shape[-1]
-        shifted = _sym(st) + tol * np.eye(k)
-        by_order.setdefault(k, []).append(shifted[shifted.any(axis=(-2, -1))])
-    return all(_all_positive_definite(np.concatenate(group)) for group in by_order.values())
+    shifted = [_sym(st) + tol * np.eye(st.shape[-1]) for st in stacks]
+    return _all_positive_definite([s[s.any(axis=(-2, -1))] for s in shifted])
 
 
 @dataclass(frozen=True)

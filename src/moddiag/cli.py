@@ -18,7 +18,7 @@ from .algebra import NotSelfAdjointError, leq
 from .diagonalize import diagonalize_selfadjoint
 from .eigen import ConvergenceError, NotNormalError, eig_hermitian, eig_normal
 from .gallery import projection_ladder, two_block_gallery
-from .io import InputFormatError, parse_problem, parse_solution, serialize_report, serialize_solution
+from .io import _MAX_ENTRY, InputFormatError, parse_problem, parse_solution, serialize_report, serialize_solution
 from .modules import inner, left_action
 from .verify import verify_eigensystem
 
@@ -122,6 +122,9 @@ def _cmd_prop4(args) -> int:
         ladder = projection_ladder(args.n, args.alphas)
     except ValueError as exc:
         raise InputFormatError(str(exc), "arguments") from None
+    # the bound parse_problem puts on a problem file's numbers
+    if ladder.alphas[0] >= _MAX_ENTRY:
+        raise InputFormatError("coupling values must be below 2**1000", "arguments")
     worst = 0.0
     for pair in ladder.expected:
         residual = (ladder.operator(pair.vector) - left_action(pair.value, pair.vector)).norm()

@@ -65,8 +65,9 @@ class DiagonalizationResult:
     For algebra block b of size k and P pairs, vectors[b] is the (P, k, n*k)
     stack of the pairs' row strips and values[b] and supports[b] are the
     (P, k, k) stacks of their value and support blocks; pair p carries
-    pair_labels[p]. The diagonalizers store the pairs in ascending label
-    order; parse_solution and from_pairs keep the order they are given.
+    pair_labels[p], distinct integers of at least 1 (ValueError otherwise).
+    The diagonalizers store the pairs in ascending label order;
+    parse_solution and from_pairs keep the order they are given.
     Every consumer reads these stacks; ``pairs`` is a view of them as
     checked EigenPair objects, built on first use.
     """
@@ -80,6 +81,11 @@ class DiagonalizationResult:
     tolerance_used: float
 
     def __post_init__(self):
+        labels = self.pair_labels
+        if not all(isinstance(lb, int) and not isinstance(lb, bool) and lb >= 1 for lb in labels):
+            raise ValueError("pair labels must be integers of at least 1")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"pair labels must be distinct, got {labels}")
         for stack in self.vectors + self.values + self.supports:
             stack.setflags(write=False)
 

@@ -170,20 +170,16 @@ def _stacked_sweep(av: np.ndarray, thr: np.ndarray) -> np.ndarray:
     # (rotations, row length), serves the column and the row updates
     at = a.swapaxes(1, 2)
     thr = thr[:, None]
-    full, parts = 0, []
+    parts = []
     for p, q in _tournament_rounds(a.shape[-1]):
         m = a[:, p, q]
         beta = np.abs(m)
         live = beta > thr
-        if live.all():
-            i = slice(None)
-            full += p.size
-        else:
-            if not live.any():
-                continue
-            i, pair = live.nonzero()
-            p, q, m, beta = p[pair], q[pair], m[live], beta[live]
-            parts.append(i)
+        if not live.any():
+            continue
+        i, pair = live.nonzero()
+        p, q, m, beta = p[pair], q[pair], m[live], beta[live]
+        parts.append(i)
         app = a[i, p, p].real
         aqq = a[i, q, q].real
         tau = (aqq - app) / (2.0 * beta)
@@ -207,10 +203,7 @@ def _stacked_sweep(av: np.ndarray, thr: np.ndarray) -> np.ndarray:
         a[i, q, q] = aqq + shift
         a[i, p, q] = 0.0
         a[i, q, p] = 0.0
-    applied = np.full(len(a), full)
-    if parts:
-        applied += np.bincount(np.concatenate(parts), minlength=len(a))
-    return applied
+    return np.bincount(np.concatenate(parts), minlength=len(a)) if parts else np.zeros(len(a), dtype=np.intp)
 
 
 def _square_matrices(matrix) -> tuple[list, bool]:

@@ -10,16 +10,15 @@ Numbers move one array at a time. Each file part (a problem's operator
 grid; a solution's vectors, values and supports) is read by one np.array
 call over all its algebra blocks, and each algebra block of a part is
 written by one tolist call. np.array is more lenient than the schema, so
-the array path accepts only blocks and pairs of exactly the right lengths
-whose numbers make a finite int or float array, from a text holding no JSON
-boolean. Anything else goes to the entry-by-entry walk, which either raises
-the error with its location or returns the same numbers.
+the array path accepts only parts of exactly the right length at every
+level whose numbers make a finite int or float array, from a text holding
+no JSON boolean. Anything else goes to the entry-by-entry walk, which
+either raises the error with its location or returns the same numbers.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain
 
 import numpy as np
@@ -188,34 +187,38 @@ def _may_hold_booleans(text: str) -> bool:
     return "true" in text or "false" in text
 
 
-def _complex_blocks(blocks, sizes: tuple, lead: tuple):
+def _complex_blocks(part, sizes: tuple, lead: tuple):
     """One file part's [re, im] pairs as one complex array per algebra block.
 
-    blocks yields the part's block lists in reading order: for each index of
-    lead, row-major, one list of k*k pairs per algebra block of size k. All
-    numbers of the part go through one np.array call, and block b comes back
-    as a contiguous array of shape lead + (k*k,), the layout a per-block
-    np.array call would give. None unless every block has k*k pairs, every
-    pair two numbers, and the numbers make a finite int or float array.
+    part is the file part as nested lists: lead gives the lengths of its
+    outer levels ((n, n) for a problem's operator grid, (P, n) for a
+    solution's vectors, (P,) for its values or supports), under which come
+    one block per algebra block, k*k pairs per block of size k and two
+    numbers per pair. map(len) checks each level in turn; then all numbers
+    of the part go through one np.array call, and block b comes back as a
+    contiguous array of shape lead + (k*k,), the layout a per-block np.array
+    call would give. None unless every length is right and the numbers make
+    a finite int or float array.
+
+    No level needs an isinstance check: a string or dict where a list
+    belongs either fails a length check or ends as string leaves (its
+    characters or keys), which give a U dtype, and a number where a list
+    belongs makes len raise TypeError.
     """
-    squares, count = [k * k for k in sizes], math.prod(lead)
+    squares = [k * k for k in sizes]
+    items = [part]
     try:
-        blocks = list(blocks)
-        if list(map(len, blocks)) != squares * count:
-            return None
-        if list(map(len, chain.from_iterable(blocks))).count(2) != sum(squares) * count:
-            return None
-        flat = np.array(list(chain.from_iterable(chain.from_iterable(blocks))))
+        for lengths in [*([n] for n in lead), [len(sizes)], squares, [2]]:
+            if list(map(len, items)) != lengths * (len(items) // len(lengths)):
+                return None
+            items = list(chain.from_iterable(items))
+        flat = np.array(items)
     except (TypeError, ValueError):  # a number where a list belongs, or a list where a number does
         return None
     if flat.ndim != 1 or flat.dtype.kind not in "fiu" or not np.isfinite(flat).all():
         return None
     z = flat.astype(np.float64, copy=False).view(np.complex128).reshape(*lead, sum(squares))
-    return [np.ascontiguousarray(part) for part in np.split(z, np.cumsum(squares)[:-1], axis=-1)]
-
-
-def _list_of(data, length: int) -> bool:
-    return isinstance(data, list) and len(data) == length
+    return [np.ascontiguousarray(blk) for blk in np.split(z, np.cumsum(squares)[:-1], axis=-1)]
 
 
 def _stacked_strips(coords: np.ndarray, k: int) -> np.ndarray:
@@ -231,15 +234,6 @@ def _coordinate_blocks(strips: np.ndarray, k: int) -> np.ndarray:
     return strips.reshape(*lead, k, n, k).swapaxes(-3, -2).reshape(*lead, n, k * k)
 
 
-def _array_operator(op, module: HilbertModule):
-    rank, r = module.rank, module.shape.num_blocks
-    if not _list_of(op, rank) or not all(
-        _list_of(row, rank) and all(_list_of(cell, r) for cell in row) for row in op
-    ):
-        return None
-    return _complex_blocks(chain.from_iterable(chain.from_iterable(op)), module.shape.block_sizes, (rank, rank))
-
-
 def _array_pairs(raw_pairs: list, module: HilbertModule):
     """Labels and per-block stacks of the P pairs, as the walk returns them.
 
@@ -247,7 +241,6 @@ def _array_pairs(raw_pairs: list, module: HilbertModule):
     values and supports, each block flattened row-major.
     """
     shape, rank = module.shape, module.rank
-    r = shape.num_blocks
     if not all(isinstance(rp, dict) for rp in raw_pairs):
         return None
     labels = [rp.get("label") for rp in raw_pairs]
@@ -261,17 +254,12 @@ def _array_pairs(raw_pairs: list, module: HilbertModule):
         supports = [rp["support"] for rp in raw_pairs]
     except KeyError:
         return None
-    if not (
-        all(_list_of(v, rank) and all(_list_of(c, r) for c in v) for v in vectors)
-        and all(_list_of(a, r) for a in values + supports)
-    ):
-        return None
     sizes, count = shape.block_sizes, len(raw_pairs)
-    vecs = _complex_blocks(chain.from_iterable(chain.from_iterable(vectors)), sizes, (count, rank))
+    vecs = _complex_blocks(vectors, sizes, (count, rank))
     if vecs is None:
         return None
-    vals = _complex_blocks(chain.from_iterable(values), sizes, (count,))
-    sups = _complex_blocks(chain.from_iterable(supports), sizes, (count,))
+    vals = _complex_blocks(values, sizes, (count,))
+    sups = _complex_blocks(supports, sizes, (count,))
     if vals is None or sups is None:
         return None
     return labels, vecs, vals, sups
@@ -290,7 +278,7 @@ def parse_problem(text: str) -> ModuleOperator:
     module = HilbertModule(shape, rank)
     op = _field(obj, "operator", "problem")
     # grids[b][i, j] is block b of entry (i, j), flattened row-major
-    grids = None if _may_hold_booleans(text) else _array_operator(op, module)
+    grids = None if _may_hold_booleans(text) else _complex_blocks(op, shape.block_sizes, (rank, rank))
     if grids is None:
         grids = _walk_operator(op, module)
     top = max(max(np.abs(g.real).max(), np.abs(g.imag).max()) for g in grids)

@@ -156,10 +156,10 @@ def orthogonal_complement_trivial(vectors: Sequence[np.ndarray], tol: float = 1e
     """
     if not vectors:
         return False
-    by_order: dict = {}
+    shifted = []
     for stack in vectors:
         rows = stack.reshape(-1, stack.shape[-1])
         c = tol * max(1.0, float(np.linalg.norm(rows)))
         gram = rows.conj().T @ rows
-        by_order.setdefault(gram.shape[0], []).append(gram - (c * c) * np.eye(gram.shape[0]))
-    return all(_all_positive_definite(np.stack(group)) for group in by_order.values())
+        shifted.append((gram - (c * c) * np.eye(gram.shape[0]))[None])
+    return _all_positive_definite(shifted)

@@ -12,6 +12,7 @@ from moddiag import (
     ModuleOperator,
     NotNormalError,
     NotSelfAdjointError,
+    OrderRelation,
     ShapeMismatchError,
     diagonalize_normal,
     diagonalize_selfadjoint,
@@ -239,6 +240,22 @@ def test_from_pairs_refuses_a_pair_on_another_module():
         DiagonalizationResult.from_pairs(res.pairs + other.pairs[:1], (), 1e-9)
     with pytest.raises(ValueError):
         DiagonalizationResult.from_pairs((), (), 1e-9)
+
+
+def test_a_result_refuses_duplicate_or_invalid_labels():
+    # with L1 on both pairs the ordering clause checked 0 <= L1 on one of
+    # them only, and passed a result whose other L1 is diag(-1)
+    k = ModuleOperator(module_over((1,), 2), [np.diag([1.0, -1.0])])
+    res = diagonalize_selfadjoint(k)
+    pos, neg = res.pairs
+    assert neg.value.blocks[0][0, 0] == -1.0
+    twin = neg._replace(label=pos.label)
+    for pairs in ((pos, twin), (twin, pos)):
+        with pytest.raises(ValueError, match="distinct"):
+            DiagonalizationResult.from_pairs(pairs, (OrderRelation(None, 1),), res.tolerance_used)
+    for label in (0, True, 1.0, None):
+        with pytest.raises(ValueError, match="integers"):
+            DiagonalizationResult.from_pairs((pos._replace(label=label),), (), res.tolerance_used)
 
 
 def test_a_scalar_in_the_old_zero_band_keeps_its_link_through_zero():

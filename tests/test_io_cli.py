@@ -467,13 +467,28 @@ STRUCTURAL = [
     (lambda d: _extra_block(d["pairs"][1]["support"]), "solution.pairs[1].support"),
     (lambda d: d["pairs"][1].update(label=d["pairs"][0]["label"]), "solution.pairs[1]"),
     (lambda d: d["pairs"][1].pop("value"), "solution.pairs[1]"),
+    # a move keeps the item count of the level below it, and a string or
+    # dict has a length: only a check at the level of the fault catches them
+    (lambda d: _move(d["operator"][1], d["operator"][0]), "problem.operator[0]"),
+    (lambda d: _move(d["operator"][1][0], d["operator"][0][0]), "problem.operator[0][0]"),
+    (lambda d: d["operator"].__setitem__(1, "ab"), "problem.operator[1]"),
+    (lambda d: d["operator"][1].__setitem__(0, {"re": 1.0, "im": 0.0}), "problem.operator[1][0]"),
+    (lambda d: _move(d["pairs"][1]["vector"], d["pairs"][0]["vector"]), "solution.pairs[0].vector"),
+    (lambda d: _move(d["pairs"][1]["value"], d["pairs"][0]["value"]), "solution.pairs[0].value"),
 ]
+
+
+def _move(source, target):
+    target.append(source.pop())
 
 
 @pytest.mark.parametrize(
     "fault, where",
     STRUCTURAL,
-    ids=["sizes", "extra-block", "sizes", "extra-block", "extra-block", "duplicate-label", "no-value"],
+    ids=[
+        "sizes", "extra-block", "sizes", "extra-block", "extra-block", "duplicate-label", "no-value",
+        "moved-cell", "moved-block", "string-row", "dict-cell", "moved-coordinate", "moved-value-block",
+    ],
 )
 def test_structural_faults_are_located_like_the_walk(fault, where):
     problem = where.startswith("problem")
@@ -649,3 +664,11 @@ def test_cli_verify_fails_huge_claims_without_warnings(tmp_path, capsys, tamper)
 def test_cli_prop4_rejects_non_finite_couplings(capsys, alphas):
     assert main(["prop4", "--n", "2", "--alphas", alphas]) == 2
     assert capsys.readouterr().err == "input error: arguments: coupling values must be finite\n"
+
+
+def test_cli_prop4_refuses_couplings_past_the_input_bound(capsys):
+    # (blk + blk*) / 2 overflowed before the solver: exit 1 with a traceback
+    assert main(["prop4", "--n", "3", "--alphas", "1e308,1e307,1e306"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: arguments: ") and err.count("\n") == 1
+    assert main(["prop4", "--n", "3", "--alphas", "1.5e300,1e300,1e299"]) == 0

@@ -3,7 +3,9 @@
 numpy and scipy never compute eigenvalues or singular values inside the
 package: the tests and the benchmark's correctness gate check the package
 against numpy.linalg, so the package must not call the oracle it is checked
-against. And no module imports a name it never uses.
+against. No module imports a name it never uses. And one function makes
+every Cholesky factorization, so each definiteness check groups its
+matrices by order in the same place.
 """
 
 import ast
@@ -108,3 +110,44 @@ def test_the_unused_import_guard_catches_it():
         "__all__ = ['parse_problem']\nnumpy.linalg.norm(eig_normal(math.pi))"
     )
     assert _unused_imports(source) == [(4, "NotNormalError")]
+
+
+def _cholesky_callers(source: str) -> list:
+    """The function around each call of a name or attribute ``cholesky``, in source order."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "cholesky":
+                found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _cholesky_sites(sources: dict) -> list:
+    return [(name, owner) for name, source in sources.items() for owner in _cholesky_callers(source)]
+
+
+def _package_sources() -> dict:
+    return {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+
+
+def test_one_function_calls_cholesky():
+    assert _cholesky_sites(_package_sources()) == [("algebra.py", "_all_positive_definite")]
+
+
+def test_the_cholesky_guard_catches_a_second_call():
+    sources = _package_sources()
+    sources["modules.py"] += "\n\ndef _gram_ok(g):\n    from numpy.linalg import cholesky\n    return cholesky(g)\n"
+    sources["verify.py"] += "\nnp.linalg.cholesky(a)\n"
+    assert _cholesky_sites(sources) == [
+        ("algebra.py", "_all_positive_definite"),
+        ("modules.py", "_gram_ok"),
+        ("verify.py", None),
+    ]

@@ -581,7 +581,7 @@ def test_exactly_zero_shifted_blocks_pass_the_ordering_clause():
     assert report.ordering_ok and report.overall, report.summary()
     zeros = np.zeros((3, 2, 2))
     assert moddiag.algebra._all_above([zeros], 0.0)
-    assert not moddiag.algebra._all_positive_definite(zeros)
+    assert not moddiag.algebra._all_positive_definite([zeros])
 
 
 @pytest.mark.parametrize(
