@@ -30,7 +30,6 @@ from .modules import (
     ModuleElement,
     inner,
     left_action,
-    module_norm,
     orthogonal_complement_trivial,
     right_action,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "inner",
     "left_action",
     "right_action",
-    "module_norm",
     "orthogonal_complement_trivial",
     "ModuleOperator",
     "theta",

@@ -121,6 +121,13 @@ def _all_above(stacks, tol: float) -> bool:
     return _all_positive_definite([s[s.any(axis=(-2, -1))] for s in shifted])
 
 
+def _positive_int(value, what: str) -> int:
+    """value as an int; ValueError naming it unless it is an integer, not a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AlgebraShape:
     """Direct-sum signature: the matrix size of each block."""
@@ -128,24 +135,14 @@ class AlgebraShape:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(k) for k in self.block_sizes)
+        sizes = tuple(_positive_int(k, "a block size") for k in self.block_sizes)
         if not sizes:
             raise ValueError("an algebra needs at least one block")
-        if any(k < 1 for k in sizes):
-            raise ValueError("block sizes must be positive")
         object.__setattr__(self, "block_sizes", sizes)
 
     @property
     def num_blocks(self) -> int:
         return len(self.block_sizes)
-
-    @property
-    def dim(self) -> int:
-        """Complex dimension of the algebra."""
-        return sum(k * k for k in self.block_sizes)
-
-    def element(self, blocks) -> AlgebraElement:
-        return AlgebraElement(self, blocks)
 
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self, [np.zeros((k, k)) for k in self.block_sizes])

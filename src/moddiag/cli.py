@@ -48,8 +48,8 @@ def _cmd_diagonalize(args) -> int:
     report = verify_eigensystem(K, result, tol=args.tol, moment_tol=args.moment_tol)
     if args.solution:
         Path(args.solution).write_text(serialize_solution(result), encoding="utf-8")
-    labels = ", ".join(f"L{label}" for label in result.labels())
-    print(f"diagonalized into {len(result.labels())} eigenpairs: {labels}")
+    labels = ", ".join(f"L{label}" for label in result.pair_labels)
+    print(f"diagonalized into {len(result.pair_labels)} eigenpairs: {labels}")
     for rel in result.ordering_certificate:
         print(f"  relation {rel.describe()}")
     return _finish(report, args.out)

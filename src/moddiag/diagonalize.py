@@ -66,6 +66,7 @@ class DiagonalizationResult:
     stack of the pairs' row strips and values[b] and supports[b] are the
     (P, k, k) stacks of their value and support blocks; pair p carries
     pair_labels[p], distinct integers of at least 1 (ValueError otherwise).
+    A stack of another shape raises ShapeMismatchError.
     The diagonalizers store the pairs in ascending label order;
     parse_solution and from_pairs keep the order they are given.
     Every consumer reads these stacks; ``pairs`` is a view of them as
@@ -86,6 +87,12 @@ class DiagonalizationResult:
             raise ValueError("pair labels must be integers of at least 1")
         if len(set(labels)) != len(labels):
             raise ValueError(f"pair labels must be distinct, got {labels}")
+        n = self.module.rank
+        for part in ("vectors", "values", "supports"):
+            want = tuple((len(labels), k, n * k if part == "vectors" else k) for k in self.module.shape.block_sizes)
+            got = tuple(np.shape(stack) for stack in getattr(self, part))
+            if got != want:
+                raise ShapeMismatchError(f"{part} must be stacks of shapes {want}, got {got}")
         for stack in self.vectors + self.values + self.supports:
             stack.setflags(write=False)
 
@@ -122,9 +129,6 @@ class DiagonalizationResult:
         if label not in self.pair_labels:
             raise KeyError(f"no eigenpair with label {label}")
         return self.pairs[self.pair_labels.index(label)]
-
-    def labels(self) -> tuple:
-        return self.pair_labels
 
     def scalar_spectrum(self) -> tuple:
         """Per algebra block, the diagonal scalars of all value blocks.

@@ -206,18 +206,11 @@ def _stacked_sweep(av: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return np.bincount(np.concatenate(parts), minlength=len(a)) if parts else np.zeros(len(a), dtype=np.intp)
 
 
-def _square_matrices(matrix) -> tuple[list, bool]:
-    """The matrices of a call, and whether it was given one matrix rather than a sequence.
-
-    A sequence is a nonempty list or tuple whose items are 2-d.
-    """
-    lone = not (isinstance(matrix, (list, tuple)) and matrix and all(np.ndim(m) == 2 for m in matrix))
-    return [_square_complex(m) for m in ([matrix] if lone else matrix)], lone
-
-
-def _which(i, count) -> str:
-    """How errors name matrix i of a solve of count matrices."""
-    return "matrix" if count == 1 else f"matrix {i} of the stack"
+def _square_matrices(matrices) -> list:
+    """The matrices of a call: a nonempty list or tuple of square 2-d arrays."""
+    if not (isinstance(matrices, (list, tuple)) and matrices and all(np.ndim(m) == 2 for m in matrices)):
+        raise ValueError("expected a nonempty list or tuple of square matrices")
+    return [_square_complex(m) for m in matrices]
 
 
 def _solve_stats(d, sweeps, rotations, off, target, e) -> str:
@@ -230,23 +223,23 @@ def _solve_stats(d, sweeps, rotations, off, target, e) -> str:
     )
 
 
-def eig_hermitian(matrix, tol: float = 1e-12):
-    """Diagonalize a Hermitian matrix, or many in one stacked solve, by complex Jacobi rotations.
+def eig_hermitian(matrices, tol: float = 1e-12):
+    """Diagonalize Hermitian matrices in one stacked solve by complex Jacobi rotations.
 
     Parameters
     ----------
-    matrix : (d, d) array_like, or a sequence of them
-        Hermitian up to ``tol * max|entry|`` in entrywise distance. A
-        sequence (a list or tuple of 2-d arrays) is solved in one stacked
-        call; its matrices may differ in order.
+    matrices : nonempty list or tuple of (d, d) array_like
+        Each Hermitian up to ``tol * max|entry|`` in entrywise distance.
+        They are solved in one stacked call and may differ in order. A
+        bare matrix or a 3-d array raises ValueError.
     tol : float
         Also sets the sweep target: rotations stop once the off-diagonal
-        Frobenius mass drops below ``tol * frobenius(matrix)``. At most
-        ``MAX_SWEEPS`` sweeps are attempted.
+        Frobenius mass of a matrix drops below ``tol * frobenius(matrix)``.
+        At most ``MAX_SWEEPS`` sweeps are attempted.
 
     Returns
     -------
-    HermitianEig, or a list of one per matrix of a sequence
+    list of HermitianEig, one per matrix
         Descending eigenvalues and a unitary matrix of row eigenvectors.
         Ties keep the sweep order (stable sort); each row's phase is fixed
         by making its first sizable component real positive, so the output
@@ -257,18 +250,17 @@ def eig_hermitian(matrix, tol: float = 1e-12):
     The block is first scaled by the power of two that brings its largest
     entry into ``[1/2, 1)``, and the values are scaled back, both exactly,
     so no squared entry under- or overflows and ``eig_hermitian(2**k * A)``
-    returns ``2**k`` times the values of ``A``. Every call, a lone matrix
-    too, sweeps a stack in round-robin order, a round of disjoint rotations
-    per numpy step. Each matrix of a sequence keeps its own prescale,
-    threshold, target, convergence, sort and phase rule: its result does
-    not depend on its neighbours beyond round-off, and not at all when they
-    all have the same order, so it equals a lone call's bit for bit (design
-    notes, "The Jacobi sweep"). One DEBUG record per matrix on the
-    ``moddiag.eigen`` logger reports its sweeps, rotations and final
-    off-diagonal norm; NotHermitianError and ConvergenceError name the
-    failing matrices.
+    returns ``2**k`` times the values of ``A``. Every call sweeps a stack
+    in round-robin order, a round of disjoint rotations per numpy step.
+    Each matrix keeps its own prescale, threshold, target, convergence,
+    sort and phase rule: its result does not depend on its neighbours
+    beyond round-off, and not at all when they all have the same order, so
+    it equals a call with that matrix alone bit for bit (design notes, "The
+    Jacobi sweep"). One DEBUG record per matrix on the ``moddiag.eigen``
+    logger reports its sweeps, rotations and final off-diagonal norm;
+    NotHermitianError and ConvergenceError name the failing matrices.
     """
-    mats, lone = _square_matrices(matrix)
+    mats = _square_matrices(matrices)
     dims = [len(m) for m in mats]
     count, n = len(mats), max(dims)
     # zero padding is exact (design notes, "The Jacobi sweep")
@@ -277,7 +269,7 @@ def eig_hermitian(matrix, tol: float = 1e-12):
         h[i, : len(m), : len(m)] = m
     bad = _hermitian_defect([h]) > tol
     if bad.any():
-        raise NotHermitianError(f"{_which(np.argmax(bad), count)} is not Hermitian within tolerance")
+        raise NotHermitianError(f"matrix {np.argmax(bad)} of the stack is not Hermitian within tolerance")
 
     e = np.frexp(np.abs(h).max(axis=(1, 2)))[1]
     h = _times_power_of_two(h, -e[:, None, None])
@@ -310,11 +302,9 @@ def eig_hermitian(matrix, tol: float = 1e-12):
     failed = off > target
     if failed.any() or _log.isEnabledFor(logging.DEBUG):
         stats = [
-            _solve_stats(d, *args)
-            for d, *args in zip(dims, sweeps, rotations, off, target, e)
+            f"matrix {i} of {count}: {_solve_stats(d, *args)}"
+            for i, (d, *args) in enumerate(zip(dims, sweeps, rotations, off, target, e))
         ]
-        if count > 1:
-            stats = [f"matrix {i} of {count}: {s}" for i, s in enumerate(stats)]
         if failed.any():
             described = "; ".join(s for s, f in zip(stats, failed) if f)
             raise ConvergenceError(f"Jacobi did not converge: {described}")
@@ -330,8 +320,7 @@ def eig_hermitian(matrix, tol: float = 1e-12):
     vectors = v[rows, order]
     del av, a, v  # the rotated stack is freed before the phases are fixed
     vectors = _fix_row_phases(vectors)
-    out = [HermitianEig(values[i, :d], vectors[i, :d, :d]) for i, d in enumerate(dims)]
-    return out[0] if lone else out
+    return [HermitianEig(values[i, :d], vectors[i, :d, :d]) for i, d in enumerate(dims)]
 
 
 def tie_runs(descending: np.ndarray, gap: float) -> np.ndarray:
@@ -344,33 +333,35 @@ def tie_runs(descending: np.ndarray, gap: float) -> np.ndarray:
     return np.maximum.accumulate(np.arange(len(descending)) * np.r_[True, descending[:-1] - descending[1:] > gap])
 
 
-def eig_normal(matrix, tol: float = 1e-10):
-    """Diagonalize a normal matrix, or many in two stacked Hermitian solves.
+def eig_normal(matrices, tol: float = 1e-10):
+    """Diagonalize normal matrices in two stacked Hermitian solves.
 
     Splits N into its Hermitian part H and skew part S (both Hermitian,
     commuting exactly when N is normal), diagonalizes H, then diagonalizes
     the compression of S inside every eigenspace of H. One `eig_hermitian`
-    call solves the Hermitian parts of all matrices of a sequence, and one
-    more, when some real parts tie, the compressions of all of them.
+    call solves the Hermitian parts of all matrices, and one more, when
+    some real parts tie, the compressions of all of them.
 
-    Returns ``(values, vectors)``, or a list of one per matrix of a
-    sequence, with complex values sorted by descending real part and row
-    eigenvectors forming a unitary, so ``vectors @ N @ vectors.conj().T``
-    is diagonal. Real parts that chain together in steps of at most
-    ``max(tol, 1e-12) * max|entry|`` count as tied, and descending
-    imaginary part breaks the tie. S is compressed once into the eigenbasis
-    of H, with every entry that couples two runs set to zero, so a tied
-    value may differ in the last bits from that of solving its run alone.
+    Takes a nonempty list or tuple of square 2-d arrays; a bare matrix or a
+    3-d array raises ValueError. Returns a list with one ``(values,
+    vectors)`` per matrix, with complex values sorted by descending real
+    part and row eigenvectors forming a unitary, so
+    ``vectors @ N @ vectors.conj().T`` is diagonal. Real parts that chain
+    together in steps of at most ``max(tol, 1e-12) * max|entry|`` count as
+    tied, and descending imaginary part breaks the tie. S is compressed
+    once into the eigenbasis of H, with every entry that couples two runs
+    set to zero, so a tied value may differ in the last bits from that of
+    solving its run alone.
 
     N counts as normal when the largest entry of ``N N* - N* N`` is at most
     ``tol * max|entry|**2``, and the diagonalized form must leave no
     off-diagonal entry above ``10 * max(tol, 1e-12) * max|entry|``; both
     bounds are relative, so neither passes a small non-normal matrix.
     """
-    mats, lone = _square_matrices(matrix)
+    mats = _square_matrices(matrices)
     for i, m in enumerate(mats):
         if _normality_defect([m]) > tol:
-            raise NotNormalError(f"{_which(i, len(mats))} is not normal within tolerance")
+            raise NotNormalError(f"matrix {i} of the stack is not normal within tolerance")
     bases = eig_hermitian([0.5 * (m + m.conj().T) for m in mats], 1e-12)
 
     vecs = [base.vectors for base in bases]
@@ -403,9 +394,9 @@ def eig_normal(matrix, tol: float = 1e-10):
         resid = float(np.abs(n_ - np.diag(values)).max())
         if resid > 10.0 * max(tol, 1e-12) * float(np.abs(m).max()):
             raise NotNormalError(
-                f"{_which(i, len(mats))} could not be diagonalized to tolerance; it is either "
+                f"matrix {i} of the stack could not be diagonalized to tolerance; it is either "
                 "not normal or has nearly degenerate Hermitian-part eigenvalues"
             )
         order = np.lexsort((-values.imag, cluster))
         out.append((values[order], _fix_row_phases(vec[order])))
-    return out[0] if lone else out
+    return out

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, _all_positive_definite, _Blocks
+from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, _all_positive_definite, _Blocks, _positive_int
 
 __all__ = [
     "HilbertModule",
@@ -22,7 +22,6 @@ __all__ = [
     "inner",
     "left_action",
     "right_action",
-    "module_norm",
     "orthogonal_complement_trivial",
 ]
 
@@ -35,10 +34,7 @@ class HilbertModule:
     rank: int
 
     def __post_init__(self):
-        r = int(self.rank)
-        if r < 1:
-            raise ValueError("module rank must be at least 1")
-        object.__setattr__(self, "rank", r)
+        object.__setattr__(self, "rank", _positive_int(self.rank, "the module rank"))
 
     def element(self, coords: Sequence[AlgebraElement]) -> ModuleElement:
         if len(coords) != self.rank:
@@ -104,7 +100,8 @@ class ModuleElement(_Blocks):
         return super().__rmul__(other)
 
     def norm(self) -> float:
-        return module_norm(self)
+        """``sqrt(||<x, x>||)``."""
+        return float(np.sqrt(inner(self, self).norm()))
 
     def __str__(self):
         return "(" + ", ".join(str(self.coord(i)) for i in range(self.module.rank)) + ")"
@@ -135,10 +132,6 @@ def right_action(x: ModuleElement, a: AlgebraElement) -> ModuleElement:
     for st, blk, k in zip(x.blocks, a.blocks, x.module.shape.block_sizes):
         mats.append(np.hstack([st[:, i * k : (i + 1) * k] @ blk for i in range(n)]))
     return ModuleElement(x.module, mats)
-
-
-def module_norm(x: ModuleElement) -> float:
-    return float(np.sqrt(inner(x, x).norm()))
 
 
 def orthogonal_complement_trivial(vectors: Sequence[np.ndarray], tol: float = 1e-8) -> bool:

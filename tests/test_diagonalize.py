@@ -1,5 +1,6 @@
 """Labeled block diagonalization and the ordering certificate."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -52,7 +53,7 @@ WINDOW_CASES = {
 def test_window_rule_on_diagonal_operators(scalars, k, windows):
     K = ModuleOperator(module_over((k,), len(scalars) // k), [np.diag(scalars)])
     res = diagonalize_selfadjoint(K)
-    assert sorted(res.labels()) == sorted(label for label, _ in windows)
+    assert sorted(res.pair_labels) == sorted(label for label, _ in windows)
     for label, diagonal in windows:
         assert np.array_equal(res.pair_by_label(label).value.blocks[0], np.diag(diagonal))
     assert verify_eigensystem(K, res).overall
@@ -74,7 +75,7 @@ def test_windows_across_blocks_frozen():
         3: ([1.0, 0.0], [0.5]),
         4: ([-1.0, 0.0], [0.0]),
     }
-    assert res.labels() == (1, 2, 3, 4)
+    assert res.pair_labels == (1, 2, 3, 4)
     for label, blocks in want.items():
         got = res.pair_by_label(label).value.blocks
         for blk, diag in zip(got, blocks):
@@ -92,7 +93,7 @@ def test_windows_across_blocks_frozen():
 def test_zero_operator():
     mod = module_over((2,), 2)
     res = diagonalize_selfadjoint(ModuleOperator.zero(mod))
-    assert res.labels() == (1, 2)
+    assert res.pair_labels == (1, 2)
     for p in res.pairs:
         assert p.value.norm() == 0.0
         assert p.support.isclose(mod.shape.identity())
@@ -104,10 +105,10 @@ def test_definite_operators_take_one_parity():
     rng = np.random.default_rng(71)
     mod = module_over((2, 1), 3)
     pos = random_positive_operator(mod, rng)
-    labels = diagonalize_selfadjoint(pos).labels()
+    labels = diagonalize_selfadjoint(pos).pair_labels
     assert labels == (1, 3, 5)
     neg = -1.0 * pos
-    labels = diagonalize_selfadjoint(neg).labels()
+    labels = diagonalize_selfadjoint(neg).pair_labels
     assert labels == (2, 4, 6)
 
 
@@ -128,10 +129,10 @@ def test_norm_decay_within_each_parity():
     rng = np.random.default_rng(73)
     mod = module_over((3,), 4)
     res = diagonalize_selfadjoint(random_positive_operator(mod, rng))
-    odd = [res.pair_by_label(l).value.norm() for l in sorted(res.labels())]
+    odd = [res.pair_by_label(l).value.norm() for l in sorted(res.pair_labels)]
     assert all(x >= y - 1e-12 for x, y in zip(odd, odd[1:]))
     res = diagonalize_selfadjoint(-1.0 * random_positive_operator(mod, rng))
-    even = [res.pair_by_label(l).value.norm() for l in sorted(res.labels())]
+    even = [res.pair_by_label(l).value.norm() for l in sorted(res.pair_labels)]
     assert all(x >= y - 1e-12 for x, y in zip(even, even[1:]))
 
 
@@ -216,18 +217,18 @@ def test_value_stacks_hold_no_negative_zeros():
 def test_result_stacks_and_the_pairs_view_agree():
     mod = module_over((2, 1, 3), 3)
     res = diagonalize_selfadjoint(random_selfadjoint_operator(mod, np.random.default_rng(80)))
-    assert res.module == mod and res.labels() == (1, 2, 3)
+    assert res.module == mod and res.pair_labels == (1, 2, 3)
     for b, k in enumerate(mod.shape.block_sizes):
         assert res.vectors[b].shape == (3, k, 3 * k) and res.values[b].shape == res.supports[b].shape == (3, k, k)
     for p, pair in enumerate(res.pairs):
-        assert pair.label == res.labels()[p]
+        assert pair.label == res.pair_labels[p]
         assert all(np.array_equal(st[p], x) for st, x in zip(res.vectors, pair.vector.blocks))
         assert all(np.array_equal(st[p], x) for st, x in zip(res.values, pair.value.blocks))
     assert res.pairs is res.pairs
     again = DiagonalizationResult.from_pairs(res.pairs, res.ordering_certificate, res.tolerance_used)
     for name in ("vectors", "values", "supports"):
         assert all(np.array_equal(x, y) for x, y in zip(getattr(res, name), getattr(again, name)))
-    assert again.labels() == res.labels() and again.ordering_certificate == res.ordering_certificate
+    assert again.pair_labels == res.pair_labels and again.ordering_certificate == res.ordering_certificate
     with pytest.raises(ValueError):
         res.values[0][0, 0, 0] = 1.0
 
@@ -256,6 +257,24 @@ def test_a_result_refuses_duplicate_or_invalid_labels():
     for label in (0, True, 1.0, None):
         with pytest.raises(ValueError, match="integers"):
             DiagonalizationResult.from_pairs((pos._replace(label=label),), (), res.tolerance_used)
+
+
+def test_a_result_refuses_stacks_that_do_not_fit_its_module_or_labels():
+    # one pair short in values, or one label for two pairs, used to surface
+    # as an IndexError or a numpy matmul error inside the verifier
+    res = diagonalize_selfadjoint(random_selfadjoint_operator(module_over((2,), 2), np.random.default_rng(5)))
+    assert len(res.pair_labels) == 2 and dataclasses.replace(res).pair_labels == res.pair_labels
+    (vectors,), (values,), (supports,) = res.vectors, res.values, res.supports
+    for part, stacks in (
+        ("values", (values[:1],)),
+        ("supports", (supports[:, :1],)),
+        ("vectors", (vectors[..., :2],)),
+        ("vectors", res.vectors * 2),  # one stack per block of a two-block algebra
+    ):
+        with pytest.raises(ShapeMismatchError, match=part):
+            dataclasses.replace(res, **{part: stacks})
+    with pytest.raises(ShapeMismatchError, match="vectors"):
+        dataclasses.replace(res, pair_labels=res.pair_labels[:1])
 
 
 def test_a_scalar_in_the_old_zero_band_keeps_its_link_through_zero():
@@ -289,7 +308,7 @@ def test_deterministic_repeat():
     k = random_selfadjoint_operator(mod, rng)
     a = diagonalize_selfadjoint(k)
     b = diagonalize_selfadjoint(k)
-    assert a.labels() == b.labels()
+    assert a.pair_labels == b.pair_labels
     for pa, pb in zip(a.pairs, b.pairs):
         assert all(np.array_equal(x, y) for x, y in zip(pa.vector.blocks, pb.vector.blocks))
         assert all(np.array_equal(x, y) for x, y in zip(pa.value.blocks, pb.value.blocks))
@@ -318,7 +337,7 @@ def test_normal_operator_verifies():
     mod = module_over((2, 3), 2)
     k = random_normal_operator(mod, rng)
     res = diagonalize_normal(k)
-    assert res.labels() == (1, 2)
+    assert res.pair_labels == (1, 2)
     assert res.ordering_certificate == ()
     report = verify_eigensystem(k, res, tol=1e-7, moment_tol=1e-6)
     assert report.overall, report.summary()
@@ -380,7 +399,7 @@ def test_diagonalize_is_scale_covariant(case, seed, rank_deficient, exponent, j)
     top = max(float(np.abs(blk).max()) for p in base.pairs for blk in p.value.blocks)
     for s in (10.0**exponent, 2.0**j):
         res = diagonalize_selfadjoint(s * k)
-        assert res.labels() == base.labels()
+        assert res.pair_labels == base.pair_labels
         assert res.ordering_certificate == base.ordering_certificate
         assert verify_eigensystem(s * k, res).overall
         for p, q in zip(base.pairs, res.pairs):
@@ -401,7 +420,7 @@ def test_diagonalize_is_unitarily_covariant():
         us = [np.linalg.qr(rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape))[0] for b in k.blocks]
         base = diagonalize(k)
         res = diagonalize(ModuleOperator(k.module, [u @ b @ u.conj().T for u, b in zip(us, k.blocks)]))
-        assert res.labels() == base.labels()
+        assert res.pair_labels == base.pair_labels
         assert res.ordering_certificate == base.ordering_certificate
         top = max(float(np.abs(v).max()) for v in base.values)
         assert all(np.abs(a - b).max() <= 1e-12 * top for a, b in zip(base.values, res.values))

@@ -35,7 +35,7 @@ def test_matches_numpy_eigenvalues():
     rng = np.random.default_rng(11)
     for d in (1, 2, 3, 5, 6, 7, 8, 9, 13, 16, 21, 32, 40, 96, "partly live"):
         a = _partly_live(rng) if d == "partly live" else random_hermitian(rng, d)
-        got = eig_hermitian(a).values
+        got = eig_hermitian([a])[0].values
         want = np.sort(np.linalg.eigvalsh(a))[::-1]
         scale = 1.0 + np.abs(want).max()
         assert np.abs(got - want).max() <= VALUE_TOL * scale
@@ -46,7 +46,7 @@ def test_reconstruction_and_unitarity():
     for d in (2, 4, 6, 7, 16, 33, 96, "partly live"):
         a = _partly_live(rng) if d == "partly live" else random_hermitian(rng, d)
         d = a.shape[0]
-        res = eig_hermitian(a)
+        res = eig_hermitian([a])[0]
         q, vals = res.vectors, res.values
         scale = 1.0 + np.abs(a).max()
         # rows of q are the eigenvectors, so q A q* is the diagonal
@@ -57,28 +57,28 @@ def test_reconstruction_and_unitarity():
 
 def test_values_sorted_descending():
     rng = np.random.default_rng(13)
-    vals = eig_hermitian(random_hermitian(rng, 12)).values
+    vals = eig_hermitian([random_hermitian(rng, 12)])[0].values
     assert np.all(np.diff(vals) <= 0)
 
 
 def test_deterministic_repeat():
     rng = np.random.default_rng(14)
     a = random_hermitian(rng, 9)
-    first = eig_hermitian(a)
-    second = eig_hermitian(a)
+    first = eig_hermitian([a])[0]
+    second = eig_hermitian([a])[0]
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
 
 
 def test_one_by_one():
-    res = eig_hermitian(np.array([[3.5 + 0j]]))
+    res = eig_hermitian([np.array([[3.5 + 0j]])])[0]
     assert res.values[0] == 3.5
     assert res.vectors[0, 0] == 1.0
 
 
 def test_already_diagonal():
     a = np.diag([4.0, 4.0, 1.0]).astype(complex)
-    res = eig_hermitian(a)
+    res = eig_hermitian([a])[0]
     assert np.array_equal(res.values, np.array([4.0, 4.0, 1.0]))
 
 
@@ -87,25 +87,25 @@ def test_degenerate_spectrum():
     rng = np.random.default_rng(15)
     q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
     a = q[:, :4] @ q[:, :4].conj().T
-    vals = eig_hermitian(a).values
+    vals = eig_hermitian([a])[0].values
     assert np.abs(vals - np.array([1, 1, 1, 1, 0, 0])).max() <= 1e-12
 
 
 def test_rejects_non_hermitian():
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitianError):
-        eig_hermitian(a)
+        eig_hermitian([a])
 
 
 def test_rejects_non_square():
     with pytest.raises(ValueError):
-        eig_hermitian(np.zeros((2, 3), dtype=complex))
+        eig_hermitian([np.zeros((2, 3), dtype=complex)])
 
 
 def test_rejects_non_finite():
     a = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
-        eig_hermitian(a)
+        eig_hermitian([a])
 
 
 def test_normal_matches_numpy():
@@ -114,7 +114,7 @@ def test_normal_matches_numpy():
         q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
         diag = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         a = q @ np.diag(diag) @ q.conj().T
-        vals, vecs = eig_normal(a)
+        vals, vecs = eig_normal([a])[0]
         want = np.array(sorted(np.linalg.eigvals(a), key=lambda z: (-z.real, -z.imag)))
         scale = 1.0 + np.abs(want).max()
         assert np.abs(vals - want).max() <= 1e-8 * scale
@@ -136,7 +136,7 @@ def test_normal_with_tied_real_parts():
         d = vals.size
         q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
         a = q @ np.diag(vals) @ q.conj().T
-        got = eig_normal(a)[0]
+        got = eig_normal([a])[0][0]
         want = np.array(sorted(vals, key=lambda z: (-z.real, -z.imag)))
         assert np.abs(got - want).max() <= 1e-9
 
@@ -154,13 +154,13 @@ def test_normal_is_scale_covariant():
     for vals in spectra:
         a = q @ np.diag(vals) @ q.conj().T
         for s in (1e-14, 1e-12, 1.0, 1e12):
-            assert np.abs(eig_normal(s * a)[0] / s - vals).max() <= 1e-9
+            assert np.abs(eig_normal([s * a])[0][0] / s - vals).max() <= 1e-9
 
 
 def test_normal_accepts_hermitian_input():
     rng = np.random.default_rng(18)
     a = random_hermitian(rng, 7)
-    vals = eig_normal(a)[0]
+    vals = eig_normal([a])[0][0]
     assert np.abs(vals.imag).max() <= 1e-10
     want = np.sort(np.linalg.eigvalsh(a))[::-1]
     assert np.abs(vals.real - want).max() <= 1e-9
@@ -169,7 +169,7 @@ def test_normal_accepts_hermitian_input():
 def test_normal_rejects_non_normal():
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotNormalError):
-        eig_normal(a)
+        eig_normal([a])
 
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -180,9 +180,9 @@ def test_small_or_large_non_normal_input_is_rejected(s):
     # the Hermitian, commutator and residual bounds are relative to the
     # largest entry, so a tiny Jordan block is as non-normal as a unit one
     with pytest.raises(NotHermitianError):
-        eig_hermitian(s * JORDAN)
+        eig_hermitian([s * JORDAN])
     with pytest.raises(NotNormalError):
-        eig_normal(s * JORDAN)
+        eig_normal([s * JORDAN])
 
 
 def test_scaled_hermitian_and_normal_input_is_accepted():
@@ -190,14 +190,14 @@ def test_scaled_hermitian_and_normal_input_is_accepted():
     h = random_hermitian(rng, 5)
     q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
     n = q @ np.diag(rng.standard_normal(5) + 1j * rng.standard_normal(5)) @ q.conj().T
-    want_h = eig_hermitian(h).values
-    want_n = eig_normal(n)[0]
+    want_h = eig_hermitian([h])[0].values
+    want_n = eig_normal([n])[0][0]
     for s in 10.0 ** np.arange(-200, 201, 25):
-        assert np.abs(eig_hermitian(s * h).values / s - want_h).max() <= 1e-12
-        assert np.abs(eig_normal(s * n)[0] / s - want_n).max() <= 1e-9
+        assert np.abs(eig_hermitian([s * h])[0].values / s - want_h).max() <= 1e-12
+        assert np.abs(eig_normal([s * n])[0][0] / s - want_n).max() <= 1e-9
     zero = np.zeros((3, 3), dtype=complex)
-    assert not eig_hermitian(zero).values.any()
-    assert not eig_normal(zero)[0].any()
+    assert not eig_hermitian([zero])[0].values.any()
+    assert not eig_normal([zero])[0][0].any()
 
 
 def test_convergence_error_is_exported():
@@ -219,9 +219,9 @@ def test_power_of_two_scaling_is_exact():
     rng = np.random.default_rng(19)
     for d in (3, 8):
         a = random_hermitian(rng, d)
-        base = eig_hermitian(a)
+        base = eig_hermitian([a])[0]
         for k in (-600, -300, 0, 300, 600):
-            res = eig_hermitian(2.0**k * a)
+            res = eig_hermitian([2.0**k * a])[0]
             assert np.array_equal(res.values, 2.0**k * base.values)
             assert np.array_equal(res.vectors, base.vectors)
 
@@ -232,20 +232,21 @@ def test_eigenvalues_are_scale_covariant():
         a = random_hermitian(rng, d)
         want = np.sort(np.linalg.eigvalsh(a))[::-1]
         for s in (1e-200, 1e-170, 1e-100, 1.0, 1e100, 1e155, 1e200):
-            got = eig_hermitian(s * a).values / s
+            got = eig_hermitian([s * a])[0].values / s
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_debug_record_reports_the_solve(caplog):
     rng = np.random.default_rng(21)
     caplog.set_level(logging.INFO, logger="moddiag.eigen")
-    eig_hermitian(random_hermitian(rng, 8))
+    eig_hermitian([random_hermitian(rng, 8)])
     assert not caplog.records
     caplog.set_level(logging.DEBUG, logger="moddiag.eigen")
-    eig_hermitian(random_hermitian(rng, 3))
-    eig_hermitian(random_hermitian(rng, 8))
+    eig_hermitian([random_hermitian(rng, 3)])
+    eig_hermitian([random_hermitian(rng, 8)])
     first, second = (r.getMessage() for r in caplog.records)
-    assert first.startswith("eig_hermitian d=3, ") and second.startswith("eig_hermitian d=8, ")
+    assert first.startswith("eig_hermitian matrix 0 of 1: d=3, ")
+    assert second.startswith("eig_hermitian matrix 0 of 1: d=8, ")
     for msg in (first, second):
         assert "sweeps" in msg and "rotations" in msg and "target" in msg
         assert "ordering" not in msg
@@ -255,9 +256,9 @@ def test_nonconvergence_reports_the_solve(monkeypatch):
     monkeypatch.setattr(eigen, "MAX_SWEEPS", 1)
     for d in (4, 8):
         with pytest.raises(ConvergenceError) as exc:
-            eig_hermitian(random_hermitian(np.random.default_rng(23), d))
+            eig_hermitian([random_hermitian(np.random.default_rng(23), d)])
         msg = str(exc.value)
-        assert f"d={d}" in msg and ", 1 sweeps, " in msg
+        assert f"matrix 0 of 1: d={d}, 1 sweeps, " in msg
         assert "off-diagonal norm" in msg and "target" in msg
 
 
@@ -265,7 +266,7 @@ def test_nonconvergence_reports_the_solve(monkeypatch):
 
 
 def _lone(mats, tol=1e-12):
-    return [eig_hermitian(m, tol) for m in mats]
+    return [eig_hermitian([m], tol)[0] for m in mats]
 
 
 def test_padded_stack_agrees_with_lone_calls():
@@ -392,7 +393,9 @@ def test_equal_order_stack_records_match_lone_calls(caplog):
     mats = [random_hermitian(rng, 8), easy, random_hermitian(rng, 8)]
     caplog.set_level(logging.DEBUG, logger="moddiag.eigen")
     _lone(mats)
-    lone = [r.getMessage().removeprefix("eig_hermitian ") for r in caplog.records]
+    lone = [r.getMessage() for r in caplog.records]
+    assert all(msg.startswith("eig_hermitian matrix 0 of 1: ") for msg in lone)
+    lone = [msg.removeprefix("eig_hermitian matrix 0 of 1: ") for msg in lone]
     caplog.clear()
     eig_hermitian(mats)
     stacked = [r.getMessage() for r in caplog.records]
@@ -426,23 +429,25 @@ def test_stacked_normal_solve_agrees_with_lone_calls():
         q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
         mats.append(q @ np.diag(vals) @ q.conj().T)
     for (got, vectors), m in zip(eig_normal(mats), mats):
-        want = eig_normal(m)[0]
+        want = eig_normal([m])[0][0]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(vectors @ m @ vectors.conj().T - np.diag(got)).max() <= 1e-9
 
 
-def test_a_sequence_gets_a_list_and_a_matrix_one_result():
-    # a matrix as nested lists is one matrix; a list or tuple of matrices,
-    # even of one, is a stacked solve with one result per matrix
+def test_the_solvers_take_a_sequence_and_refuse_a_bare_matrix():
+    # a list or tuple of matrices, even of one, gets one result per matrix;
+    # a bare matrix, as an array or as nested lists, is refused
     rng = np.random.default_rng(42)
     h = random_hermitian(rng, 7)
-    lone = eig_hermitian(h.tolist())
-    assert isinstance(lone, eigen.HermitianEig) and lone.values.shape == (7,)
+    (want,) = eig_hermitian([h])
+    assert isinstance(want, eigen.HermitianEig) and want.values.shape == (7,)
+    ((want_values, want_vectors),) = eig_normal([h])
     for seq in ([h], (h,), [h.tolist()]):
         (got,) = eig_hermitian(seq)
-        assert np.array_equal(got.values, lone.values) and np.array_equal(got.vectors, lone.vectors)
-    values, vectors = eig_normal(h)
-    ((got_values, got_vectors),) = eig_normal((h,))
-    assert np.array_equal(got_values, values) and np.array_equal(got_vectors, vectors)
-    with pytest.raises(ValueError):
-        eig_hermitian([])
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.vectors, want.vectors)
+        ((got_values, got_vectors),) = eig_normal(seq)
+        assert np.array_equal(got_values, want_values) and np.array_equal(got_vectors, want_vectors)
+    for solve in (eig_hermitian, eig_normal):
+        for bad in (h, h.tolist(), h[None], []):
+            with pytest.raises(ValueError, match="nonempty list or tuple"):
+                solve(bad)

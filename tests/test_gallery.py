@@ -88,7 +88,7 @@ def test_invariant_family_uses_right_action_only():
 def test_gallery_diagonalizer_output():
     gal = two_block_gallery()
     res = diagonalize_selfadjoint(gal.operator)
-    assert res.labels() == (1, 3)
+    assert res.pair_labels == (1, 3)
     assert [r.describe() for r in res.ordering_certificate] == ["L3 <= L1", "0 <= L3"]
     spectrum = sorted(z.real for z in res.scalar_spectrum()[0])
     assert np.allclose(spectrum, [1.0, 4.0, 4.0, 9.0], atol=1e-10)
@@ -136,7 +136,7 @@ def test_ladder_kernel_vectors_have_proper_supports():
 def test_ladder_diagonalizer_agrees():
     lad = projection_ladder(3)
     res = diagonalize_selfadjoint(lad.operator)
-    assert res.labels() == (1, 2, 3)
+    assert res.pair_labels == (1, 2, 3)
     report = verify_eigensystem(lad.operator, res)
     assert report.overall, report.summary()
     # per algebra block the scalar spectrum is {alpha_b, 0, -alpha_b}

@@ -57,7 +57,7 @@ def test_solution_round_trip_is_bit_identical(monkeypatch, sizes, solver, path):
     again = parse_solution(read)
     assert bool(walks) == (path == "walk")
     assert serialize_solution(again) == text
-    assert again.module == res.module and again.labels() == res.labels()
+    assert again.module == res.module and again.pair_labels == res.pair_labels
     assert again.ordering_certificate == res.ordering_certificate and again.tolerance_used == res.tolerance_used
     for name in ("vectors", "values", "supports"):
         assert _bits(getattr(again, name)) == _bits(getattr(res, name)), name
@@ -318,7 +318,7 @@ def _same_operator(a, b):
 
 def _same_result(a, b):
     def header(r):
-        return r.labels(), r.ordering_certificate, r.tolerance_used
+        return r.pair_labels, r.ordering_certificate, r.tolerance_used
 
     if header(a) != header(b):
         return False

@@ -71,7 +71,7 @@ def test_compose_is_self_after_other():
     s = random_operator(MOD, rng)
     t = random_operator(MOD, rng)
     x = random_element(MOD, rng)
-    via_compose = s.compose(t)(x)
+    via_compose = (s @ t)(x)
     stepwise = s(t(x))
     assert (via_compose - stepwise).norm() <= 1e-11 * (1 + stepwise.norm())
 
@@ -112,10 +112,10 @@ def test_theta_ideal_identities():
     s = random_operator(MOD, rng)
     x = random_element(MOD, rng)
     y = random_element(MOD, rng)
-    lhs = s.compose(theta(x, y))
+    lhs = s @ theta(x, y)
     rhs = theta(x, s(y))
     assert _max_dev(lhs, rhs) <= 1e-10 * (1 + rhs.entrywise_max())
-    lhs2 = theta(x, y).compose(s)
+    lhs2 = theta(x, y) @ s
     rhs2 = theta(s.adjoint()(x), y)
     assert _max_dev(lhs2, rhs2) <= 1e-10 * (1 + rhs2.entrywise_max())
 

@@ -3,12 +3,15 @@
 numpy and scipy never compute eigenvalues or singular values inside the
 package: the tests and the benchmark's correctness gate check the package
 against numpy.linalg, so the package must not call the oracle it is checked
-against. No module imports a name it never uses. And one function makes
-every Cholesky factorization, so each definiteness check groups its
-matrices by order in the same place.
+against. No module imports a name it never uses, and every name a module
+lists in ``__all__`` exists. And one function makes every Cholesky
+factorization, so each definiteness check groups its matrices by order in
+the same place.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -110,6 +113,21 @@ def test_the_unused_import_guard_catches_it():
         "__all__ = ['parse_problem']\nnumpy.linalg.norm(eig_normal(math.pi))"
     )
     assert _unused_imports(source) == [(4, "NotNormalError")]
+
+
+def _stale_exports(module) -> list:
+    """Each name in the module's ``__all__`` that it does not define."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_every_exported_name_exists():
+    modules = [importlib.import_module("moddiag" if p.stem == "__init__" else f"moddiag.{p.stem}") for p in SOURCES]
+    assert {m.__name__: _stale_exports(m) for m in modules if _stale_exports(m)} == {}
+
+
+def test_the_export_guard_catches_a_stale_name():
+    stale = types.SimpleNamespace(**{**vars(moddiag.modules), "__all__": [*moddiag.modules.__all__, "module_norm"]})
+    assert _stale_exports(stale) == ["module_norm"]
 
 
 def _cholesky_callers(source: str) -> list:

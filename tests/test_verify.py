@@ -72,7 +72,7 @@ def test_perturbed_value_flips_only_eigen_residual():
     mod = module_over((2,), 2)
     k = _unit_scale_selfadjoint(mod, 82)
     res = diagonalize_selfadjoint(k)
-    label = res.labels()[0]
+    label = res.pair_labels[0]
     bad_value = res.pair_by_label(label).value + 1e-6 * mod.shape.identity()
     tampered = _replace_pair(res, label, value=bad_value)
     # moment_tol loose on purpose so the shift stays invisible to the oracle
@@ -89,7 +89,7 @@ def test_scaled_vector_flips_only_projection_defect():
     mod = module_over((2,), 2)
     k = _unit_scale_selfadjoint(mod, 83)
     res = diagonalize_selfadjoint(k)
-    label = res.labels()[1]
+    label = res.pair_labels[1]
     short = res.pair_by_label(label).vector * 0.5
     report = verify_eigensystem(k, _replace_pair(res, label, vector=short))
     assert report.projection_defect > report.residual_bound
@@ -146,7 +146,7 @@ def test_swapped_labels_flip_only_ordering():
     rng = np.random.default_rng(84)
     k = random_positive_operator(mod, rng)
     res = diagonalize_selfadjoint(k)
-    a, b = res.labels()[0], res.labels()[1]
+    a, b = res.pair_labels[0], res.pair_labels[1]
     swapped = []
     for p in res.pairs:
         if p.label == a:
@@ -181,7 +181,7 @@ def test_moment_oracle_catches_shifted_values():
     res = diagonalize_selfadjoint(k)
     assert moment_deviation(k, res) <= 1e-7
     assert moment_deviation(k, res) <= 1e-10
-    label = res.labels()[0]
+    label = res.pair_labels[0]
     shifted = res.pair_by_label(label).value + 1e-3 * mod.shape.identity()
     tampered = _replace_pair(res, label, value=shifted)
     assert not moment_deviation(k, tampered) <= 1e-7
@@ -320,7 +320,7 @@ def test_shifted_value_flips_only_eigen_residual_at_every_scale(s):
     mod = module_over((2,), 2)
     k = s * _unit_scale_selfadjoint(mod, 88)
     res = diagonalize_selfadjoint(k)
-    label = res.labels()[-1]
+    label = res.pair_labels[-1]
     shifted = res.pair_by_label(label).value + 1e-6 * s * mod.shape.identity()
     report = verify_eigensystem(k, _replace_pair(res, label, value=shifted), moment_tol=1e-3)
     _only_failing(report, "eigen")
@@ -370,7 +370,7 @@ def test_moment_deviation_is_unitless(s):
     mod = module_over((2, 3), 2)
     k = _unit_scale_selfadjoint(mod, 86)
     res = diagonalize_selfadjoint(k)
-    label = res.labels()[0]
+    label = res.pair_labels[0]
     shifted = _replace_pair(res, label, value=res.pair_by_label(label).value + 1e-3 * mod.shape.identity())
     for r in (res, shifted):
         scaled = DiagonalizationResult.from_pairs(
@@ -410,7 +410,7 @@ def test_every_pair_must_live_on_the_operator_module():
     res = diagonalize_selfadjoint(k)
     stray = module_over((2,), 3).basis_element(0)
     with pytest.raises(ShapeMismatchError):
-        verify_eigensystem(k, _replace_pair(res, res.labels()[-1], vector=stray))
+        verify_eigensystem(k, _replace_pair(res, res.pair_labels[-1], vector=stray))
 
 
 def test_a_result_on_another_module_is_refused():
@@ -467,7 +467,7 @@ def _battery():
             k = random_selfadjoint_operator(mod, rng, scale=10.0 ** (3 * kind))
             res = diagonalize_selfadjoint(k)
         yield k, res
-        first, last = res.labels()[0], res.labels()[-1]
+        first, last = res.pair_labels[0], res.pair_labels[-1]
         bump = res.pair_by_label(first).value + 1e-5 * k.norm() * mod.shape.identity()
         yield k, _replace_pair(res, first, value=bump)
         mixed = res.pair_by_label(last).vector + 0.3 * res.pair_by_label(first).vector
@@ -516,7 +516,7 @@ def _leq_reference(result, order_tol):
 def _ordering_tampers(res, s):
     """The clean result and results whose certificate or values are doctored."""
     yield res
-    labels = res.labels()
+    labels = res.pair_labels
     first, second = labels[0], labels[1]
     swap = {first: second, second: first}
     yield DiagonalizationResult.from_pairs(
@@ -574,7 +574,7 @@ def test_exactly_zero_shifted_blocks_pass_the_ordering_clause():
     mod = module_over((2, 1, 1), 3)
     k = ModuleOperator.zero(mod)
     res = diagonalize_selfadjoint(k)
-    labels = res.labels()
+    labels = res.pair_labels
     every_way = tuple(OrderRelation(a, b) for a in labels + (None,) for b in labels + (None,))
     report = verify_eigensystem(k, DiagonalizationResult.from_pairs(res.pairs, every_way, res.tolerance_used))
     assert report.operator_scale == 0.0
@@ -624,8 +624,8 @@ def test_a_non_selfadjoint_claimed_value_fails_ordering_instead_of_raising():
     mod = module_over((2,), 3)
     k = _unit_scale_selfadjoint(mod, 96)
     res = diagonalize_selfadjoint(k)
-    label = res.labels()[0]
-    crooked = res.pair_by_label(label).value + mod.shape.element([np.array([[0.0, 0.5], [0.0, 0.0]])])
+    label = res.pair_labels[0]
+    crooked = res.pair_by_label(label).value + AlgebraElement(mod.shape, [np.array([[0.0, 0.5], [0.0, 0.0]])])
     report = verify_eigensystem(k, _replace_pair(res, label, value=crooked))
     assert not report.ordering_ok and not report.overall
 
@@ -635,7 +635,7 @@ def test_a_relation_false_in_one_block_only_fails_the_clause():
     mod = module_over((2, 1, 3, 1, 2), 2)
     k = _unit_scale_selfadjoint(mod, 97)
     res = diagonalize_selfadjoint(k)
-    top = res.labels()[0]
+    top = res.pair_labels[0]
     for b in range(mod.shape.num_blocks):
         blocks = list(res.pair_by_label(top).value.blocks)
         blocks[b] = blocks[b] - 10.0 * np.eye(len(blocks[b]))
