@@ -7,13 +7,21 @@ Problems and solutions are written compactly; whitespace is not part of the
 schema. Parsing errors carry a location string naming the offending field.
 
 Numbers move one array at a time. Each file part (a problem's operator
-grid; a solution's vectors, values and supports) is read by one np.array
-call over all its algebra blocks, and each algebra block of a part is
-written by one tolist call. np.array is more lenient than the schema, so
-the array path accepts only parts of exactly the right length at every
-level whose numbers make a finite int or float array, from a text holding
-no JSON boolean. Anything else goes to the entry-by-entry walk, which
-either raises the error with its location or returns the same numbers.
+grid; a solution's vectors, values and supports) is read by one function,
+_complex_blocks, from one table of its list levels, and each algebra block
+of a part is written by one tolist call. On a valid file all numbers of a
+part go through one np.array call. np.array is more lenient than the
+schema, so that call is trusted only on parts of exactly the right length
+at every level whose numbers make a finite int or float array, from a text
+holding no JSON boolean. Any other part is checked entry by entry, which
+either raises the error with its location or reads the same numbers one
+by one.
+
+A file with several faults reports one of them. A problem names its first
+fault in reading order. A solution first checks every pair's label and
+fields, then the numbers of all vectors, then of all values, then of all
+supports, and names the first fault in that order: a bad label in pair 1
+is reported before a bad number in pair 0's vector.
 """
 
 from __future__ import annotations
@@ -122,101 +130,80 @@ def _parse_shape(obj, loc: str) -> AlgebraShape:
     return AlgebraShape(tuple(sizes))
 
 
-# The walk: entry by entry, with the location of the first fault. It reads
-# whatever the array path rejects.
-
-
-def _parse_block(data, k: int, loc: str) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != k * k:
-        raise InputFormatError(f"expected {k * k} [re, im] pairs", loc)
-    flat = np.empty(k * k, dtype=np.complex128)
-    for i, pair in enumerate(data):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputFormatError("expected an [re, im] pair", f"{loc}[{i}]")
-        flat[i] = complex(_number(pair[0], f"{loc}[{i}]"), _number(pair[1], f"{loc}[{i}]"))
-    return flat
-
-
-def _parse_alg(data, shape: AlgebraShape, loc: str) -> list:
-    """One algebra element as its flat, row-major blocks."""
-    if not isinstance(data, list) or len(data) != shape.num_blocks:
-        raise InputFormatError(f"expected {shape.num_blocks} blocks", loc)
-    return [
-        _parse_block(blk, k, f"{loc}.block[{b}]")
-        for b, (blk, k) in enumerate(zip(data, shape.block_sizes))
-    ]
-
-
-def _walk_operator(op, module: HilbertModule) -> list:
-    rank = module.rank
-    if not isinstance(op, list) or len(op) != rank:
-        raise InputFormatError(f"'operator' must be a {rank}x{rank} array", "problem.operator")
-    cells = []
-    for i, row in enumerate(op):
-        if not isinstance(row, list) or len(row) != rank:
-            raise InputFormatError(f"row must have {rank} entries", f"problem.operator[{i}]")
-        cells.append([_parse_alg(cell, module.shape, f"problem.operator[{i}][{j}]") for j, cell in enumerate(row)])
-    return [np.array([[c[b] for c in row] for row in cells]) for b in range(module.shape.num_blocks)]
-
-
-def _walk_pairs(raw_pairs: list, module: HilbertModule) -> tuple:
-    shape, rank = module.shape, module.rank
-    labels, vectors, values, supports = [], [], [], []
-    for idx, rp in enumerate(raw_pairs):
-        loc = f"solution.pairs[{idx}]"
-        label = _int_field(rp, "label", loc, 1)
-        if label in labels:
-            raise InputFormatError(f"duplicate label {label}", loc)
-        labels.append(label)
-        vec = _field(rp, "vector", loc)
-        if not isinstance(vec, list) or len(vec) != rank:
-            raise InputFormatError(f"'vector' must have {rank} coordinates", f"{loc}.vector")
-        coords = [_parse_alg(c, shape, f"{loc}.vector[{i}]") for i, c in enumerate(vec)]
-        vectors.append(list(zip(*coords)))  # per algebra block, the pair's coordinates
-        values.append(_parse_alg(_field(rp, "value", loc), shape, f"{loc}.value"))
-        supports.append(_parse_alg(_field(rp, "support", loc), shape, f"{loc}.support"))
-    blocks = range(shape.num_blocks)
-    return labels, *([np.array([x[b] for x in part]) for b in blocks] for part in (vectors, values, supports))
-
-
-# The array path: None wherever the walk has to decide.
-
-
 def _may_hold_booleans(text: str) -> bool:
     # np.array reads a JSON true or false as 1 or 0 without complaint
     return "true" in text or "false" in text
 
 
-def _complex_blocks(part, sizes: tuple, lead: tuple):
+def _element_levels(sizes: tuple) -> list:
+    """The list levels of one algebra element, as (lengths, message, suffix).
+
+    lengths is cycled over the items of the level, message (formatted with
+    the expected length) is the error for an item of the wrong type or
+    length, and suffix (formatted with a child's index) extends the item's
+    location to the child's.
+    """
+    return [
+        ((len(sizes),), "expected {} blocks", ".block[{}]"),
+        (tuple(k * k for k in sizes), "expected {} [re, im] pairs", "[{}]"),
+        ((2,), "expected an [re, im] pair", ""),
+    ]
+
+
+def _locate(node, levels: list, loc: str, index: int = 0) -> None:
+    """Raise InputFormatError at the first fault of node in reading order.
+
+    Depth first: an item that is not a list of its level's length, or a leaf
+    that is not a finite number.
+    """
+    (lengths, message, suffix), *inner = levels
+    want = lengths[index % len(lengths)]
+    if not isinstance(node, list) or len(node) != want:
+        raise InputFormatError(message.format(want), loc)
+    for i, child in enumerate(node):
+        if inner:
+            _locate(child, inner, loc + suffix.format(i), i)
+        else:
+            _number(child, loc)  # a number is located at its pair
+
+
+def _complex_blocks(part, levels: list, loc: str, booleans: bool) -> list:
     """One file part's [re, im] pairs as one complex array per algebra block.
 
-    part is the file part as nested lists: lead gives the lengths of its
-    outer levels ((n, n) for a problem's operator grid, (P, n) for a
-    solution's vectors, (P,) for its values or supports), under which come
-    one block per algebra block, k*k pairs per block of size k and two
-    numbers per pair. map(len) checks each level in turn; then all numbers
-    of the part go through one np.array call, and block b comes back as a
+    part is the file part as nested lists, and levels gives its list levels
+    from the outside in: those of the part's lead ((n, n) for a problem's
+    operator grid, (P, n) for a solution's vectors, (P,) for its values or
+    supports), then the three of _element_levels. Block b comes back as a
     contiguous array of shape lead + (k*k,), the layout a per-block np.array
-    call would give. None unless every length is right and the numbers make
-    a finite int or float array.
+    call would give.
 
-    No level needs an isinstance check: a string or dict where a list
-    belongs either fails a length check or ends as string leaves (its
-    characters or keys), which give a U dtype, and a number where a list
-    belongs makes len raise TypeError.
+    map(len) checks each level in turn; then all numbers of the part go
+    through one np.array call, which must give a finite int or float array
+    from a text holding no JSON boolean (booleans false). No level needs an
+    isinstance check: a string or dict where a list belongs either fails a
+    length check or ends as string leaves (its characters or keys), which
+    give a U dtype, and a number where a list belongs makes len raise
+    TypeError. Anything else goes to _locate, which raises at the first
+    fault in reading order.
     """
-    squares = [k * k for k in sizes]
-    items = [part]
+    items, flat = [part], None
     try:
-        for lengths in [*([n] for n in lead), [len(sizes)], squares, [2]]:
-            if list(map(len, items)) != lengths * (len(items) // len(lengths)):
-                return None
+        for lengths, _, _ in levels:
+            if list(map(len, items)) != [*lengths] * (len(items) // len(lengths)):
+                break
             items = list(chain.from_iterable(items))
-        flat = np.array(items)
+        else:
+            flat = None if booleans else np.array(items)
     except (TypeError, ValueError):  # a number where a list belongs, or a list where a number does
-        return None
-    if flat.ndim != 1 or flat.dtype.kind not in "fiu" or not np.isfinite(flat).all():
-        return None
+        pass
+    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "fiu" or not np.isfinite(flat).all():
+        _locate(part, levels, loc)
+        # no fault: every length was right, so items are the part's numbers,
+        # which numpy merely declined (an integer above int64, a boolean
+        # elsewhere in the text)
+        flat = np.array([float(x) for x in items])
+    lead = tuple(lengths[0] for lengths, _, _ in levels[:-3])
+    squares = levels[-2][0]
     z = flat.astype(np.float64, copy=False).view(np.complex128).reshape(*lead, sum(squares))
     return [np.ascontiguousarray(blk) for blk in np.split(z, np.cumsum(squares)[:-1], axis=-1)]
 
@@ -234,35 +221,30 @@ def _coordinate_blocks(strips: np.ndarray, k: int) -> np.ndarray:
     return strips.reshape(*lead, k, n, k).swapaxes(-3, -2).reshape(*lead, n, k * k)
 
 
-def _array_pairs(raw_pairs: list, module: HilbertModule):
-    """Labels and per-block stacks of the P pairs, as the walk returns them.
+def _parse_pairs(raw_pairs: list, module: HilbertModule, booleans: bool) -> tuple:
+    """Labels and per-block stacks of the P pairs.
 
+    Every pair's label and fields are checked before the numbers of any pair.
     Per algebra block: the (P, n, k*k) vector coordinates and the (P, k*k)
     values and supports, each block flattened row-major.
     """
-    shape, rank = module.shape, module.rank
-    if not all(isinstance(rp, dict) for rp in raw_pairs):
-        return None
-    labels = [rp.get("label") for rp in raw_pairs]
-    if not all(isinstance(lb, int) and not isinstance(lb, bool) and lb >= 1 for lb in labels):
-        return None
-    if len(set(labels)) != len(labels):
-        return None
-    try:
-        vectors = [rp["vector"] for rp in raw_pairs]
-        values = [rp["value"] for rp in raw_pairs]
-        supports = [rp["support"] for rp in raw_pairs]
-    except KeyError:
-        return None
-    sizes, count = shape.block_sizes, len(raw_pairs)
-    vecs = _complex_blocks(vectors, sizes, (count, rank))
-    if vecs is None:
-        return None
-    vals = _complex_blocks(values, sizes, (count,))
-    sups = _complex_blocks(supports, sizes, (count,))
-    if vals is None or sups is None:
-        return None
-    return labels, vecs, vals, sups
+    labels = {}
+    for idx, rp in enumerate(raw_pairs):
+        loc = f"solution.pairs[{idx}]"
+        label = _int_field(rp, "label", loc, 1)
+        if label in labels:
+            raise InputFormatError(f"duplicate label {label}", loc)
+        labels[label] = None  # an ordered set
+        for key in ("vector", "value", "support"):
+            _field(rp, key, loc)
+    elements = _element_levels(module.shape.block_sizes)
+
+    def part(key, *coordinates):
+        levels = [((len(raw_pairs),), "expected {} pairs", f"[{{}}].{key}"), *coordinates, *elements]
+        return _complex_blocks([rp[key] for rp in raw_pairs], levels, "solution.pairs", booleans)
+
+    vecs = part("vector", ((module.rank,), "'vector' must have {} coordinates", "[{}]"))
+    return list(labels), vecs, part("value"), part("support")
 
 
 def _pair_lists(z: np.ndarray) -> list:
@@ -277,10 +259,13 @@ def parse_problem(text: str) -> ModuleOperator:
     rank = _int_field(obj, "module_rank", "problem", 1)
     module = HilbertModule(shape, rank)
     op = _field(obj, "operator", "problem")
+    levels = [
+        ((rank,), "'operator' must be a {0}x{0} array", "[{}]"),
+        ((rank,), "row must have {} entries", "[{}]"),
+        *_element_levels(shape.block_sizes),
+    ]
     # grids[b][i, j] is block b of entry (i, j), flattened row-major
-    grids = None if _may_hold_booleans(text) else _complex_blocks(op, shape.block_sizes, (rank, rank))
-    if grids is None:
-        grids = _walk_operator(op, module)
+    grids = _complex_blocks(op, levels, "problem.operator", _may_hold_booleans(text))
     top = max(max(np.abs(g.real).max(), np.abs(g.imag).max()) for g in grids)
     if top >= _MAX_ENTRY:
         raise InputFormatError("every number must be below 2**1000 in magnitude", "problem.operator")
@@ -334,10 +319,7 @@ def parse_solution(text: str) -> DiagonalizationResult:
     raw_pairs = _field(obj, "pairs", "solution")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise InputFormatError("'pairs' must be a nonempty list", "solution.pairs")
-    stacks = None if _may_hold_booleans(text) else _array_pairs(raw_pairs, module)
-    if stacks is None:
-        stacks = _walk_pairs(raw_pairs, module)
-    labels, vecs, vals, sups = stacks
+    labels, vecs, vals, sups = _parse_pairs(raw_pairs, module, _may_hold_booleans(text))
     raw_cert = _field(obj, "certificate", "solution")
     if not isinstance(raw_cert, list):
         raise InputFormatError("'certificate' must be a list", "solution.certificate")
@@ -380,6 +362,12 @@ def serialize_solution(result: DiagonalizationResult) -> str:
     return json.dumps(obj) + "\n"
 
 
+def _report_float(x: float):
+    # JSON has no inf or nan: a non-finite residual is written as the text
+    # summary() prints for it, "inf", "-inf" or "nan"
+    return x if np.isfinite(x) else format(x, ".3e")
+
+
 def serialize_report(report: VerificationReport) -> str:
     obj = {
         "schema": SCHEMA,
@@ -388,16 +376,16 @@ def serialize_report(report: VerificationReport) -> str:
         "moment_tolerance": report.moment_tolerance,
         "operator_scale": report.operator_scale,
         "residuals": {
-            "eigen": report.eigen_residual,
-            "orthogonality": report.orthogonality_residual,
-            "projection": report.projection_defect,
-            "support": report.support_residual,
+            "eigen": _report_float(report.eigen_residual),
+            "orthogonality": _report_float(report.orthogonality_residual),
+            "projection": _report_float(report.projection_defect),
+            "support": _report_float(report.support_residual),
         },
         "worst_pairs": report.worst_pairs,
         "complement_trivial": report.complement_trivial,
         "ordering_ok": report.ordering_ok,
         "oracle_ok": report.oracle_ok,
-        "moment_worst": report.moment_worst,
+        "moment_worst": _report_float(report.moment_worst),
         "certificate": list(report.relations),
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

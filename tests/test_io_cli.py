@@ -50,9 +50,9 @@ def test_solution_round_trip_is_bit_identical(monkeypatch, sizes, solver, path):
         res = diagonalize_selfadjoint(random_selfadjoint_operator(mod, rng))
     text = serialize_solution(res)
     walks = []
-    walk = moddiag.io._walk_pairs
-    monkeypatch.setattr(moddiag.io, "_walk_pairs", lambda *args: walks.append(1) or walk(*args))
-    # any JSON boolean sends the file to the walk
+    locate = moddiag.io._locate
+    monkeypatch.setattr(moddiag.io, "_locate", lambda *args: walks.append(1) or locate(*args))
+    # any JSON boolean sends every file part to the per-number walk of _locate
     read = json.dumps(dict(json.loads(text), note=True)) + "\n" if path == "walk" else text
     again = parse_solution(read)
     assert bool(walks) == (path == "walk")
@@ -271,7 +271,7 @@ def test_cli_solver_nonconvergence_exits_1(tmp_path, monkeypatch, capsys):
 
 
 # Array-at-a-time I/O: the same numbers and the same error locations as an
-# entry-by-entry walk, and the same documents as the per-entry serializer.
+# entry-by-entry reading, and the same documents as the per-entry serializer.
 
 
 def _reference_alg(a):
@@ -352,9 +352,9 @@ def test_compact_files_parse_to_the_bits_of_indented_ones(monkeypatch):
         assert _same_result(parse_solution(solution), res)
         assert _same_operator(parse_problem(json.dumps(problem_doc, indent=2) + "\n"), K)
         assert _same_result(parse_solution(json.dumps(solution_doc, indent=2) + "\n"), res)
-        # and so does the walk alone
+        # and so does the per-number path alone
         with monkeypatch.context() as m:
-            m.setattr(moddiag.io, "_complex_blocks", lambda *args: None)
+            m.setattr(moddiag.io, "_may_hold_booleans", lambda text: True)
             assert _same_operator(parse_problem(problem), K)
             assert _same_result(parse_solution(solution), res)
 
@@ -364,11 +364,11 @@ def _dense_96():
     return random_selfadjoint_operator(module_over((8,), 12), np.random.default_rng(96))
 
 
-def test_valid_files_never_reach_the_walk(monkeypatch):
-    def walk(*args):
-        raise AssertionError("the entry-by-entry walk ran on a valid file")
+def test_valid_files_never_reach_the_locator(monkeypatch):
+    def locate(*args):
+        raise AssertionError("the per-number path ran on a valid file")
 
-    monkeypatch.setattr(moddiag.io, "_parse_alg", walk)
+    monkeypatch.setattr(moddiag.io, "_locate", locate)
     cases = (parse_problem(_problem_text()), projection_ladder(4).operator, projection_ladder(32).operator, _dense_96())
     for K in cases:
         res = diagonalize_selfadjoint(K)
@@ -499,10 +499,27 @@ def test_structural_faults_are_located_like_the_walk(fault, where):
     assert exc.value.location == where
 
 
-def test_the_walk_reads_what_the_array_path_declines():
+def test_labels_and_fields_are_checked_before_any_numbers():
+    # a solution with two faults: every pair's label and fields come first
+    doc = _solution_doc()
+    doc["pairs"][0]["vector"][0][0][0] = ["1.5", 0]
+    doc["pairs"][1]["label"] = 1.5
+    with pytest.raises(InputFormatError) as exc:
+        parse_solution(json.dumps(doc))
+    assert exc.value.location == "solution.pairs[1]" and "'label' must be an integer" in exc.value.reason
+    # a problem names its first fault in reading order
+    doc = json.loads(_problem_text())
+    doc["operator"][1][1][0][0] = None
+    doc["operator"][0][1][1] = "ragged"
+    with pytest.raises(InputFormatError) as exc:
+        parse_problem(json.dumps(doc))
+    assert exc.value.location == "problem.operator[0][1].block[1]"
+
+
+def test_the_per_number_path_reads_what_numpy_declines():
     K = parse_problem(_problem_text())
     doc = json.loads(_problem_text())
-    doc["note"] = True  # any JSON boolean sends the file to the walk
+    doc["note"] = True  # any JSON boolean sends the file to the per-number path
     doc["operator"][0][0][0][0] = [10**20, 0]  # an int numpy keeps as an object
     again = parse_problem(json.dumps(doc))
     assert again.blocks[0][0, 0] == 1e20
@@ -657,6 +674,33 @@ def test_cli_verify_fails_huge_claims_without_warnings(tmp_path, capsys, tamper)
     capsys.readouterr()
     assert main(["verify", "--input", problem, "--solution", tampered]) == 1
     assert capsys.readouterr().err == ""
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_report_stays_json_when_residuals_overflow(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((4, 4))
+    problem = _write(tmp_path, "problem.json", serialize_problem(ModuleOperator(module_over((2,), 2), [(m + m.T) / 2])))
+    solution = str(tmp_path / "solution.json")
+    assert main(["diagonalize", "--input", problem, "--solution", solution]) == 0
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    doc["pairs"][0]["vector"][0][0][0] = [1e300, 0]
+    tampered = _write(tmp_path, "tampered.json", json.dumps(doc))
+    report = str(tmp_path / "report.json")
+    capsys.readouterr()
+    assert main(["verify", "--input", problem, "--solution", tampered, "--out", report]) == 1
+    out = capsys.readouterr().out
+    residuals = _strict_json((tmp_path / "report.json").read_text())["residuals"]
+    # non-finite residuals read as summary() prints them
+    assert residuals["eigen"] == "inf" and "eigen residual:         inf" in out
+    assert residuals["orthogonality"] == residuals["projection"] == "inf"
+    assert isinstance(residuals["support"], float)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

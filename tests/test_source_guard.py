@@ -4,9 +4,10 @@ numpy and scipy never compute eigenvalues or singular values inside the
 package: the tests and the benchmark's correctness gate check the package
 against numpy.linalg, so the package must not call the oracle it is checked
 against. No module imports a name it never uses, and every name a module
-lists in ``__all__`` exists. And one function makes every Cholesky
+lists in ``__all__`` exists. One function makes every Cholesky
 factorization, so each definiteness check groups its matrices by order in
-the same place.
+the same place. And one function turns the numbers of an input file into
+arrays, so every file part is read, and its faults located, the same way.
 """
 
 import ast
@@ -130,8 +131,8 @@ def test_the_export_guard_catches_a_stale_name():
     assert _stale_exports(stale) == ["module_norm"]
 
 
-def _cholesky_callers(source: str) -> list:
-    """The function around each call of a name or attribute ``cholesky``, in source order."""
+def _callers(source: str, name: str) -> list:
+    """The function around each call of a name or attribute ``name``, in source order."""
     found = []
 
     def visit(node, owner):
@@ -139,7 +140,7 @@ def _cholesky_callers(source: str) -> list:
             owner = node.name
         if isinstance(node, ast.Call):
             func = node.func
-            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "cholesky":
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
                 found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -149,7 +150,7 @@ def _cholesky_callers(source: str) -> list:
 
 
 def _cholesky_sites(sources: dict) -> list:
-    return [(name, owner) for name, source in sources.items() for owner in _cholesky_callers(source)]
+    return [(name, owner) for name, source in sources.items() for owner in _callers(source, "cholesky")]
 
 
 def _package_sources() -> dict:
@@ -169,3 +170,17 @@ def test_the_cholesky_guard_catches_a_second_call():
         ("modules.py", "_gram_ok"),
         ("verify.py", None),
     ]
+
+
+def _array_builders(source: str) -> set:
+    """The functions that call np.array or np.empty."""
+    return set(_callers(source, "array") + _callers(source, "empty"))
+
+
+def test_one_function_turns_file_numbers_into_arrays():
+    assert _array_builders(_package_sources()["io.py"]) == {"_complex_blocks"}
+
+
+def test_the_array_guard_catches_a_second_site():
+    source = _package_sources()["io.py"] + "\n\ndef _parse_block(data):\n    return np.empty(len(data))\n"
+    assert _array_builders(source) == {"_complex_blocks", "_parse_block"}
