@@ -8,14 +8,18 @@ schema. Parsing errors carry a location string naming the offending field.
 
 Numbers move one array at a time. Each file part (a problem's operator
 grid; a solution's vectors, values and supports) is read by one function,
-_complex_blocks, from one table of its list levels, and each algebra block
-of a part is written by one tolist call. On a valid file all numbers of a
-part go through one np.array call. np.array is more lenient than the
-schema, so that call is trusted only on parts of exactly the right length
-at every level whose numbers make a finite int or float array, from a text
-holding no JSON boolean. Any other part is checked entry by entry, which
-either raises the error with its location or reads the same numbers one
-by one.
+_complex_blocks, from one table of its list levels, and written by one
+tolist call whose rows are cut at the algebra's block offsets. On a valid
+file all numbers of a part go through one np.array call. np.array is more
+lenient than the schema, so that call is trusted only on parts of exactly
+the right length at every level whose numbers make a finite int or float
+array, from a text holding no JSON boolean. Any other part is checked
+entry by entry, which either raises the error with its location or reads
+the same numbers one by one.
+
+Problems and solutions are read and written with the cyclic garbage
+collector off (_cyclic_gc_off): the many small lists of a file are
+acyclic, and reference counting frees them.
 
 A file with several faults reports one of them. A problem names its first
 fault in reading order. A solution first checks every pair's label and
@@ -26,7 +30,9 @@ is reported before a bad number in pair 0's vector.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -65,6 +71,31 @@ class InputFormatError(ValueError):
         self.location = location
         self.reason = message
         super().__init__(f"{location}: {message}")
+
+
+@contextmanager
+def _cyclic_gc_off():
+    """Turn CPython's cyclic garbage collector off for a with block or, as a
+    decorator, for a whole call, and restore its previous state on exit.
+
+    A file's JSON is many small lists: those json.loads builds, and those a
+    writer builds for json.dumps. None of them is part of a reference cycle,
+    so reference counting frees them, yet the collector, left on, keeps
+    scanning them as they are made: a third to a half of a parse or
+    serialize of a large file. A collector the caller had turned off stays
+    off, and nested uses keep the outermost state.
+
+    The switch is process-wide: another thread of the process loses cyclic
+    collection for the length of one call. See docs/design-notes.md,
+    "Cyclic collector".
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _loads(text: str):
@@ -247,11 +278,27 @@ def _parse_pairs(raw_pairs: list, module: HilbertModule, booleans: bool) -> tupl
     return list(labels), vecs, part("value"), part("support")
 
 
-def _pair_lists(z: np.ndarray) -> list:
-    """A complex array as nested lists whose innermost items are [re, im] pairs."""
-    return np.ascontiguousarray(z).view(np.float64).reshape(*z.shape, 2).tolist()
+def _part_lists(blocks: list) -> list:
+    """One file part's per-block complex arrays as the schema's nested lists.
+
+    Block b has shape lead + (k*k,), the layout _complex_blocks returns.
+    Item [...][b] of the result, indexed by lead, is block b's list of
+    [re, im] pairs. One tolist call writes the part: the blocks are joined
+    along the last axis as complex128, so a real or single-precision stack
+    is widened, and each row of pairs is cut at the block offsets.
+    """
+    *lead, _ = blocks[0].shape
+    ends = np.cumsum([blk.shape[-1] for blk in blocks]).tolist()
+    cuts = [slice(start, end) for start, end in zip([0, *ends], ends)]
+    joined = np.concatenate(blocks, axis=-1, dtype=np.complex128)
+    pairs = joined.view(np.float64).reshape(-1, ends[-1], 2).tolist()
+    rows = [list(map(row.__getitem__, cuts)) for row in pairs]
+    for width in reversed(lead[1:]):
+        rows = [rows[i : i + width] for i in range(0, len(rows), width)]
+    return rows
 
 
+@_cyclic_gc_off()
 def parse_problem(text: str) -> ModuleOperator:
     obj = _loads(text)
     _check_schema(obj, "problem")
@@ -278,18 +325,17 @@ def parse_problem(text: str) -> ModuleOperator:
     return ModuleOperator(module, mats)
 
 
+@_cyclic_gc_off()
 def serialize_problem(K: ModuleOperator) -> str:
     n = K.module.rank
-    # grids[b][i][j] is block b of entry (i, j), read from row strip i
-    grids = [
-        _pair_lists(_coordinate_blocks(blk.reshape(n, k, n * k), k))
-        for k, blk in zip(K.module.shape.block_sizes, K.blocks)
-    ]
+    sizes = K.module.shape.block_sizes
+    # grids[b][i, j] is block b of entry (i, j), read from row strip i
+    grids = [_coordinate_blocks(blk.reshape(n, k, n * k), k) for k, blk in zip(sizes, K.blocks)]
     obj = {
         "schema": SCHEMA,
-        "algebra": {"blocks": list(K.module.shape.block_sizes)},
+        "algebra": {"blocks": list(sizes)},
         "module_rank": n,
-        "operator": [[[g[i][j] for g in grids] for j in range(n)] for i in range(n)],
+        "operator": _part_lists(grids),
     }
     return json.dumps(obj) + "\n"
 
@@ -307,6 +353,7 @@ def _parse_relation(data, loc: str) -> OrderRelation:
     return OrderRelation(sides[0], sides[1])
 
 
+@_cyclic_gc_off()
 def parse_solution(text: str) -> DiagonalizationResult:
     obj = _loads(text)
     _check_schema(obj, "solution")
@@ -332,28 +379,24 @@ def parse_solution(text: str) -> DiagonalizationResult:
     return DiagonalizationResult(module, tuple(labels), strips, vals, sups, tuple(cert), tolerance)
 
 
+@_cyclic_gc_off()
 def serialize_solution(result: DiagonalizationResult) -> str:
     module = result.module
-    n, count = module.rank, len(result.pair_labels)
-    # per algebra block b: vectors[b][p][i], values[b][p] and supports[b][p]
-    vectors, values, supports = [], [], []
-    for b, k in enumerate(module.shape.block_sizes):
-        vectors.append(_pair_lists(_coordinate_blocks(result.vectors[b], k)))
-        values.append(_pair_lists(result.values[b].reshape(count, k * k)))
-        supports.append(_pair_lists(result.supports[b].reshape(count, k * k)))
+    sizes, count = module.shape.block_sizes, len(result.pair_labels)
+    # per pair p: vectors[p][i][b], values[p][b] and supports[p][b]
+    vectors = _part_lists([_coordinate_blocks(v, k) for v, k in zip(result.vectors, sizes)])
+    values, supports = (
+        _part_lists([a.reshape(count, k * k) for a, k in zip(arrays, sizes)])
+        for arrays in (result.values, result.supports)
+    )
     obj = {
         "schema": SCHEMA,
-        "algebra": {"blocks": list(module.shape.block_sizes)},
-        "module_rank": n,
+        "algebra": {"blocks": list(sizes)},
+        "module_rank": module.rank,
         "tolerance": result.tolerance_used,
         "pairs": [
-            {
-                "label": label,
-                "vector": [[v[idx][i] for v in vectors] for i in range(n)],
-                "value": [v[idx] for v in values],
-                "support": [s[idx] for s in supports],
-            }
-            for idx, label in enumerate(result.pair_labels)
+            {"label": label, "vector": vector, "value": value, "support": support}
+            for label, vector, value, support in zip(result.pair_labels, vectors, values, supports, strict=True)
         ],
         "certificate": [
             {"lhs": rel.lhs, "rhs": rel.rhs} for rel in result.ordering_certificate

@@ -1,12 +1,15 @@
 """JSON round-trips and command line exit codes."""
 
+import gc
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from moddiag import (
     ConvergenceError,
+    DiagonalizationResult,
     InputFormatError,
     ModuleOperator,
     diagonalize_normal,
@@ -61,6 +64,21 @@ def test_solution_round_trip_is_bit_identical(monkeypatch, sizes, solver, path):
     assert again.ordering_certificate == res.ordering_certificate and again.tolerance_used == res.tolerance_used
     for name in ("vectors", "values", "supports"):
         assert _bits(getattr(again, name)) == _bits(getattr(res, name)), name
+
+
+@pytest.mark.parametrize("narrow", [np.real, lambda s: s.astype(np.complex64)], ids=["float64", "complex64"])
+def test_a_result_of_narrower_stacks_is_written_as_its_complex128_widening(narrow):
+    res = diagonalize_selfadjoint(random_selfadjoint_operator(module_over((2, 1), 3), np.random.default_rng(5)))
+
+    def result(change):
+        parts = (tuple(change(s) for s in stacks) for stacks in (res.vectors, res.values, res.supports))
+        return DiagonalizationResult(res.module, res.pair_labels, *parts, res.ordering_certificate, res.tolerance_used)
+
+    text = serialize_solution(result(narrow))
+    assert text == serialize_solution(result(lambda s: narrow(s).astype(np.complex128)))
+    again = parse_solution(text)
+    assert len(again.pair_labels) == len(res.pair_labels)
+    assert _bits(again.vectors) == _bits(s.astype(np.complex128) for s in result(narrow).vectors)
 
 
 def test_parsed_solution_still_verifies():
@@ -337,6 +355,7 @@ def _io_cases():
             yield random_selfadjoint_operator(mod, np.random.default_rng(100 * rank + len(sizes)))
     for count in (2, 3, 5, 8, 16, 32):
         yield projection_ladder(count).operator
+    yield _dense_96()
 
 
 def test_compact_files_parse_to_the_bits_of_indented_ones(monkeypatch):
@@ -376,6 +395,28 @@ def test_valid_files_never_reach_the_locator(monkeypatch):
         assert _same_result(parse_solution(serialize_solution(res)), res)
 
 
+LAYOUTS = {"default": {}, "compact": {"separators": (",", ":")}, "indented": {"indent": 2}}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("number", [0, 1], ids=["re", "im"])
+def test_a_boolean_number_is_refused_at_its_location_in_every_part(layout, number):
+    def refused(doc, part):
+        pair = part(doc)[0][1]
+        pair[number] = bool(number)
+        with pytest.raises(InputFormatError) as exc:
+            (parse_problem if "operator" in doc else parse_solution)(json.dumps(doc, **LAYOUTS[layout]))
+        return exc.value.location
+
+    assert refused(json.loads(_problem_text()), lambda d: d["operator"][1][0]) == "problem.operator[1][0].block[0][1]"
+    for field, where in (
+        (lambda d: d["pairs"][1]["vector"][1], "solution.pairs[1].vector[1].block[0][1]"),
+        (lambda d: d["pairs"][1]["value"], "solution.pairs[1].value.block[0][1]"),
+        (lambda d: d["pairs"][1]["support"], "solution.pairs[1].support.block[0][1]"),
+    ):
+        assert refused(_solution_doc(), field) == where
+
+
 def test_the_array_path_runs_once_per_file_part(monkeypatch):
     calls = []
     array_path = moddiag.io._complex_blocks
@@ -388,6 +429,65 @@ def test_the_array_path_runs_once_per_file_part(monkeypatch):
         calls.clear()
         parse_solution(serialize_solution(res))
         assert len(calls) == 3  # the vectors, the values and the supports
+
+
+@contextmanager
+def _collector(enabled):
+    """Run a block with the cyclic collector on or off, then restore the state before it."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def _io_calls(name):
+    """The io function called name, an input it reads or writes, and one it refuses mid-parse (or None)."""
+    K = parse_problem(_problem_text())
+    res = diagonalize_selfadjoint(K)
+    problem, solution = json.loads(serialize_problem(K)), json.loads(serialize_solution(res))
+    problem["operator"][1][0][0][2] = ["1.5", 0]
+    solution["pairs"][1]["value"][0][2] = ["1.5", 0]
+    return {
+        "parse_problem": (parse_problem, serialize_problem(K), json.dumps(problem)),
+        "parse_solution": (parse_solution, serialize_solution(res), json.dumps(solution)),
+        "serialize_problem": (serialize_problem, K, None),
+        "serialize_solution": (serialize_solution, res, None),
+    }[name]
+
+
+IO_CALLS = ["parse_problem", "parse_solution", "serialize_problem", "serialize_solution"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("name", IO_CALLS)
+def test_io_runs_json_with_the_collector_off_and_restores_it(monkeypatch, name, enabled):
+    fn, good, _ = _io_calls(name)
+    hook = "loads" if name.startswith("parse") else "dumps"
+    real, seen = getattr(json, hook), []
+    monkeypatch.setattr(json, hook, lambda *args, **kwargs: seen.append(gc.isenabled()) or real(*args, **kwargs))
+    with _collector(enabled):
+        fn(good)
+        assert gc.isenabled() == enabled
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("name", IO_CALLS)
+def test_io_restores_the_collector_after_an_input_error(monkeypatch, name, enabled):
+    fn, good, bad = _io_calls(name)
+    if bad is None:  # a writer refuses nothing: its json.dumps raises instead
+
+        def dumps(*args, **kwargs):
+            raise InputFormatError("refused")
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        bad = good
+    with _collector(enabled):
+        with pytest.raises(InputFormatError):
+            fn(bad)
+        assert gc.isenabled() == enabled
 
 
 HUGE = 10**400

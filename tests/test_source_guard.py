@@ -6,8 +6,10 @@ against numpy.linalg, so the package must not call the oracle it is checked
 against. No module imports a name it never uses, and every name a module
 lists in ``__all__`` exists. One function makes every Cholesky
 factorization, so each definiteness check groups its matrices by order in
-the same place. And one function turns the numbers of an input file into
+the same place. One function turns the numbers of an input file into
 arrays, so every file part is read, and its faults located, the same way.
+And one function switches the cyclic garbage collector off and on again,
+so every reader and writer restores the caller's state the same way.
 """
 
 import ast
@@ -131,8 +133,8 @@ def test_the_export_guard_catches_a_stale_name():
     assert _stale_exports(stale) == ["module_norm"]
 
 
-def _callers(source: str, name: str) -> list:
-    """The function around each call of a name or attribute ``name``, in source order."""
+def _callers(source: str, *names: str) -> list:
+    """The function around each call of a name or attribute in ``names``, in source order."""
     found = []
 
     def visit(node, owner):
@@ -140,7 +142,7 @@ def _callers(source: str, name: str) -> list:
             owner = node.name
         if isinstance(node, ast.Call):
             func = node.func
-            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names:
                 found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -184,3 +186,23 @@ def test_one_function_turns_file_numbers_into_arrays():
 def test_the_array_guard_catches_a_second_site():
     source = _package_sources()["io.py"] + "\n\ndef _parse_block(data):\n    return np.empty(len(data))\n"
     assert _array_builders(source) == {"_complex_blocks", "_parse_block"}
+
+
+def _collector_switches(sources: dict) -> list:
+    return [(name, owner) for name, source in sources.items() for owner in _callers(source, "disable", "enable")]
+
+
+def test_one_function_switches_the_cyclic_collector():
+    assert _collector_switches(_package_sources()) == [("io.py", "_cyclic_gc_off")] * 2
+
+
+def test_the_collector_guard_catches_a_second_site():
+    sources = _package_sources()
+    sources["io.py"] += "\n\ndef parse_report(text):\n    gc.disable()\n    return json.loads(text)\n"
+    sources["cli.py"] += "\nfrom gc import enable\nenable()\n"
+    assert _collector_switches(sources) == [
+        ("cli.py", None),
+        ("io.py", "_cyclic_gc_off"),
+        ("io.py", "_cyclic_gc_off"),
+        ("io.py", "parse_report"),
+    ]
