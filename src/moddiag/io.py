@@ -10,12 +10,10 @@ Numbers move one array at a time. Each file part (a problem's operator
 grid; a solution's vectors, values and supports) is read by one function,
 _complex_blocks, from one table of its list levels, and written by one
 tolist call whose rows are cut at the algebra's block offsets. On a valid
-file all numbers of a part go through one np.array call. np.array is more
-lenient than the schema, so that call is trusted only on parts of exactly
-the right length at every level whose numbers make a finite int or float
-array, from a text holding no JSON boolean. Any other part is checked
-entry by entry, which either raises the error with its location or reads
-the same numbers one by one.
+file all numbers of a part go through one np.array call. The leaves' types
+are checked before numpy sees them, so that call reads exactly the numbers
+the schema accepts. A part with a fault is checked entry by entry, which
+raises the error with its location.
 
 Problems and solutions are read and written with the cyclic garbage
 collector off (_cyclic_gc_off): the many small lists of a file are
@@ -62,6 +60,14 @@ SCHEMA = 1
 # the subnormal range (docs/design-notes.md, "Input bound").
 _MAX_ENTRY = 2.0**1000
 _MIN_ENTRY = 2.0**-1000
+
+# The types of a file number, tested exactly: json.loads makes no subclass,
+# and a JSON true or false (a bool, a subclass of int) is no number.
+_NUMBER_TYPES = {int, float}
+
+
+def _is_int(val) -> bool:
+    return type(val) is int
 
 
 class InputFormatError(ValueError):
@@ -123,7 +129,7 @@ def _field(obj, key: str, loc: str):
 
 def _int_field(obj, key: str, loc: str, minimum: int):
     val = _field(obj, key, loc)
-    if isinstance(val, bool) or not isinstance(val, int):
+    if not _is_int(val):
         raise InputFormatError(f"field '{key}' must be an integer", loc)
     if val < minimum:
         raise InputFormatError(f"field '{key}' must be at least {minimum}", loc)
@@ -131,7 +137,7 @@ def _int_field(obj, key: str, loc: str, minimum: int):
 
 
 def _number(val, loc: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if type(val) not in _NUMBER_TYPES:
         raise InputFormatError("expected a number", loc)
     try:
         out = float(val)
@@ -144,7 +150,7 @@ def _number(val, loc: str) -> float:
 
 def _check_schema(obj, loc: str):
     val = _field(obj, "schema", loc)
-    if isinstance(val, bool) or not isinstance(val, int) or val != SCHEMA:
+    if not _is_int(val) or val != SCHEMA:
         raise InputFormatError(f"unsupported schema {val!r}, expected {SCHEMA}", f"{loc}.schema")
 
 
@@ -155,15 +161,10 @@ def _parse_shape(obj, loc: str) -> AlgebraShape:
         raise InputFormatError("'blocks' must be a nonempty list", f"{loc}.algebra.blocks")
     sizes = []
     for i, k in enumerate(blocks):
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             raise InputFormatError("block sizes must be positive integers", f"{loc}.algebra.blocks[{i}]")
         sizes.append(k)
     return AlgebraShape(tuple(sizes))
-
-
-def _may_hold_booleans(text: str) -> bool:
-    # np.array reads a JSON true or false as 1 or 0 without complaint
-    return "true" in text or "false" in text
 
 
 def _element_levels(sizes: tuple) -> list:
@@ -185,7 +186,7 @@ def _locate(node, levels: list, loc: str, index: int = 0) -> None:
     """Raise InputFormatError at the first fault of node in reading order.
 
     Depth first: an item that is not a list of its level's length, or a leaf
-    that is not a finite number.
+    that is not a finite number. Called only on a part with a fault.
     """
     (lengths, message, suffix), *inner = levels
     want = lengths[index % len(lengths)]
@@ -198,7 +199,7 @@ def _locate(node, levels: list, loc: str, index: int = 0) -> None:
             _number(child, loc)  # a number is located at its pair
 
 
-def _complex_blocks(part, levels: list, loc: str, booleans: bool) -> list:
+def _complex_blocks(part, levels: list, loc: str) -> list:
     """One file part's [re, im] pairs as one complex array per algebra block.
 
     part is the file part as nested lists, and levels gives its list levels
@@ -208,14 +209,14 @@ def _complex_blocks(part, levels: list, loc: str, booleans: bool) -> list:
     contiguous array of shape lead + (k*k,), the layout a per-block np.array
     call would give.
 
-    map(len) checks each level in turn; then all numbers of the part go
-    through one np.array call, which must give a finite int or float array
-    from a text holding no JSON boolean (booleans false). No level needs an
-    isinstance check: a string or dict where a list belongs either fails a
-    length check or ends as string leaves (its characters or keys), which
-    give a U dtype, and a number where a list belongs makes len raise
-    TypeError. Anything else goes to _locate, which raises at the first
-    fault in reading order.
+    map(len) checks each level in turn, then the leaves' types are checked,
+    and all numbers of the part go through one np.array call. A string or
+    dict where a list belongs fails a length check or ends as string leaves
+    (its characters or keys), and a number where a list belongs makes len
+    raise TypeError. A leaf of another type, an integer beyond the float
+    range (OverflowError) and a non-finite number are faults _number
+    refuses, so _locate always finds the fault and raises at the first in
+    reading order.
     """
     items, flat = [part], None
     try:
@@ -224,18 +225,15 @@ def _complex_blocks(part, levels: list, loc: str, booleans: bool) -> list:
                 break
             items = list(chain.from_iterable(items))
         else:
-            flat = None if booleans else np.array(items)
-    except (TypeError, ValueError):  # a number where a list belongs, or a list where a number does
+            if set(map(type, items)) <= _NUMBER_TYPES:
+                flat = np.array(items, dtype=np.float64)
+    except (TypeError, OverflowError):  # a number where a list belongs, or an integer beyond the float range
         pass
-    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "fiu" or not np.isfinite(flat).all():
+    if flat is None or not np.isfinite(flat).all():
         _locate(part, levels, loc)
-        # no fault: every length was right, so items are the part's numbers,
-        # which numpy merely declined (an integer above int64, a boolean
-        # elsewhere in the text)
-        flat = np.array([float(x) for x in items])
     lead = tuple(lengths[0] for lengths, _, _ in levels[:-3])
     squares = levels[-2][0]
-    z = flat.astype(np.float64, copy=False).view(np.complex128).reshape(*lead, sum(squares))
+    z = flat.view(np.complex128).reshape(*lead, sum(squares))
     return [np.ascontiguousarray(blk) for blk in np.split(z, np.cumsum(squares)[:-1], axis=-1)]
 
 
@@ -252,7 +250,7 @@ def _coordinate_blocks(strips: np.ndarray, k: int) -> np.ndarray:
     return strips.reshape(*lead, k, n, k).swapaxes(-3, -2).reshape(*lead, n, k * k)
 
 
-def _parse_pairs(raw_pairs: list, module: HilbertModule, booleans: bool) -> tuple:
+def _parse_pairs(raw_pairs: list, module: HilbertModule) -> tuple:
     """Labels and per-block stacks of the P pairs.
 
     Every pair's label and fields are checked before the numbers of any pair.
@@ -272,7 +270,7 @@ def _parse_pairs(raw_pairs: list, module: HilbertModule, booleans: bool) -> tupl
 
     def part(key, *coordinates):
         levels = [((len(raw_pairs),), "expected {} pairs", f"[{{}}].{key}"), *coordinates, *elements]
-        return _complex_blocks([rp[key] for rp in raw_pairs], levels, "solution.pairs", booleans)
+        return _complex_blocks([rp[key] for rp in raw_pairs], levels, "solution.pairs")
 
     vecs = part("vector", ((module.rank,), "'vector' must have {} coordinates", "[{}]"))
     return list(labels), vecs, part("value"), part("support")
@@ -312,7 +310,7 @@ def parse_problem(text: str) -> ModuleOperator:
         *_element_levels(shape.block_sizes),
     ]
     # grids[b][i, j] is block b of entry (i, j), flattened row-major
-    grids = _complex_blocks(op, levels, "problem.operator", _may_hold_booleans(text))
+    grids = _complex_blocks(op, levels, "problem.operator")
     top = max(max(np.abs(g.real).max(), np.abs(g.imag).max()) for g in grids)
     if top >= _MAX_ENTRY:
         raise InputFormatError("every number must be below 2**1000 in magnitude", "problem.operator")
@@ -346,7 +344,7 @@ def _parse_relation(data, loc: str) -> OrderRelation:
         val = _field(data, key, loc)
         if val is None:
             sides.append(None)
-        elif isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        elif not _is_int(val) or val < 1:
             raise InputFormatError(f"'{key}' must be a positive label or null", loc)
         else:
             sides.append(val)
@@ -366,7 +364,7 @@ def parse_solution(text: str) -> DiagonalizationResult:
     raw_pairs = _field(obj, "pairs", "solution")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise InputFormatError("'pairs' must be a nonempty list", "solution.pairs")
-    labels, vecs, vals, sups = _parse_pairs(raw_pairs, module, _may_hold_booleans(text))
+    labels, vecs, vals, sups = _parse_pairs(raw_pairs, module)
     raw_cert = _field(obj, "certificate", "solution")
     if not isinstance(raw_cert, list):
         raise InputFormatError("'certificate' must be a list", "solution.certificate")

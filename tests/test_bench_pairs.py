@@ -40,3 +40,11 @@ def test_summary_counts_wins_by_each_metrics_direction():
 def test_pair_counts_need_a_positive_count(spec):
     with pytest.raises(SystemExit):
         bench_pairs._pair_counts([spec])
+
+
+@pytest.mark.parametrize("count", [1, 3, 11])
+def test_pair_counts_need_an_even_count(count):
+    # each side runs first in half the pairs, so run order cannot set a median
+    with pytest.raises(SystemExit):
+        bench_pairs._pair_counts([f"dense_block={count}"])
+    assert bench_pairs._pair_counts([f"dense_block={count + 1}"]) == {"dense_block": count + 1}

@@ -55,10 +55,10 @@ def test_solution_round_trip_is_bit_identical(monkeypatch, sizes, solver, path):
     walks = []
     locate = moddiag.io._locate
     monkeypatch.setattr(moddiag.io, "_locate", lambda *args: walks.append(1) or locate(*args))
-    # any JSON boolean sends every file part to the per-number walk of _locate
+    # "walk" adds a JSON boolean field, which must not send a file part to the walk of _locate
     read = json.dumps(dict(json.loads(text), note=True)) + "\n" if path == "walk" else text
     again = parse_solution(read)
-    assert bool(walks) == (path == "walk")
+    assert not walks
     assert serialize_solution(again) == text
     assert again.module == res.module and again.pair_labels == res.pair_labels
     assert again.ordering_certificate == res.ordering_certificate and again.tolerance_used == res.tolerance_used
@@ -128,6 +128,26 @@ def test_wrong_schema_rejected(tmp_path):
         parse_solution(json.dumps(solution))
     assert exc.value.location == "solution.schema"
     assert main(["verify", "--input", problem, "--solution", marked]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, where",
+    [
+        (lambda d: d.update(module_rank=True), "problem"),
+        (lambda d: d["algebra"]["blocks"].__setitem__(0, True), "problem.algebra.blocks[0]"),
+        (lambda d: d["pairs"][0].update(label=True), "solution.pairs[0]"),
+        (lambda d: d["certificate"][0].update(lhs=True), "solution.certificate[0]"),
+    ],
+    ids=["module_rank", "block-size", "label", "lhs"],
+)
+def test_a_boolean_integer_field_is_refused_at_its_location(field, where):
+    # true equals 1 in Python, but a JSON boolean is no integer
+    problem = where.startswith("problem")
+    doc = json.loads(_problem_text()) if problem else _solution_doc()
+    field(doc)
+    with pytest.raises(InputFormatError) as exc:
+        (parse_problem if problem else parse_solution)(json.dumps(doc))
+    assert exc.value.location == where
 
 
 def test_operator_grid_validated():
@@ -358,7 +378,7 @@ def _io_cases():
     yield _dense_96()
 
 
-def test_compact_files_parse_to_the_bits_of_indented_ones(monkeypatch):
+def test_compact_files_parse_to_the_bits_of_indented_ones():
     for K in _io_cases():
         res = diagonalize_selfadjoint(K)
         problem_doc, solution_doc = _reference_problem_doc(K), _reference_solution_doc(res)
@@ -371,11 +391,6 @@ def test_compact_files_parse_to_the_bits_of_indented_ones(monkeypatch):
         assert _same_result(parse_solution(solution), res)
         assert _same_operator(parse_problem(json.dumps(problem_doc, indent=2) + "\n"), K)
         assert _same_result(parse_solution(json.dumps(solution_doc, indent=2) + "\n"), res)
-        # and so does the per-number path alone
-        with monkeypatch.context() as m:
-            m.setattr(moddiag.io, "_may_hold_booleans", lambda text: True)
-            assert _same_operator(parse_problem(problem), K)
-            assert _same_result(parse_solution(solution), res)
 
 
 def _dense_96():
@@ -383,16 +398,34 @@ def _dense_96():
     return random_selfadjoint_operator(module_over((8,), 12), np.random.default_rng(96))
 
 
-def test_valid_files_never_reach_the_locator(monkeypatch):
-    def locate(*args):
-        raise AssertionError("the per-number path ran on a valid file")
+def _never_locate(*args):
+    raise AssertionError("a valid file reached the fault locator")
 
-    monkeypatch.setattr(moddiag.io, "_locate", locate)
+
+def test_valid_files_never_reach_the_locator(monkeypatch):
+    monkeypatch.setattr(moddiag.io, "_locate", _never_locate)
     cases = (parse_problem(_problem_text()), projection_ladder(4).operator, projection_ladder(32).operator, _dense_96())
     for K in cases:
         res = diagonalize_selfadjoint(K)
         assert _same_operator(parse_problem(serialize_problem(K)), K)
         assert _same_result(parse_solution(serialize_solution(res)), res)
+
+
+def _with_note(text, note):
+    return json.dumps(dict(json.loads(text), note=note)) + "\n"
+
+
+NOTES = [True, [True, "x"]]
+
+
+@pytest.mark.parametrize("note", NOTES, ids=["true", "list"])
+def test_files_with_a_boolean_field_stay_on_the_array_path(monkeypatch, note):
+    K = projection_ladder(32).operator
+    res = diagonalize_selfadjoint(K)
+    problem, solution = serialize_problem(K), serialize_solution(res)
+    monkeypatch.setattr(moddiag.io, "_locate", _never_locate)
+    assert _same_operator(parse_problem(_with_note(problem, note)), parse_problem(problem))
+    assert _same_result(parse_solution(_with_note(solution, note)), parse_solution(solution))
 
 
 LAYOUTS = {"default": {}, "compact": {"separators": (",", ":")}, "indented": {"indent": 2}}
@@ -616,14 +649,54 @@ def test_labels_and_fields_are_checked_before_any_numbers():
     assert exc.value.location == "problem.operator[0][1].block[1]"
 
 
-def test_the_per_number_path_reads_what_numpy_declines():
+def test_a_large_integer_reads_as_its_float(monkeypatch):
     K = parse_problem(_problem_text())
-    doc = json.loads(_problem_text())
-    doc["note"] = True  # any JSON boolean sends the file to the per-number path
-    doc["operator"][0][0][0][0] = [10**20, 0]  # an int numpy keeps as an object
-    again = parse_problem(json.dumps(doc))
-    assert again.blocks[0][0, 0] == 1e20
-    assert _bits(again.blocks)[1:] == _bits(K.blocks)[1:]
+    monkeypatch.setattr(moddiag.io, "_locate", _never_locate)
+    for large in (10**20, 2**64 + 1):  # above int64 and uint64
+        for note in (False, True):
+            doc = json.loads(_problem_text())
+            doc["operator"][0][0][0][0] = [large, 0]
+            if note:
+                doc["note"] = True
+            want = [blk.copy() for blk in K.blocks]
+            want[0][0, 0] = float(large)
+            assert _bits(parse_problem(json.dumps(doc)).blocks) == _bits(want)
+
+
+def test_the_locator_raises_on_every_call(monkeypatch):
+    outcomes = []
+    locate = moddiag.io._locate
+
+    def spy(*args):
+        raised = True
+        try:
+            locate(*args)
+            raised = False
+        finally:
+            if len(args) == 3:  # an outer call: _locate recurses with a child's index as a fourth argument
+                outcomes.append(raised)
+
+    monkeypatch.setattr(moddiag.io, "_locate", spy)
+    solution = _solution_doc()
+    for bad, _ in MALFORMED:
+        problem, broken = json.loads(_problem_text()), json.loads(json.dumps(solution))
+        _break(problem["operator"][1][0], bad)
+        _break(broken["pairs"][1]["value"], bad)
+        for parse, doc in ((parse_problem, problem), (parse_solution, broken)):
+            with pytest.raises(InputFormatError):
+                parse(json.dumps(doc))
+    for fault, where in STRUCTURAL:
+        problem = where.startswith("problem")
+        doc = json.loads(_problem_text()) if problem else _solution_doc()
+        fault(doc)
+        with pytest.raises(InputFormatError):
+            (parse_problem if problem else parse_solution)(json.dumps(doc))
+    K = projection_ladder(32).operator
+    problem, solution = serialize_problem(K), serialize_solution(diagonalize_selfadjoint(K))
+    for note in NOTES:
+        parse_problem(_with_note(problem, note))
+        parse_solution(_with_note(solution, note))
+    assert outcomes and all(outcomes)
 
 
 def test_cli_oversized_numbers_exit_2_with_their_location(tmp_path, capsys):
@@ -698,7 +771,7 @@ def _scaled_problem_text(scale):
 def test_cli_an_operator_near_the_top_of_the_float_range_exits_2(tmp_path, capsys):
     # 1e308 * h is finite, but h + h* and the scaling exponents are not
     doc = json.loads(_scaled_problem_text(1e308))
-    for name, text in (("array.json", json.dumps(doc)), ("walk.json", json.dumps(dict(doc, note=True)))):
+    for name, text in (("plain.json", json.dumps(doc)), ("note.json", json.dumps(dict(doc, note=True)))):
         problem = _write(tmp_path, name, text)
         for argv in (["diagonalize", "--input", problem], ["spectrum", "--input", problem]):
             assert main(argv) == 2
@@ -723,7 +796,7 @@ def test_cli_an_operator_below_the_lower_input_bound_exits_2(tmp_path, capsys):
     solution = str(tmp_path / "solution.json")
     assert main(["diagonalize", "--input", good, "--solution", solution]) == 0
     doc = json.loads(_scaled_problem_text(2.0**-1060))
-    for name, text in (("array.json", json.dumps(doc)), ("walk.json", json.dumps(dict(doc, note=True)))):
+    for name, text in (("plain.json", json.dumps(doc)), ("note.json", json.dumps(dict(doc, note=True)))):
         problem = _write(tmp_path, name, text)
         runs = (
             ["diagonalize", "--input", problem],

@@ -6,8 +6,8 @@ against numpy.linalg, so the package must not call the oracle it is checked
 against. No module imports a name it never uses, and every name a module
 lists in ``__all__`` exists. One function makes every Cholesky
 factorization, so each definiteness check groups its matrices by order in
-the same place. One function turns the numbers of an input file into
-arrays, so every file part is read, and its faults located, the same way.
+the same place. One call turns the numbers of an input file into an array,
+so every file part is read, and its faults located, the same way.
 And one function switches the cyclic garbage collector off and on again,
 so every reader and writer restores the caller's state the same way.
 """
@@ -174,18 +174,22 @@ def test_the_cholesky_guard_catches_a_second_call():
     ]
 
 
-def _array_builders(source: str) -> set:
-    """The functions that call np.array or np.empty."""
-    return set(_callers(source, "array") + _callers(source, "empty"))
+def _array_builders(source: str) -> list:
+    """The function around each np.array or np.empty call."""
+    return sorted(_callers(source, "array") + _callers(source, "empty"))
 
 
 def test_one_function_turns_file_numbers_into_arrays():
-    assert _array_builders(_package_sources()["io.py"]) == {"_complex_blocks"}
+    assert _array_builders(_package_sources()["io.py"]) == ["_complex_blocks"]
 
 
 def test_the_array_guard_catches_a_second_site():
-    source = _package_sources()["io.py"] + "\n\ndef _parse_block(data):\n    return np.empty(len(data))\n"
-    assert _array_builders(source) == {"_complex_blocks", "_parse_block"}
+    source = _package_sources()["io.py"]
+    anchor = "items, flat = [part], None"
+    assert anchor in source
+    source = source.replace(anchor, "items, flat = [part], np.empty(0)")
+    source += "\n\ndef _parse_block(data):\n    return np.empty(len(data))\n"
+    assert _array_builders(source) == ["_complex_blocks", "_complex_blocks", "_parse_block"]
 
 
 def _collector_switches(sources: dict) -> list:

@@ -2,15 +2,16 @@
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_13.json \\
         --claim "verify_s on ladder_file improves" \\
-        --pairs ladder_file=10 --pairs dense_block=3 --pairs small_suite=3
+        --pairs ladder_file=10 --pairs dense_block=4 --pairs small_suite=4
 
 Run from the repository root. The parent revision is exported with
 `git archive` into a temporary directory (removed afterwards, and nothing is
 registered in .git), and `perfbench/run.py` runs there and in the working
 tree, uncommitted changes included. Pair i of a workload runs the parent
-first when i is even and the change first when i is odd, and both sides use
-seed `--seed + 100 * w + i`, w being the workload's place on the command
-line. Every run lasts BENCHMARK.json's `run_seconds`.
+first when i is even and the change first when i is odd; COUNT must be
+even, so each side runs first equally often. Both sides use seed
+`--seed + 100 * w + i`, w being the workload's place on the command line.
+Every run lasts BENCHMARK.json's `run_seconds`.
 
 The file holds the claim, the command, the parent, the pairing rule, the
 host, a summary per workload and the raw result of every run. Per
@@ -107,8 +108,8 @@ def _pair_counts(specs: list) -> dict:
     counts = {}
     for spec in specs:
         name, _, count = spec.partition("=")
-        if not count.isdigit() or int(count) < 1:
-            raise SystemExit(f"bench_pairs: --pairs takes WORKLOAD=COUNT with COUNT >= 1, got {spec!r}")
+        if not count.isdigit() or int(count) < 2 or int(count) % 2:
+            raise SystemExit(f"bench_pairs: --pairs takes WORKLOAD=COUNT with an even COUNT >= 2, got {spec!r}")
         counts[name] = int(count)
     return counts
 
