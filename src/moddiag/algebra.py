@@ -87,38 +87,74 @@ def _norm_lower_bound(blocks) -> float:
     return out
 
 
-def _all_positive_definite(stacks) -> bool:
-    """Whether every Hermitian matrix in the ``(m, k, k)`` stacks has a Cholesky factor.
+def _zero_padded(arrays, rows: int, cols: int) -> np.ndarray:
+    """The arrays stacked on a new first axis, each grown to ``(rows, cols)`` in its last two axes.
 
-    One factorization call decides all the stacks of one order k. Each
+    The arrays share their leading axes; the new entries, below and to the
+    right, are zeros. A padded matrix keeps its entries, so a product or
+    sum of padded matrices holds the unpadded one in its top left corner
+    and zeros elsewhere. A lone array that needs no padding comes back as
+    a view: copying a large one costs fresh pages on every call.
+    """
+    if len(arrays) == 1 and np.shape(arrays[0])[-2:] == (rows, cols):
+        return np.asarray(arrays[0], dtype=np.complex128)[None]
+    out = np.zeros((len(arrays),) + np.shape(arrays[0])[:-2] + (rows, cols), dtype=np.complex128)
+    for o, a in zip(out, arrays):
+        o[..., : np.shape(a)[-2], : np.shape(a)[-1]] = a
+    return out
+
+
+def _diagonals(stack: np.ndarray) -> np.ndarray:
+    """A writable ``(m, n)`` view of the diagonals of a C-contiguous ``(m, n, n)`` stack."""
+    n = stack.shape[-1]
+    return stack.reshape(-1, n * n)[:, :: n + 1]
+
+
+def _all_positive_definite(stacks, padded=None) -> bool:
+    """Whether every Hermitian matrix in the ``(m, n, n)`` stacks has a Cholesky factor.
+
+    The stacks share one order n and one factorization call decides them
+    all. A matrix may stand for a smaller one zero-padded to order n
+    (``_zero_padded``): padded, an ``(m, n)`` bool array over all the
+    matrices, is then True on the coordinates that padding added. Each
     matrix is first scaled by the power of two that brings its own largest
     entry into ``[1/2, 1)``, exactly, so the answer does not depend on its
-    units. A matrix with a non-finite or no nonzero entry has no factor.
+    units; that entry lies in the unpadded matrix, so the scale is its
+    scale. Its padded coordinates then get the identity: ``diag(M, I)`` has
+    a factor exactly when M has. A matrix with a non-finite or no nonzero
+    entry has no factor.
     """
-    by_order: dict = {}
-    for st in stacks:
-        by_order.setdefault(st.shape[-1], []).append(st)
-    for group in by_order.values():
-        stack = np.concatenate(group)
-        top = np.abs(stack).max(axis=(1, 2))
-        if not ((0.0 < top) & (top < math.inf)).all():
-            return False
-        try:
-            np.linalg.cholesky(_times_power_of_two(stack, -np.frexp(top)[1][:, None, None]))
-        except np.linalg.LinAlgError:
-            return False
+    stack = np.concatenate(stacks)
+    top = np.abs(stack).max(axis=(1, 2))
+    if not ((0.0 < top) & (top < math.inf)).all():
+        return False
+    stack = _times_power_of_two(stack, -np.frexp(top)[1][:, None, None])
+    if padded is not None:
+        _diagonals(stack)[padded] = 1.0
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 
-def _all_above(stacks, tol: float) -> bool:
-    """Whether no x in the ``(m, k, k)`` stacks has ``sym(x)`` below -tol.
+def _all_above(stacks, tol: float, padded=None) -> bool:
+    """Whether no x in the ``(m, n, n)`` stacks has ``sym(x)`` below -tol.
 
     By Sylvester's law of inertia that holds for x exactly when
-    ``sym(x) + tol I`` has a Cholesky factor. Shifted matrices that are
-    exactly zero are semidefinite and dropped.
+    ``sym(x) + tol I`` has a Cholesky factor. The stacks and padded are as
+    in ``_all_positive_definite``; tol I is added on the unpadded
+    coordinates only, so a zero-padded matrix stays zero outside them.
+    Shifted matrices that are exactly zero are semidefinite and dropped.
     """
-    shifted = [_sym(st) + tol * np.eye(st.shape[-1]) for st in stacks]
-    return _all_positive_definite([s[s.any(axis=(-2, -1))] for s in shifted])
+    shifted = _sym(np.concatenate(stacks))
+    if padded is None:
+        padded = np.zeros(shifted.shape[:2], dtype=bool)
+    diagonals = _diagonals(shifted)
+    diagonals += tol
+    diagonals[padded] = 0.0
+    nonzero = shifted.any(axis=(1, 2))
+    return _all_positive_definite([shifted[nonzero]], padded[nonzero])
 
 
 def _positive_int(value, what: str) -> int:
@@ -293,9 +329,10 @@ def leq(a: AlgebraElement, b: AlgebraElement, tol: float | None = None) -> bool:
 
     tol bounds how negative an eigenvalue of b - a may be; it defaults to
     1e-10 times a lower estimate of ||b - a||, so the answer does not
-    depend on the units of a and b. No eigenvalue is formed: blocks of
-    equal order go through one Cholesky factorization (``_all_above``). A
-    shifted block that is exactly zero is semidefinite and passes.
+    depend on the units of a and b. No eigenvalue is formed: all blocks,
+    zero-padded to one order, go through one Cholesky factorization call
+    (``_all_above``). A shifted block that is exactly zero is semidefinite
+    and passes.
     """
     a._require_same(b)
     _check_selfadjoint(a, "left operand")
@@ -303,4 +340,6 @@ def leq(a: AlgebraElement, b: AlgebraElement, tol: float | None = None) -> bool:
     diff = b - a
     if tol is None:
         tol = 1e-10 * _norm_lower_bound(diff.blocks)
-    return _all_above([blk[None] for blk in diff.blocks], tol)
+    sizes = np.array(a.shape.block_sizes)
+    kmax = sizes.max()
+    return _all_above([_zero_padded(diff.blocks, kmax, kmax)], tol, np.arange(kmax) >= sizes[:, None])

@@ -154,8 +154,6 @@ def projection_ladder(count: int, alphas: Optional[Sequence[float]] = None) -> P
 
     shape = AlgebraShape((1,) * count)
     module = HilbertModule(shape, count)
-    one = shape.identity()
-    proj = [shape.block_projection(b) for b in range(count)]
 
     # block b couples coordinates 0 and b by alpha_b
     blocks = np.zeros((count, count, count))
@@ -163,15 +161,25 @@ def projection_ladder(count: int, alphas: Optional[Sequence[float]] = None) -> P
         blocks[b, 0, b] = blocks[b, b, 0] = a
     operator = ModuleOperator(module, blocks)
 
-    basis = [module.basis_element(i) for i in range(count)]
-    expected = [LadderPair(proj[0] * basis[0], alphas[0] * proj[0], proj[0])]
+    # every block has order 1: an algebra element is one number per block
+    # and a module element one row of count coordinates per block; p_n is
+    # row n of the identity
+    def pair(rows, value, support):
+        vector = ModuleElement(module, np.reshape(rows, (count, 1, count)))
+        return LadderPair(vector, AlgebraElement(shape, value[:, None, None]), AlgebraElement(shape, support[:, None, None]))
+
+    proj = np.eye(count)
+    first = np.zeros((count, count))
+    first[0, 0] = 1.0
+    expected = [pair(first, alphas[0] * proj[0], proj[0])]
     root_half = 1.0 / np.sqrt(2.0)
     for n in range(1, count):
-        plus = root_half * (proj[n] * (basis[0] + basis[n]))
-        minus = root_half * (proj[n] * (basis[0] - basis[n]))
-        expected.append(LadderPair(plus, alphas[n] * proj[n], proj[n]))
-        expected.append(LadderPair(minus, -alphas[n] * proj[n], proj[n]))
+        for sign in (1.0, -1.0):
+            rows = np.zeros((count, count))
+            rows[n, 0], rows[n, n] = root_half, sign * root_half
+            expected.append(pair(rows, sign * alphas[n] * proj[n], proj[n]))
     for n in range(1, count):
-        comp = one - proj[n]
-        expected.append(LadderPair(comp * basis[n], shape.zero(), comp))
+        rows = np.zeros((count, count))
+        rows[:, n] = 1.0 - proj[n]
+        expected.append(pair(rows, np.zeros(count), 1.0 - proj[n]))
     return ProjectionLadder(shape, module, operator, tuple(alphas), tuple(expected))

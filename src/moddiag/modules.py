@@ -14,7 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, ShapeMismatchError, _all_positive_definite, _Blocks, _positive_int
+from .algebra import (
+    AlgebraElement,
+    AlgebraShape,
+    ShapeMismatchError,
+    _all_positive_definite,
+    _Blocks,
+    _diagonals,
+    _positive_int,
+    _zero_padded,
+)
 
 __all__ = [
     "HilbertModule",
@@ -134,6 +143,22 @@ def right_action(x: ModuleElement, a: AlgebraElement) -> ModuleElement:
     return ModuleElement(x.module, mats)
 
 
+def _complement_grams(strips: np.ndarray, padded: np.ndarray, tol: float) -> np.ndarray:
+    """``V* V - c**2 I`` per block, from zero-padded strips ``(m, P, kmax, N)``.
+
+    V is a block's ``(P*kmax, N)`` reshape and ``c = tol * max(1, ||V||_F)``,
+    with ``||V||_F**2`` the trace of ``V* V``. padded, ``(m, N)`` bool, is
+    True on the coordinates that padding added; c**2 I is subtracted on the
+    others only, so a padded coordinate keeps its zero row and column.
+    """
+    rows = strips.reshape(len(strips), -1, strips.shape[-1])
+    gram = rows.conj().swapaxes(1, 2) @ rows
+    diagonals = _diagonals(gram)
+    diagonals -= (tol * tol * np.maximum(1.0, diagonals.real.sum(axis=1)))[:, None]
+    diagonals[padded] = 0.0
+    return gram
+
+
 def orthogonal_complement_trivial(vectors: Sequence[np.ndarray], tol: float = 1e-8) -> bool:
     """Whether only the zero element is orthogonal to every given element.
 
@@ -142,17 +167,16 @@ def orthogonal_complement_trivial(vectors: Sequence[np.ndarray], tol: float = 1e
     z -> (<z, x_i>)_i to a complex-linear system per block, with the stacked
     strips as rows, and checks the system has full column rank: its
     smallest singular value must exceed c = tol * max(1, ||rows||_F). That
-    holds exactly when rows* rows - c**2 I is positive definite, which a
-    Cholesky factorization decides, one per block order for the Gram
-    matrices of all blocks of that order; the Frobenius norm is at least
-    the largest singular value, so c is never below tol * max(1, smax).
+    holds exactly when rows* rows - c**2 I is positive definite, which one
+    Cholesky factorization call decides for the Gram matrices of all
+    blocks, zero-padded to the largest order (``_complement_grams``); the
+    Frobenius norm is at least the largest singular value, so c is never
+    below tol * max(1, smax).
     """
     if not vectors:
         return False
-    shifted = []
-    for stack in vectors:
-        rows = stack.reshape(-1, stack.shape[-1])
-        c = tol * max(1.0, float(np.linalg.norm(rows)))
-        gram = rows.conj().T @ rows
-        shifted.append((gram - (c * c) * np.eye(gram.shape[0]))[None])
-    return _all_positive_definite(shifted)
+    kmax = max(np.shape(stack)[-2] for stack in vectors)
+    widths = np.array([np.shape(stack)[-1] for stack in vectors])
+    padded = np.arange(widths.max()) >= widths[:, None]
+    strips = _zero_padded(vectors, kmax, widths.max())
+    return _all_positive_definite([_complement_grams(strips, padded, tol)], padded)

@@ -4,14 +4,18 @@ verify_eigensystem recomputes every claim from scratch: eigen-equation
 residuals, triviality of the orthogonal complement, pairwise orthogonality,
 projection quality of the supports, the support identity value * support =
 value, and the order relations of the certificate. No clause calls the
-eigensolver it audits. Per algebra block the result holds the claimed
-vectors stacked into one matrix V, so the products V K - D V and V V* hold
-every eigen, orthogonality and projection residual at once; the operator
-scale comes from a power iteration, and rank and order are decided by one
-Cholesky factorization per block order. The moment oracle checks spectrum
-preservation without ever eigendecomposing: it compares traces of
-operator powers against traces of powers of the compressed values, so a
-wrong spectrum cannot hide behind a consistent-looking eigenbasis.
+eigensolver it audits. Every algebra block is zero-padded to the largest
+block order, so a chunk of blocks is one stack and each clause one batched
+expression over it: the claimed vectors of a block stacked into one matrix
+V, the products V K - D V and V V* hold every eigen, orthogonality and
+projection residual at once. Zero padding changes no entry of a product,
+so a fault in a small block shows at its full size. The operator scale
+comes from a power iteration, and rank and order are decided by one
+Cholesky factorization call each, with the identity on the padded
+coordinates. The moment oracle checks spectrum preservation without ever
+eigendecomposing: it compares traces of operator powers against traces of
+powers of the compressed values, so a wrong spectrum cannot hide behind a
+consistent-looking eigenbasis.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ShapeMismatchError, _all_above
+from .algebra import ShapeMismatchError, _all_above, _all_positive_definite, _zero_padded
 from .diagonalize import DiagonalizationResult
 from .eigen import _hermitian_defect, _times_power_of_two
-from .modules import orthogonal_complement_trivial
+from .modules import _complement_grams
 from .operators import ModuleOperator
 
 __all__ = [
@@ -35,9 +39,10 @@ __all__ = [
 
 # moment_deviation compares the traces of the powers 1 .. _MAX_MOMENT
 _MAX_MOMENT = 6
-# and holds the powers of at most this many bytes of blocks at once (of one
-# block at least): large arrays that come and go leave the process larger
-# (design notes, "Verifier without the eigensolver")
+# moment_deviation holds the powers, and verify_eigensystem the padded
+# products, of at most this many bytes of blocks at once (of one block at
+# least): large arrays that come and go leave the process larger (design
+# notes, "Verifier without the eigensolver")
 _POWERS_BYTES = 1 << 19
 
 
@@ -112,13 +117,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _ordering_ok(result: DiagonalizationResult, order_tol: float) -> bool:
+def _ordering_ok(result: DiagonalizationResult, values: np.ndarray, order_tol: float) -> bool:
     """Whether every certificate relation holds as ``leq(lhs, rhs, tol=order_tol)``.
 
-    All relations are decided at once: per block a stack of ``rhs - lhs``
-    from the result's value stacks, per block order one Cholesky
-    factorization. A relation naming a label with no pair, or a value that
-    is not self-adjoint, fails the clause.
+    values are the result's value stacks zero-padded to ``(r, P, kmax, kmax)``.
+    All relations are decided at once: a stack of ``rhs - lhs`` over every
+    relation and block, one Cholesky factorization call. A relation naming
+    a label with no pair, or a value that is not self-adjoint, fails the
+    clause.
     """
     cert = result.ordering_certificate
     if not cert:
@@ -132,21 +138,24 @@ def _ordering_ok(result: DiagonalizationResult, order_tol: float) -> bool:
     used = sorted(set(lhs + rhs) - {index[None]})
     if (_hermitian_defect([v[used] for v in result.values]) > 1e-10).any():
         return False
-    padded = [np.concatenate([v, np.zeros_like(v[:1])]) for v in result.values]
-    return _all_above([v[rhs] - v[lhs] for v in padded], order_tol)
+    with_zero = np.concatenate([values, np.zeros_like(values[:, :1])], axis=1)
+    kmax = values.shape[-1]
+    padded = np.arange(kmax) >= np.array(result.module.shape.block_sizes)[:, None]
+    diffs = (with_zero[:, rhs] - with_zero[:, lhs]).reshape(-1, kmax, kmax)
+    return _all_above([diffs], order_tol, np.repeat(padded, len(cert), axis=0))
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in a stack (the last two axes)."""
-    return np.sqrt((np.abs(stack) ** 2).sum(axis=(-2, -1)))
+def _squares(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a stack (the last two axes)."""
+    return (np.abs(stack) ** 2).sum(axis=(-2, -1))
 
 
-def _worst(residuals: np.ndarray, names: list):
-    """The name of the largest residual; None when there is none or it is 0."""
+def _worst(residuals: np.ndarray, name):
+    """name(m) for the largest residual m; None when there is none or it is 0."""
     if not residuals.size:
         return None
     m = int(np.argmax(residuals))
-    return None if residuals[m] == 0.0 else names[m]
+    return None if residuals[m] == 0.0 else name(m)
 
 
 def moment_deviation(K: ModuleOperator, result: DiagonalizationResult) -> float:
@@ -213,43 +222,54 @@ def verify_eigensystem(
     count = len(labels)
     scale = K._norm_lower_bound()  # a function of K alone, never of the claim
 
-    # per pair (per pair of pairs i < j for orthogonality), the largest
-    # Frobenius norm over the blocks; K and the values enter scaled by 2**-e,
-    # exactly, so the eigen and support residuals are formed near unit size
+    # every block is zero-padded to the largest order kmax and to width =
+    # rank * kmax columns, so each clause is one batched expression over a
+    # chunk of blocks. Per pair (per pair of pairs i < j for orthogonality)
+    # the largest squared Frobenius norm over the blocks is kept. K and the
+    # values enter scaled by 2**-e, exactly, so the eigen and support
+    # residuals are formed near unit size
+    sizes = K.module.shape.block_sizes
+    kmax = max(sizes)
+    width = K.module.rank * kmax
+    # the coordinates of K_b and of its Gram matrices that padding added
+    padded = np.arange(width) >= K.module.rank * np.array(sizes)[:, None]
     e = math.frexp(K.entrywise_max())[1]
-    eigen = np.zeros(count)
-    projection = np.zeros(count)
-    support = np.zeros(count)
+    values = _zero_padded(result.values, kmax, kmax)
+    sups = _zero_padded(result.supports, kmax, kmax)
     own = np.arange(count)
-    above = np.triu_indices(count, 1)
-    orthogonality = np.zeros(above[0].size)
+    first, second = np.nonzero(own[:, None] < own)  # as np.triu_indices(count, 1)
+    eigen = np.zeros(count)
+    orthogonality = np.zeros(first.size)
+    grams = []
+    # about the bytes that one block's K, strips, products and Gram take
+    step = max(1, _POWERS_BYTES // (16 * (count * kmax + width) ** 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, k in enumerate(K.module.shape.block_sizes):
-            strips, sups = result.vectors[b], result.supports[b]
-            vecs = strips.reshape(count * k, -1)
-            vals = _times_power_of_two(result.values[b], -e)
-            image = (vecs @ _times_power_of_two(K.blocks[b], -e)).reshape(count, k, -1)
-            eigen = np.maximum(eigen, _frobenius(image - vals @ strips))
-            # gram[i, j] is the k x k block <x_i, x_j>
-            gram = (vecs @ vecs.conj().T).reshape(count, k, count, k).swapaxes(1, 2)
-            orthogonality = np.maximum(orthogonality, _frobenius(gram[above]))
-            projection = np.maximum.reduce([
-                projection,
-                _frobenius(gram[own, own] - sups),
-                _frobenius(sups - sups.conj().swapaxes(1, 2)),
-                _frobenius(sups @ sups - sups),
-            ])
-            support = np.maximum(support, _frobenius(vals @ sups - vals))
+        vals = _times_power_of_two(values, -e)
+        support = _squares(vals @ sups - vals).max(axis=0)
+        projection = np.maximum(_squares(sups - sups.conj().swapaxes(2, 3)), _squares(sups @ sups - sups)).max(axis=0)
+        for start in range(0, len(sizes), step):
+            chunk = slice(start, start + step)
+            strips = _zero_padded(result.vectors[chunk], kmax, width)
+            rows = strips.reshape(len(strips), count * kmax, width)
+            image = rows @ _times_power_of_two(_zero_padded(K.blocks[chunk], width, width), -e)
+            eigen = np.maximum(eigen, _squares(image.reshape(strips.shape) - vals[chunk] @ strips).max(axis=0))
+            # gram[c, i, j] is the kmax x kmax block <x_i, x_j> in block c of the chunk
+            gram = (rows @ rows.conj().swapaxes(1, 2)).reshape(len(rows), count, kmax, count, kmax).swapaxes(2, 3)
+            orthogonality = np.maximum(orthogonality, _squares(gram[:, first, second]).max(axis=0))
+            projection = np.maximum(projection, _squares(gram[:, own, own] - sups[chunk]).max(axis=0))
+            grams.append(_complement_grams(strips, padded[chunk], 1e-8))
+        eigen, orthogonality, projection, support = map(np.sqrt, (eigen, orthogonality, projection, support))
         eigen_residual = float(np.ldexp(eigen.max(), e))
         support_residual = float(np.ldexp(support.max(), e))
-        # a claim with non-finite products has no Cholesky factor and fails
-        complement = orthogonal_complement_trivial(result.vectors, tol=1e-8)
-        ordering = _ordering_ok(result, max(tol, result.tolerance_used) * scale)
+        # orthogonal_complement_trivial of the strips padded here; a claim
+        # with non-finite products has no Cholesky factor and fails
+        complement = _all_positive_definite(grams, padded)
+        ordering = _ordering_ok(result, values, max(tol, result.tolerance_used) * scale)
     worst_pairs = {
-        "eigen": _worst(eigen, labels),
-        "orthogonality": _worst(orthogonality, [(labels[i], labels[j]) for i, j in zip(*above)]),
-        "projection": _worst(projection, labels),
-        "support": _worst(support, labels),
+        "eigen": _worst(eigen, labels.__getitem__),
+        "orthogonality": _worst(orthogonality, lambda m: (labels[first[m]], labels[second[m]])),
+        "projection": _worst(projection, labels.__getitem__),
+        "support": _worst(support, labels.__getitem__),
     }
 
     worst = moment_deviation(K, result)

@@ -126,6 +126,44 @@ def test_ladder_family_is_orthogonal_with_trivial_complement():
     assert orthogonal_complement_trivial(strip_stacks(vecs))
 
 
+def _ladder_pairs_by_element_arithmetic(count, alphas):
+    """The expected ladder pairs built as they first were, through element arithmetic."""
+    lad = projection_ladder(count, alphas)
+    shape, module = lad.shape, lad.module
+    one = shape.identity()
+    proj = [shape.block_projection(b) for b in range(count)]
+    basis = [module.basis_element(i) for i in range(count)]
+    alphas = lad.alphas
+    expected = [(proj[0] * basis[0], alphas[0] * proj[0], proj[0])]
+    root_half = 1.0 / np.sqrt(2.0)
+    for n in range(1, count):
+        plus = root_half * (proj[n] * (basis[0] + basis[n]))
+        minus = root_half * (proj[n] * (basis[0] - basis[n]))
+        expected.append((plus, alphas[n] * proj[n], proj[n]))
+        expected.append((minus, -alphas[n] * proj[n], proj[n]))
+    for n in range(1, count):
+        comp = one - proj[n]
+        expected.append((comp * basis[n], shape.zero(), comp))
+    return expected
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["default", "seeded"])
+@pytest.mark.parametrize("count", [2, 3, 32])
+def test_ladder_pairs_are_bit_identical_to_element_arithmetic(count, seeded):
+    # the pairs are written down from arrays; every entry, zero signs
+    # included (the values of the minus pairs hold -0.0), is the bit pattern
+    # that the products and sums of elements gave
+    rng = np.random.default_rng(count)
+    alphas = list(2.0 ** -np.arange(1, count + 1) * (1.0 + 0.25 * rng.random(count))) if seeded else None
+    lad = projection_ladder(count, alphas)
+    reference = _ladder_pairs_by_element_arithmetic(count, alphas)
+    assert len(lad.expected) == len(reference) == 3 * count - 2
+    for pair, parts in zip(lad.expected, reference):
+        for got, want in zip(pair, parts):
+            assert type(got) is type(want)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.blocks, want.blocks))
+
+
 def test_ladder_kernel_vectors_have_proper_supports():
     lad = projection_ladder(3)
     one = lad.shape.identity()

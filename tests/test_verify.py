@@ -33,6 +33,7 @@ from moddiag import (
 from helpers import (
     ACCEPTANCE_SHAPES,
     module_over,
+    random_hermitian,
     random_normal_operator,
     random_positive_operator,
     random_selfadjoint_operator,
@@ -584,6 +585,28 @@ def test_exactly_zero_shifted_blocks_pass_the_ordering_clause():
     assert not moddiag.algebra._all_positive_definite([zeros])
 
 
+def test_padded_matrices_decide_as_their_unpadded_selves():
+    # the identity on padded coordinates, and tol I on the others only,
+    # keep every verdict: an exactly zero shifted matrix still passes, and a
+    # tiny matrix padded beside a large one keeps its own scale
+    from moddiag.algebra import _all_above, _all_positive_definite, _zero_padded
+
+    rng = np.random.default_rng(99)
+    mats = [-1e-3 * np.eye(1), np.zeros((2, 2)), 1e-300 * np.eye(1), np.array([[1.0, 2.0], [2.0, 1.0]])]
+    mats += [random_hermitian(rng, k, scale=10.0 ** rng.integers(-5, 5)) for k in (1, 2, 3, 3, 2, 1)]
+    stack = _zero_padded(mats, 4, 4)
+    padded = np.arange(4) >= np.array([len(m) for m in mats])[:, None]
+    verdicts = set()
+    for tol in (0.0, 1e-3, 1.0):
+        for i, m in enumerate(mats):
+            alone = _all_above([m[None]], tol)
+            assert _all_above([stack[i : i + 1]], tol, padded[i : i + 1]) == alone, (i, tol)
+            assert _all_positive_definite([stack[i : i + 1]], padded[i : i + 1]) == _all_positive_definite([m[None]]), i
+            verdicts.add(alone)
+        assert _all_above([stack], tol, padded) == all(_all_above([m[None]], tol) for m in mats)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize(
     "sizes, rank", [(None, 32), ((2, 1, 3), 3), ((1, 1, 1, 1), 2)], ids=["ladder", "mixed", "ones"]
 )
@@ -605,6 +628,9 @@ def test_verify_makes_one_cholesky_call_per_block_order_per_clause(monkeypatch, 
     # two clauses factorize: the ordering clause and the complement check;
     # the ladder made 1088 calls with one factorization per block and relation
     assert len(calls) <= 2 * len(set(k.module.shape.block_sizes)), calls
+    if sizes == (2, 1, 3):
+        # blocks of three orders, zero-padded to one: one call per clause
+        assert len(calls) == 2, calls
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, 1e300, -1e-9])
@@ -641,3 +667,198 @@ def test_a_relation_false_in_one_block_only_fails_the_clause():
         blocks[b] = blocks[b] - 10.0 * np.eye(len(blocks[b]))
         sunk = _replace_pair(res, top, value=AlgebraElement(mod.shape, blocks))
         assert not verify_eigensystem(k, sunk).ordering_ok, b
+
+
+def _with_block(result, part, b, p, block):
+    """result with block b of pair p's vector, value or support (part) replaced."""
+    stacks = {name: list(getattr(result, name)) for name in ("vectors", "values", "supports")}
+    stack = np.array(stacks[part][b])
+    stack[p] = block
+    stacks[part][b] = stack
+    return DiagonalizationResult(
+        result.module, result.pair_labels, tuple(stacks["vectors"]), tuple(stacks["values"]),
+        tuple(stacks["supports"]), result.ordering_certificate, result.tolerance_used,
+    )
+
+
+def _split_first_pair(result):
+    """The first pair cut by q = diag(1, 0, ..., 0) in every block into (q x, q v, q) and ((1 - q) x, (1 - q) v, 1 - q).
+
+    The values are diagonal, so both parts are eigenpairs with proper
+    supports and the claim stays exact; the second part gets a new label.
+    The certificate is dropped.
+    """
+    parts = {"vectors": [], "values": [], "supports": []}
+    for b, k in enumerate(result.module.shape.block_sizes):
+        q = np.zeros((k, k))
+        q[0, 0] = 1.0
+        for name, cut in (("vectors", lambda m, p: p @ m), ("values", lambda m, p: m @ p), ("supports", lambda m, p: p)):
+            stack = np.array(getattr(result, name)[b])
+            first = stack[0].copy()
+            stack[0] = cut(first, q)
+            parts[name].append(np.concatenate([stack, cut(first, np.eye(k) - q)[None]]))
+    labels = result.pair_labels + (max(result.pair_labels) + 1,)
+    return DiagonalizationResult(
+        result.module, labels, tuple(parts["vectors"]), tuple(parts["values"]), tuple(parts["supports"]),
+        (), result.tolerance_used,
+    )
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("sizes", [(2, 1, 3), (1, 2)])
+def test_a_fault_in_one_block_flips_only_its_clause(sizes, rank):
+    # each block is padded to the largest order; a fault in one block, the
+    # smallest and most padded included, must show at its full size in the
+    # clause that watches for it and in no other
+    mod = module_over(sizes, rank)
+    k = _unit_scale_selfadjoint(mod, 98)
+    res = diagonalize_selfadjoint(k)
+    split = _split_first_pair(res)
+    assert verify_eigensystem(k, res).overall and verify_eigensystem(k, split).overall
+    label, new = res.pair_labels[0], split.pair_labels[-1]
+    for b, size in enumerate(sizes):
+        strip = res.vectors[b][0]
+        shifted = _with_block(res, "values", b, 0, res.values[b][0] + 1e-6 * np.eye(size))
+        report = verify_eigensystem(k, shifted, moment_tol=1e-3)
+        _only_failing(report, "eigen")
+        assert report.worst_pairs["eigen"] == label
+        assert report.eigen_residual == pytest.approx(1e-6 * np.linalg.norm(strip), rel=1e-6)
+
+        report = verify_eigensystem(k, _with_block(res, "vectors", b, 0, 1.5 * strip))
+        _only_failing(report, "projection")
+        assert report.worst_pairs["projection"] == label
+        assert report.projection_defect == pytest.approx(1.25 * np.linalg.norm(res.supports[b][0]), rel=1e-9)
+
+        # the split pair's support 1 - q has a 0 in the corner: a value there is off support
+        leak = np.array(split.values[b][-1])
+        leak[0, 0] += 1e-6
+        report = verify_eigensystem(k, _with_block(split, "values", b, -1, leak))
+        _only_failing(report, "support")
+        assert report.worst_pairs["support"] == new
+        assert report.support_residual == pytest.approx(1e-6, rel=1e-9)
+        assert report.oracle_ok
+
+
+def _factors(mat) -> bool:
+    """Whether one Hermitian matrix, scaled by its own power of two, has a Cholesky factor."""
+    top = np.abs(mat).max()
+    if not 0.0 < top < np.inf:
+        return False
+    try:
+        np.linalg.cholesky(moddiag.eigen._times_power_of_two(mat, -np.frexp(top)[1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _verify_reference(K, result, order_tol):
+    """The clauses one algebra block at a time, with one factorization per matrix, as first written."""
+    labels = result.pair_labels
+    count = len(labels)
+    scaled = moddiag.eigen._times_power_of_two
+    frobenius = lambda stack: np.sqrt((np.abs(stack) ** 2).sum(axis=(-2, -1)))
+    e = np.frexp(K.entrywise_max())[1]
+    eigen, projection, support = np.zeros(count), np.zeros(count), np.zeros(count)
+    own = np.arange(count)
+    above = np.triu_indices(count, 1)
+    orthogonality = np.zeros(above[0].size)
+    complement = True
+    for b, k in enumerate(K.module.shape.block_sizes):
+        strips, sups = result.vectors[b], result.supports[b]
+        vecs = strips.reshape(count * k, -1)
+        vals = scaled(result.values[b], -e)
+        image = (vecs @ scaled(K.blocks[b], -e)).reshape(count, k, -1)
+        eigen = np.maximum(eigen, frobenius(image - vals @ strips))
+        gram = (vecs @ vecs.conj().T).reshape(count, k, count, k).swapaxes(1, 2)
+        orthogonality = np.maximum(orthogonality, frobenius(gram[above]))
+        projection = np.maximum.reduce([
+            projection,
+            frobenius(gram[own, own] - sups),
+            frobenius(sups - sups.conj().swapaxes(1, 2)),
+            frobenius(sups @ sups - sups),
+        ])
+        support = np.maximum(support, frobenius(vals @ sups - vals))
+        c = 1e-8 * max(1.0, np.linalg.norm(vecs))
+        complement = complement and _factors(vecs.conj().T @ vecs - c * c * np.eye(vecs.shape[1]))
+    values = dict(zip(labels, (p.value for p in result.pairs)))
+    ordering = True
+    for rel in result.ordering_certificate:
+        if rel.lhs not in values and rel.lhs is not None or rel.rhs not in values and rel.rhs is not None:
+            ordering = False
+            break
+        sides = [values[x] if x is not None else values[labels[0]].shape.zero() for x in (rel.lhs, rel.rhs)]
+        if not all(side.is_selfadjoint() for side in sides):
+            ordering = False
+            break
+        for lhs, rhs in zip(sides[0].blocks, sides[1].blocks):
+            shifted = moddiag.algebra._sym(rhs - lhs) + order_tol * np.eye(len(lhs))
+            ordering = ordering and (not shifted.any() or _factors(shifted))
+
+    def worst(residuals, names):
+        m = int(np.argmax(residuals)) if residuals.size else None
+        return None if m is None or residuals[m] == 0.0 else names[m]
+
+    return {
+        "eigen": float(np.ldexp(eigen.max(), e)),
+        "orthogonality": float(orthogonality.max(initial=0.0)),
+        "projection": float(projection.max()),
+        "support": float(np.ldexp(support.max(), e)),
+        "complement": complement,
+        "ordering": ordering,
+        "worst_pairs": {
+            "eigen": worst(eigen, labels),
+            "orthogonality": worst(orthogonality, [(labels[i], labels[j]) for i, j in zip(*above)]),
+            "projection": worst(projection, labels),
+            "support": worst(support, labels),
+        },
+    }
+
+
+def _differential_cases():
+    yield from _battery()
+    lad = projection_ladder(32)
+    pairs = tuple(EigenPair(p.vector, p.value, p.support, i + 1) for i, p in enumerate(lad.expected))
+    closed = DiagonalizationResult.from_pairs(pairs, (), 1e-9)
+    yield lad.operator, closed
+    yield lad.operator, diagonalize_selfadjoint(lad.operator)
+    leak = lad.expected[7].value + 0.5 * (lad.shape.identity() - lad.expected[7].support)
+    yield lad.operator, _replace_pair(closed, 8, value=leak)
+    yield lad.operator, _replace_pair(closed, 40, vector=1.5 * lad.expected[39].vector)
+
+
+def test_padded_clauses_match_the_per_block_loop():
+    # blocks of one order need no padding and give the loop's floats; mixed
+    # orders change only how BLAS groups the sums of the padded products
+    one_order = mixed = 0
+    for k, res in _differential_cases():
+        report = verify_eigensystem(k, res)
+        ref = _verify_reference(k, res, max(1e-9, res.tolerance_used) * report.operator_scale)
+        shape = k.module.shape.block_sizes
+        assert (report.complement_trivial, report.ordering_ok) == (ref["complement"], ref["ordering"]), shape
+        assert report.worst_pairs == ref["worst_pairs"], shape
+        overall = (
+            ref["eigen"] <= report.residual_bound
+            and ref["orthogonality"] <= report.tolerance
+            and ref["projection"] <= report.tolerance
+            and ref["support"] <= report.residual_bound
+            and ref["complement"]
+            and ref["ordering"]
+            and report.oracle_ok
+        )
+        assert report.overall == overall, shape
+        got = {
+            "eigen": report.eigen_residual,
+            "orthogonality": report.orthogonality_residual,
+            "projection": report.projection_defect,
+            "support": report.support_residual,
+        }
+        if len(set(shape)) == 1:
+            one_order += 1
+            assert got == {clause: ref[clause] for clause in got}, shape
+        else:
+            mixed += 1
+            norm = k.norm()
+            for clause, value in got.items():
+                slack = 1e-13 * norm if clause in ("eigen", "support") else 1e-13
+                assert abs(value - ref[clause]) <= slack, (shape, clause, value, ref[clause])
+    assert one_order >= 20 and mixed >= 20
