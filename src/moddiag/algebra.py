@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigen import _hermitian_defect, _times_power_of_two, eig_hermitian
+from .eigen import _hermitian_defect, _times_power_of_two, _zero_padded, eig_hermitian
 
 __all__ = [
     "AlgebraShape",
@@ -87,36 +87,19 @@ def _norm_lower_bound(blocks) -> float:
     return out
 
 
-def _zero_padded(arrays, rows: int, cols: int) -> np.ndarray:
-    """The arrays stacked on a new first axis, each grown to ``(rows, cols)`` in its last two axes.
-
-    The arrays share their leading axes; the new entries, below and to the
-    right, are zeros. A padded matrix keeps its entries, so a product or
-    sum of padded matrices holds the unpadded one in its top left corner
-    and zeros elsewhere. A lone array that needs no padding comes back as
-    a view: copying a large one costs fresh pages on every call.
-    """
-    if len(arrays) == 1 and np.shape(arrays[0])[-2:] == (rows, cols):
-        return np.asarray(arrays[0], dtype=np.complex128)[None]
-    out = np.zeros((len(arrays),) + np.shape(arrays[0])[:-2] + (rows, cols), dtype=np.complex128)
-    for o, a in zip(out, arrays):
-        o[..., : np.shape(a)[-2], : np.shape(a)[-1]] = a
-    return out
-
-
 def _diagonals(stack: np.ndarray) -> np.ndarray:
     """A writable ``(m, n)`` view of the diagonals of a C-contiguous ``(m, n, n)`` stack."""
     n = stack.shape[-1]
     return stack.reshape(-1, n * n)[:, :: n + 1]
 
 
-def _all_positive_definite(stacks, padded=None) -> bool:
+def _all_positive_definite(stacks, padded) -> bool:
     """Whether every Hermitian matrix in the ``(m, n, n)`` stacks has a Cholesky factor.
 
     The stacks share one order n and one factorization call decides them
-    all. A matrix may stand for a smaller one zero-padded to order n
-    (``_zero_padded``): padded, an ``(m, n)`` bool array over all the
-    matrices, is then True on the coordinates that padding added. Each
+    all. A matrix may stand for a smaller one zero-padded to order n:
+    padded, the ``(m, n)`` mask of ``eigen._zero_padded`` over all the
+    matrices, is True on the coordinates that padding added. Each
     matrix is first scaled by the power of two that brings its own largest
     entry into ``[1/2, 1)``, exactly, so the answer does not depend on its
     units; that entry lies in the unpadded matrix, so the scale is its
@@ -129,8 +112,7 @@ def _all_positive_definite(stacks, padded=None) -> bool:
     if not ((0.0 < top) & (top < math.inf)).all():
         return False
     stack = _times_power_of_two(stack, -np.frexp(top)[1][:, None, None])
-    if padded is not None:
-        _diagonals(stack)[padded] = 1.0
+    _diagonals(stack)[padded] = 1.0
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
@@ -138,18 +120,16 @@ def _all_positive_definite(stacks, padded=None) -> bool:
     return True
 
 
-def _all_above(stacks, tol: float, padded=None) -> bool:
-    """Whether no x in the ``(m, n, n)`` stacks has ``sym(x)`` below -tol.
+def _all_above(stack, padded, tol: float) -> bool:
+    """Whether no x in the ``(m, n, n)`` stack has ``sym(x)`` below -tol.
 
     By Sylvester's law of inertia that holds for x exactly when
-    ``sym(x) + tol I`` has a Cholesky factor. The stacks and padded are as
-    in ``_all_positive_definite``; tol I is added on the unpadded
-    coordinates only, so a zero-padded matrix stays zero outside them.
-    Shifted matrices that are exactly zero are semidefinite and dropped.
+    ``sym(x) + tol I`` has a Cholesky factor. padded is as in
+    ``_all_positive_definite``; tol I is added on the unpadded coordinates
+    only, so a zero-padded matrix stays zero outside them. Shifted
+    matrices that are exactly zero are semidefinite and dropped.
     """
-    shifted = _sym(np.concatenate(stacks))
-    if padded is None:
-        padded = np.zeros(shifted.shape[:2], dtype=bool)
+    shifted = _sym(stack)
     diagonals = _diagonals(shifted)
     diagonals += tol
     diagonals[padded] = 0.0
@@ -207,32 +187,35 @@ class AlgebraShape:
         return AlgebraElement(self, mats)
 
 
+def _frozen_blocks(blocks: Sequence, shapes, what: str) -> tuple:
+    """Read-only complex128 copies of the blocks, one per shape, counted first so ``zip`` drops none."""
+    if len(blocks) != len(shapes):
+        raise ShapeMismatchError(f"{what}: expected {len(shapes)} blocks, got {len(blocks)}")
+    mats = []
+    for want, raw in zip(shapes, blocks):
+        m = np.array(raw, dtype=np.complex128)
+        if m.shape != want:
+            raise ShapeMismatchError(f"{what}: block must be {want}, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"{what} has non-finite entries")
+        m.setflags(write=False)
+        mats.append(m)
+    return tuple(mats)
+
+
 class _Blocks:
-    """One read-only complex array per algebra block.
+    """One read-only complex array per algebra block (``_frozen_blocks``).
 
     The shared base of AlgebraElement, ModuleElement and ModuleOperator. A
     subclass sets its space before calling this constructor, takes
     ``(space, blocks)`` in its own, and gives ``_space`` and the block
-    shapes that space asks for. The block count is checked before any block
-    is read, so surplus blocks are refused rather than dropped by ``zip``.
+    shapes that space asks for.
     """
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: Sequence):
-        shapes = self._block_shapes()
-        if len(blocks) != len(shapes):
-            raise ShapeMismatchError(f"expected {len(shapes)} blocks, got {len(blocks)}")
-        mats = []
-        for want, raw in zip(shapes, blocks):
-            m = np.array(raw, dtype=np.complex128)
-            if m.shape != want:
-                raise ShapeMismatchError(f"block must be {want}, got {m.shape}")
-            if not np.isfinite(m).all():
-                raise ValueError(f"{type(self).__name__} has non-finite entries")
-            m.setflags(write=False)
-            mats.append(m)
-        self.blocks = tuple(mats)
+        self.blocks = _frozen_blocks(blocks, self._block_shapes(), type(self).__name__)
 
     def _require_same(self, other):
         if self._space() != other._space():
@@ -340,6 +323,5 @@ def leq(a: AlgebraElement, b: AlgebraElement, tol: float | None = None) -> bool:
     diff = b - a
     if tol is None:
         tol = 1e-10 * _norm_lower_bound(diff.blocks)
-    sizes = np.array(a.shape.block_sizes)
-    kmax = sizes.max()
-    return _all_above([_zero_padded(diff.blocks, kmax, kmax)], tol, np.arange(kmax) >= sizes[:, None])
+    kmax = max(a.shape.block_sizes)
+    return _all_above(*_zero_padded(diff.blocks, kmax, kmax), tol)

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Real
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement, NotSelfAdjointError, ShapeMismatchError
+from .algebra import AlgebraElement, NotSelfAdjointError, ShapeMismatchError, _frozen_blocks, _positive_int
 from .eigen import eig_hermitian, eig_normal, tie_runs
 from .modules import HilbertModule, ModuleElement
 from .operators import ModuleOperator
@@ -65,8 +66,9 @@ class DiagonalizationResult:
     For algebra block b of size k and P pairs, vectors[b] is the (P, k, n*k)
     stack of the pairs' row strips and values[b] and supports[b] are the
     (P, k, k) stacks of their value and support blocks; pair p carries
-    pair_labels[p], distinct integers of at least 1 (ValueError otherwise).
-    A stack of another shape raises ShapeMismatchError.
+    pair_labels[p], distinct integers of at least 1, and tolerance_used is
+    in (0, 1) (ValueError otherwise). The stacks are copied and checked as
+    element blocks are (``algebra._frozen_blocks``).
     The diagonalizers store the pairs in ascending label order;
     parse_solution and from_pairs keep the order they are given.
     Every consumer reads these stacks; ``pairs`` is a view of them as
@@ -82,19 +84,20 @@ class DiagonalizationResult:
     tolerance_used: float
 
     def __post_init__(self):
-        labels = self.pair_labels
-        if not all(isinstance(lb, int) and not isinstance(lb, bool) and lb >= 1 for lb in labels):
-            raise ValueError("pair labels must be integers of at least 1")
+        try:
+            labels = tuple(_positive_int(label, "a pair label") for label in self.pair_labels)
+        except ValueError:
+            raise ValueError(f"pair labels must be integers of at least 1, got {self.pair_labels!r}") from None
         if len(set(labels)) != len(labels):
             raise ValueError(f"pair labels must be distinct, got {labels}")
+        if not (isinstance(self.tolerance_used, Real) and 0.0 < self.tolerance_used < 1.0):
+            raise ValueError(f"tolerance_used must be a number in (0, 1), got {self.tolerance_used!r}")
+        object.__setattr__(self, "pair_labels", labels)
+        object.__setattr__(self, "tolerance_used", float(self.tolerance_used))
         n = self.module.rank
         for part in ("vectors", "values", "supports"):
-            want = tuple((len(labels), k, n * k if part == "vectors" else k) for k in self.module.shape.block_sizes)
-            got = tuple(np.shape(stack) for stack in getattr(self, part))
-            if got != want:
-                raise ShapeMismatchError(f"{part} must be stacks of shapes {want}, got {got}")
-        for stack in self.vectors + self.values + self.supports:
-            stack.setflags(write=False)
+            shapes = [(len(labels), k, n * k if part == "vectors" else k) for k in self.module.shape.block_sizes]
+            object.__setattr__(self, part, _frozen_blocks(getattr(self, part), shapes, part))
 
     @classmethod
     def from_pairs(cls, pairs, certificate, tolerance: float) -> DiagonalizationResult:
@@ -106,9 +109,9 @@ class DiagonalizationResult:
         for p in pairs:
             if p.vector.module != module or p.value.shape != module.shape or p.support.shape != module.shape:
                 raise ShapeMismatchError(f"pair L{p.label} lives on another module than pair L{pairs[0].label}")
-        # per part (vectors, values, supports), per algebra block, one stack over the pairs
+        # per part (vectors, values, supports), per algebra block, the pairs' blocks, stacked by the copy
         parts = zip(*((p.vector.blocks, p.value.blocks, p.support.blocks) for p in pairs))
-        stacks = (tuple(map(np.stack, zip(*part))) for part in parts)
+        stacks = (tuple(zip(*part)) for part in parts)
         return cls(module, tuple(p.label for p in pairs), *stacks, tuple(certificate), tolerance)
 
     @cached_property

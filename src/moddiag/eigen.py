@@ -76,6 +76,23 @@ def _times_power_of_two(a, e) -> np.ndarray:
     return np.ldexp(parts, e).view(np.complex128)
 
 
+def _zero_padded(arrays, rows: int, cols: int) -> tuple:
+    """``(stack, padded)``: the arrays stacked, each zero-padded to ``(rows, cols)`` in its last two axes.
+
+    The arrays share their leading axes; a product or sum of padded
+    matrices holds the unpadded one in its top left corner and zeros
+    elsewhere. padded, ``(len(arrays), cols)`` bool, marks the columns that
+    padding added. A lone array that needs no padding comes back as a view.
+    """
+    padded = np.arange(cols) >= np.array([np.shape(a)[-1] for a in arrays])[:, None]
+    if len(arrays) == 1 and np.shape(arrays[0])[-2:] == (rows, cols):
+        return np.asarray(arrays[0], dtype=np.complex128)[None], padded
+    out = np.zeros((len(arrays),) + np.shape(arrays[0])[:-2] + (rows, cols), dtype=np.complex128)
+    for o, a in zip(out, arrays):
+        o[..., : np.shape(a)[-2], : np.shape(a)[-1]] = a
+    return out, padded
+
+
 def _hermitian_defect(mats):
     """Largest entry of ``M - M*`` over mats, relative to the largest entry of any.
 
@@ -264,9 +281,7 @@ def eig_hermitian(matrices, tol: float = 1e-12):
     dims = [len(m) for m in mats]
     count, n = len(mats), max(dims)
     # zero padding is exact (design notes, "The Jacobi sweep")
-    h = np.zeros((count, n, n), dtype=np.complex128)
-    for i, m in enumerate(mats):
-        h[i, : len(m), : len(m)] = m
+    h, padded = _zero_padded(mats, n, n)
     bad = _hermitian_defect([h]) > tol
     if bad.any():
         raise NotHermitianError(f"matrix {np.argmax(bad)} of the stack is not Hermitian within tolerance")
@@ -312,8 +327,7 @@ def eig_hermitian(matrices, tol: float = 1e-12):
             _log.debug("eig_hermitian %s", s)
 
     vals = np.real(np.diagonal(a, axis1=1, axis2=2)).copy()
-    for row, d in zip(vals, dims):
-        row[d:] = -np.inf  # padding sorts last
+    vals[padded] = -np.inf  # padding sorts last
     order = np.argsort(-vals, axis=1, kind="stable")
     rows = np.arange(count)[:, None]
     values = np.ldexp(vals[rows, order], e[:, None])

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraElement, AlgebraShape, _positive_int
 from .modules import HilbertModule, ModuleElement
 from .operators import ModuleOperator, theta
 
@@ -138,8 +138,9 @@ def projection_ladder(count: int, alphas: Optional[Sequence[float]] = None) -> P
     alphas defaults to 2**-n for n = 1..count and must be a strictly
     decreasing list of positive reals of length count.
     """
-    if count < 2:
+    if isinstance(count, (int, np.integer)) and count < 2:
         raise ValueError("count must be at least 2")
+    count = _positive_int(count, "count")
     if alphas is None:
         alphas = [2.0 ** -(n + 1) for n in range(count)]
     alphas = [float(a) for a in alphas]

@@ -282,13 +282,12 @@ def _part_lists(blocks: list) -> list:
     Block b has shape lead + (k*k,), the layout _complex_blocks returns.
     Item [...][b] of the result, indexed by lead, is block b's list of
     [re, im] pairs. One tolist call writes the part: the blocks are joined
-    along the last axis as complex128, so a real or single-precision stack
-    is widened, and each row of pairs is cut at the block offsets.
+    along the last axis and each row of pairs is cut at the block offsets.
     """
     *lead, _ = blocks[0].shape
     ends = np.cumsum([blk.shape[-1] for blk in blocks]).tolist()
     cuts = [slice(start, end) for start, end in zip([0, *ends], ends)]
-    joined = np.concatenate(blocks, axis=-1, dtype=np.complex128)
+    joined = np.concatenate(blocks, axis=-1)
     pairs = joined.view(np.float64).reshape(-1, ends[-1], 2).tolist()
     rows = [list(map(row.__getitem__, cuts)) for row in pairs]
     for width in reversed(lead[1:]):

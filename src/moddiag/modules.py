@@ -22,8 +22,8 @@ from .algebra import (
     _Blocks,
     _diagonals,
     _positive_int,
-    _zero_padded,
 )
+from .eigen import _zero_padded
 
 __all__ = [
     "HilbertModule",
@@ -176,7 +176,5 @@ def orthogonal_complement_trivial(vectors: Sequence[np.ndarray], tol: float = 1e
     if not vectors:
         return False
     kmax = max(np.shape(stack)[-2] for stack in vectors)
-    widths = np.array([np.shape(stack)[-1] for stack in vectors])
-    padded = np.arange(widths.max()) >= widths[:, None]
-    strips = _zero_padded(vectors, kmax, widths.max())
+    strips, padded = _zero_padded(vectors, kmax, max(np.shape(stack)[-1] for stack in vectors))
     return _all_positive_definite([_complement_grams(strips, padded, tol)], padded)

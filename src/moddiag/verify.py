@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ShapeMismatchError, _all_above, _all_positive_definite, _zero_padded
+from .algebra import ShapeMismatchError, _all_above, _all_positive_definite
 from .diagonalize import DiagonalizationResult
-from .eigen import _hermitian_defect, _times_power_of_two
+from .eigen import _hermitian_defect, _times_power_of_two, _zero_padded
 from .modules import _complement_grams
 from .operators import ModuleOperator
 
@@ -117,10 +117,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _ordering_ok(result: DiagonalizationResult, values: np.ndarray, order_tol: float) -> bool:
+def _ordering_ok(result: DiagonalizationResult, values: np.ndarray, padded: np.ndarray, order_tol: float) -> bool:
     """Whether every certificate relation holds as ``leq(lhs, rhs, tol=order_tol)``.
 
-    values are the result's value stacks zero-padded to ``(r, P, kmax, kmax)``.
+    values and padded are ``_zero_padded`` of the result's values, ``(r, P, kmax, kmax)`` and ``(r, kmax)``.
     All relations are decided at once: a stack of ``rhs - lhs`` over every
     relation and block, one Cholesky factorization call. A relation naming
     a label with no pair, or a value that is not self-adjoint, fails the
@@ -140,9 +140,8 @@ def _ordering_ok(result: DiagonalizationResult, values: np.ndarray, order_tol: f
         return False
     with_zero = np.concatenate([values, np.zeros_like(values[:, :1])], axis=1)
     kmax = values.shape[-1]
-    padded = np.arange(kmax) >= np.array(result.module.shape.block_sizes)[:, None]
     diffs = (with_zero[:, rhs] - with_zero[:, lhs]).reshape(-1, kmax, kmax)
-    return _all_above([diffs], order_tol, np.repeat(padded, len(cert), axis=0))
+    return _all_above(diffs, np.repeat(padded, len(cert), axis=0), order_tol)
 
 
 def _squares(stack: np.ndarray) -> np.ndarray:
@@ -214,8 +213,8 @@ def verify_eigensystem(
     tol: float = 1e-9,
     moment_tol: float = 1e-7,
 ) -> VerificationReport:
-    if not (0.0 < tol < 1.0 and 0.0 < moment_tol < 1.0 and 0.0 < result.tolerance_used < 1.0):
-        raise ValueError("tol, moment_tol and result.tolerance_used must be in (0, 1)")
+    if not (0.0 < tol < 1.0 and 0.0 < moment_tol < 1.0):
+        raise ValueError("tol and moment_tol must be in (0, 1)")
     if result.module != K.module:
         raise ShapeMismatchError("the result and the operator live on different modules")
     labels = result.pair_labels
@@ -231,16 +230,14 @@ def verify_eigensystem(
     sizes = K.module.shape.block_sizes
     kmax = max(sizes)
     width = K.module.rank * kmax
-    # the coordinates of K_b and of its Gram matrices that padding added
-    padded = np.arange(width) >= K.module.rank * np.array(sizes)[:, None]
     e = math.frexp(K.entrywise_max())[1]
-    values = _zero_padded(result.values, kmax, kmax)
-    sups = _zero_padded(result.supports, kmax, kmax)
+    values, value_padded = _zero_padded(result.values, kmax, kmax)
+    sups, _ = _zero_padded(result.supports, kmax, kmax)
     own = np.arange(count)
     first, second = np.nonzero(own[:, None] < own)  # as np.triu_indices(count, 1)
     eigen = np.zeros(count)
     orthogonality = np.zeros(first.size)
-    grams = []
+    grams, masks = [], []
     # about the bytes that one block's K, strips, products and Gram take
     step = max(1, _POWERS_BYTES // (16 * (count * kmax + width) ** 2))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,22 +246,24 @@ def verify_eigensystem(
         projection = np.maximum(_squares(sups - sups.conj().swapaxes(2, 3)), _squares(sups @ sups - sups)).max(axis=0)
         for start in range(0, len(sizes), step):
             chunk = slice(start, start + step)
-            strips = _zero_padded(result.vectors[chunk], kmax, width)
+            # padded: the coordinates of K_b and of its Gram matrix that padding added
+            strips, padded = _zero_padded(result.vectors[chunk], kmax, width)
             rows = strips.reshape(len(strips), count * kmax, width)
-            image = rows @ _times_power_of_two(_zero_padded(K.blocks[chunk], width, width), -e)
+            image = rows @ _times_power_of_two(_zero_padded(K.blocks[chunk], width, width)[0], -e)
             eigen = np.maximum(eigen, _squares(image.reshape(strips.shape) - vals[chunk] @ strips).max(axis=0))
             # gram[c, i, j] is the kmax x kmax block <x_i, x_j> in block c of the chunk
             gram = (rows @ rows.conj().swapaxes(1, 2)).reshape(len(rows), count, kmax, count, kmax).swapaxes(2, 3)
             orthogonality = np.maximum(orthogonality, _squares(gram[:, first, second]).max(axis=0))
             projection = np.maximum(projection, _squares(gram[:, own, own] - sups[chunk]).max(axis=0))
-            grams.append(_complement_grams(strips, padded[chunk], 1e-8))
+            grams.append(_complement_grams(strips, padded, 1e-8))
+            masks.append(padded)
         eigen, orthogonality, projection, support = map(np.sqrt, (eigen, orthogonality, projection, support))
         eigen_residual = float(np.ldexp(eigen.max(), e))
         support_residual = float(np.ldexp(support.max(), e))
         # orthogonal_complement_trivial of the strips padded here; a claim
         # with non-finite products has no Cholesky factor and fails
-        complement = _all_positive_definite(grams, padded)
-        ordering = _ordering_ok(result, values, max(tol, result.tolerance_used) * scale)
+        complement = _all_positive_definite(grams, np.concatenate(masks))
+        ordering = _ordering_ok(result, values, value_padded, max(tol, result.tolerance_used) * scale)
     worst_pairs = {
         "eigen": _worst(eigen, labels.__getitem__),
         "orthogonality": _worst(orthogonality, lambda m: (labels[first[m]], labels[second[m]])),

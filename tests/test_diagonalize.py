@@ -23,6 +23,7 @@ from moddiag import (
     verify_eigensystem,
 )
 from moddiag.algebra import _norm_lower_bound
+from moddiag.io import serialize_solution
 
 from helpers import (
     ACCEPTANCE_SHAPES,
@@ -275,6 +276,81 @@ def test_a_result_refuses_stacks_that_do_not_fit_its_module_or_labels():
             dataclasses.replace(res, **{part: stacks})
     with pytest.raises(ShapeMismatchError, match="vectors"):
         dataclasses.replace(res, pair_labels=res.pair_labels[:1])
+
+
+PARTS = ("vectors", "values", "supports")
+
+
+def _stacks(result, convert):
+    return {part: tuple(map(convert, getattr(result, part))) for part in PARTS}
+
+
+def _same_bits(a, b):
+    return all(
+        x.dtype == y.dtype == np.complex128 and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for part in PARTS
+        for x, y in zip(getattr(a, part), getattr(b, part))
+    )
+
+
+def test_a_result_keeps_its_own_copy_of_the_stacks_it_is_given():
+    # a result used to freeze the caller's arrays in place and keep them:
+    # nested lists raised AttributeError, and a later write to a base array
+    # that the stacks view turned a passing result into a failing one
+    k = random_selfadjoint_operator(module_over((2, 1), 2), np.random.default_rng(83))
+    res = diagonalize_selfadjoint(k)
+    summary = verify_eigensystem(k, res).summary()
+    assert verify_eigensystem(k, res).overall
+    assert _same_bits(dataclasses.replace(res, **_stacks(res, np.ndarray.tolist)), res)
+    bases = _stacks(res, np.array)
+    views = {part: tuple(base[...] for base in stacks) for part, stacks in bases.items()}
+    copied = dataclasses.replace(res, **views)
+    assert _same_bits(copied, res)
+    for part in PARTS:
+        for base, view in zip(bases[part], views[part]):
+            assert base.flags.writeable and view.flags.writeable
+            if part == "vectors":
+                view *= 3
+            else:
+                base *= 3
+    assert _same_bits(copied, res)
+    assert verify_eigensystem(k, copied).summary() == summary
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+def test_a_result_stores_narrower_stacks_as_complex128(dtype):
+    res = diagonalize_selfadjoint(random_selfadjoint_operator(module_over((2, 1), 2), np.random.default_rng(84)))
+    narrowed = dataclasses.replace(res, **_stacks(res, lambda stack: stack.real.astype(dtype)))
+    widened = dataclasses.replace(res, **_stacks(res, lambda stack: stack.real.astype(dtype).astype(np.complex128)))
+    assert _same_bits(narrowed, widened)
+    assert serialize_solution(narrowed) == serialize_solution(widened)
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_a_result_refuses_a_non_finite_entry_naming_the_part(part):
+    res = diagonalize_selfadjoint(random_selfadjoint_operator(module_over((2, 1), 2), np.random.default_rng(85)))
+    stacks = [np.array(stack) for stack in getattr(res, part)]
+    stacks[-1][-1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=part):
+        dataclasses.replace(res, **{part: tuple(stacks)})
+
+
+def test_numpy_integer_labels_are_stored_as_ints():
+    # _positive_int takes numpy integers for sizes and ranks; labels were refused
+    res = diagonalize_selfadjoint(random_selfadjoint_operator(module_over((2,), 3), np.random.default_rng(86)))
+    again = dataclasses.replace(res, pair_labels=np.array(res.pair_labels, dtype=np.int64))
+    assert again.pair_labels == res.pair_labels and {type(label) for label in again.pair_labels} == {int}
+    assert serialize_solution(again) == serialize_solution(res)
+
+
+@pytest.mark.parametrize("bad", ["0.1", None, float("nan"), 0.0, 1.0, True, 1j])
+def test_a_result_refuses_a_tolerance_that_is_not_a_number_in_the_unit_interval(bad):
+    # "0.1" was stored, and verify_eigensystem later raised a TypeError
+    res = diagonalize_selfadjoint(random_selfadjoint_operator(module_over((2,), 2), np.random.default_rng(87)))
+    with pytest.raises(ValueError, match="tolerance_used"):
+        dataclasses.replace(res, tolerance_used=bad)
+    again = dataclasses.replace(res, tolerance_used=np.float64(0.25))
+    assert type(again.tolerance_used) is float and again.tolerance_used == 0.25
 
 
 def test_a_scalar_in_the_old_zero_band_keeps_its_link_through_zero():

@@ -185,6 +185,25 @@ def test_ladder_diagonalizer_agrees():
     assert np.allclose([z.real for z in spectrum[2]], [0.125, 0.0, -0.125], atol=1e-12)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, "3"])
+def test_ladder_count_must_be_an_integer(count):
+    # 2.5 and 3.0 raised a TypeError from range; sizes and ranks name the value
+    with pytest.raises(ValueError, match=repr(count)):
+        projection_ladder(count)
+
+
+@pytest.mark.parametrize("count", [1, 0, -3, np.int64(1)])
+def test_ladder_count_below_two_is_refused(count):
+    with pytest.raises(ValueError, match="count must be at least 2"):
+        projection_ladder(count)
+
+
+def test_ladder_count_may_be_a_numpy_integer():
+    ladder = projection_ladder(np.int64(3))
+    assert ladder.operator.module.rank == 3
+    assert all(np.array_equal(a, b) for a, b in zip(ladder.operator.blocks, projection_ladder(3).operator.blocks))
+
+
 def test_ladder_validation():
     with pytest.raises(ValueError):
         projection_ladder(1)

@@ -8,8 +8,12 @@ lists in ``__all__`` exists. One function makes every Cholesky
 factorization, so each definiteness check groups its matrices by order in
 the same place. One call turns the numbers of an input file into an array,
 so every file part is read, and its faults located, the same way.
-And one function switches the cyclic garbage collector off and on again,
-so every reader and writer restores the caller's state the same way.
+One function switches the cyclic garbage collector off and on again,
+so every reader and writer restores the caller's state the same way. One
+function freezes the arrays that elements and results store, so every
+stored array is checked by one rule (the solver's shared pair schedule
+aside). And one function zero-pads blocks to a common order and marks the
+coordinates it added, so every padded stack and its mask agree.
 """
 
 import ast
@@ -133,22 +137,32 @@ def test_the_export_guard_catches_a_stale_name():
     assert _stale_exports(stale) == ["module_norm"]
 
 
-def _callers(source: str, *names: str) -> list:
-    """The function around each call of a name or attribute in ``names``, in source order."""
+def _owners(source: str, match) -> list:
+    """The function around each node for which ``match(node)`` holds, in source order."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names:
-                found.append(owner)
+        if match(node):
+            found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), None)
     return found
+
+
+def _called(node):
+    """The name or attribute a call node calls; None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    return node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+
+
+def _callers(source: str, *names: str) -> list:
+    """The function around each call of a name or attribute in ``names``, in source order."""
+    return _owners(source, lambda node: _called(node) in names)
 
 
 def _cholesky_sites(sources: dict) -> list:
@@ -210,3 +224,48 @@ def test_the_collector_guard_catches_a_second_site():
         ("io.py", "_cyclic_gc_off"),
         ("io.py", "parse_report"),
     ]
+
+
+def _freezers(sources: dict) -> list:
+    return [(name, owner) for name, source in sources.items() for owner in _callers(source, "setflags")]
+
+
+def test_one_function_freezes_stored_arrays():
+    assert _freezers(_package_sources()) == [
+        ("algebra.py", "_frozen_blocks"),
+        ("eigen.py", "_tournament_rounds"),
+        ("eigen.py", "_tournament_rounds"),
+    ]
+
+
+def test_the_freeze_guard_catches_a_second_site():
+    sources = _package_sources()
+    sources["diagonalize.py"] += "\n\ndef _freeze(stacks):\n    for s in stacks:\n        s.setflags(write=False)\n"
+    sources["io.py"] += "\nnp.setflags(a, write=False)\n"
+    assert _freezers(sources) == [
+        ("algebra.py", "_frozen_blocks"),
+        ("diagonalize.py", "_freeze"),
+        ("eigen.py", "_tournament_rounds"),
+        ("eigen.py", "_tournament_rounds"),
+        ("io.py", None),
+    ]
+
+
+def _is_padding_mask(node) -> bool:
+    """Whether node compares an ``arange`` call with anything, as a padding mask does."""
+    return isinstance(node, ast.Compare) and any(_called(side) == "arange" for side in [node.left, *node.comparators])
+
+
+def _mask_sites(sources: dict) -> list:
+    return [(name, owner) for name, source in sources.items() for owner in _owners(source, _is_padding_mask)]
+
+
+def test_one_function_computes_padding_masks():
+    assert _mask_sites(_package_sources()) == [("eigen.py", "_zero_padded")]
+
+
+def test_the_mask_guard_catches_a_second_site():
+    sources = _package_sources()
+    sources["verify.py"] += "\n\ndef _mask(kmax, sizes):\n    return np.arange(kmax) >= np.array(sizes)[:, None]\n"
+    sources["modules.py"] += "\npadded = widths[:, None] <= arange(n)\n"
+    assert _mask_sites(sources) == [("eigen.py", "_zero_padded"), ("modules.py", None), ("verify.py", "_mask")]

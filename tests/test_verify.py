@@ -580,30 +580,36 @@ def test_exactly_zero_shifted_blocks_pass_the_ordering_clause():
     report = verify_eigensystem(k, DiagonalizationResult.from_pairs(res.pairs, every_way, res.tolerance_used))
     assert report.operator_scale == 0.0
     assert report.ordering_ok and report.overall, report.summary()
-    zeros = np.zeros((3, 2, 2))
-    assert moddiag.algebra._all_above([zeros], 0.0)
-    assert not moddiag.algebra._all_positive_definite([zeros])
+    zeros, unpadded = np.zeros((3, 2, 2)), np.zeros((3, 2), dtype=bool)
+    assert moddiag.algebra._all_above(zeros, unpadded, 0.0)
+    assert not moddiag.algebra._all_positive_definite([zeros], unpadded)
 
 
 def test_padded_matrices_decide_as_their_unpadded_selves():
     # the identity on padded coordinates, and tol I on the others only,
     # keep every verdict: an exactly zero shifted matrix still passes, and a
     # tiny matrix padded beside a large one keeps its own scale
-    from moddiag.algebra import _all_above, _all_positive_definite, _zero_padded
+    from moddiag.algebra import _all_above, _all_positive_definite
+    from moddiag.eigen import _zero_padded
 
     rng = np.random.default_rng(99)
     mats = [-1e-3 * np.eye(1), np.zeros((2, 2)), 1e-300 * np.eye(1), np.array([[1.0, 2.0], [2.0, 1.0]])]
     mats += [random_hermitian(rng, k, scale=10.0 ** rng.integers(-5, 5)) for k in (1, 2, 3, 3, 2, 1)]
-    stack = _zero_padded(mats, 4, 4)
-    padded = np.arange(4) >= np.array([len(m) for m in mats])[:, None]
+    stack, padded = _zero_padded(mats, 4, 4)
+    assert padded.tolist() == [[j >= len(m) for j in range(4)] for m in mats]
     verdicts = set()
     for tol in (0.0, 1e-3, 1.0):
         for i, m in enumerate(mats):
-            alone = _all_above([m[None]], tol)
-            assert _all_above([stack[i : i + 1]], tol, padded[i : i + 1]) == alone, (i, tol)
-            assert _all_positive_definite([stack[i : i + 1]], padded[i : i + 1]) == _all_positive_definite([m[None]]), i
+            unpadded = np.zeros((1, len(m)), dtype=bool)
+            alone = _all_above(m[None], unpadded, tol)
+            assert _all_above(stack[i : i + 1], padded[i : i + 1], tol) == alone, (i, tol)
+            assert _all_positive_definite([stack[i : i + 1]], padded[i : i + 1]) == _all_positive_definite(
+                [m[None]], unpadded
+            ), i
             verdicts.add(alone)
-        assert _all_above([stack], tol, padded) == all(_all_above([m[None]], tol) for m in mats)
+        assert _all_above(stack, padded, tol) == all(
+            _all_above(m[None], np.zeros((1, len(m)), dtype=bool), tol) for m in mats
+        )
     assert verdicts == {True, False}
 
 

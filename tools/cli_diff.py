@@ -1,0 +1,160 @@
+"""Byte-for-byte comparison of the command-line output of a parent revision and the working tree.
+
+    python3 tools/cli_diff.py --parent HEAD
+
+Run from the repository root. The parent revision is exported with
+`bench_pairs.export_revision` into a temporary directory, removed
+afterwards. A fixed seeded set of problem files is written once, with the
+working tree's package, and both trees run the same commands on it:
+`diagonalize`, `verify` (of the solution that tree's `diagonalize` wrote)
+and `spectrum` on every file, then `example8`, `prop4 --n 3` and
+`prop4 --n 8`. Each tree runs in its own directory and the commands name
+their files by relative paths, so an error message reads the same in both.
+BLAS is pinned to one thread.
+
+Every difference in exit code, stdout, stderr or a written file is
+printed. The exit code is 1 when there is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, export_revision  # noqa: E402
+
+# name: (block sizes, module rank, seed); "ladder" is projection_ladder(32)
+# and "normal" a normal, not self-adjoint, operator
+PROBLEMS = {
+    "ladder32": ((1,) * 32, 32, None),
+    "dense-8-r12": ((8,), 12, 1),
+    "s2-r3": ((2,), 3, 2),
+    "s2x3-r2": ((2, 3), 2, 3),
+    "s1x1x1x1-r3": ((1, 1, 1, 1), 3, 4),
+    "s2x1x3-r1": ((2, 1, 3), 1, 5),
+    "s2x1x3-r3": ((2, 1, 3), 3, 6),
+    "normal-s2x1-r2": ((2, 1), 2, 7),
+}
+THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def write_problems(dest: Path) -> None:
+    """Write each of PROBLEMS as dest/<name>.json with the working tree's package."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+
+    import moddiag
+
+    for name, (sizes, rank, seed) in PROBLEMS.items():
+        if seed is None:
+            op = moddiag.projection_ladder(rank).operator
+        else:
+            rng = np.random.default_rng(seed)
+            mats = []
+            for k in sizes:
+                m = rng.standard_normal((rank * k,) * 2) + 1j * rng.standard_normal((rank * k,) * 2)
+                if name.startswith("normal"):
+                    q = np.linalg.qr(m)[0]
+                    d = np.arange(rank * k) + 1j * rng.standard_normal(rank * k)
+                    mats.append(q @ np.diag(d) @ q.conj().T)
+                else:
+                    mats.append((m + m.conj().T) / 2.0)
+            op = moddiag.ModuleOperator(moddiag.HilbertModule(moddiag.AlgebraShape(sizes), rank), mats)
+        (dest / f"{name}.json").write_text(moddiag.serialize_problem(op), encoding="utf-8")
+
+
+def commands(problems) -> dict:
+    """Run name -> the CLI's argv, for a run directory beside ``problems/``."""
+    runs = {}
+    for name in problems:
+        src = f"../problems/{name}.json"
+        solution = f"{name}.solution.json"
+        runs[f"{name} diagonalize"] = [
+            "diagonalize", "--input", src, "--solution", solution, "--out", f"{name}.diagonalize.json"
+        ]
+        runs[f"{name} verify"] = ["verify", "--input", src, "--solution", solution, "--out", f"{name}.verify.json"]
+        runs[f"{name} spectrum"] = ["spectrum", "--input", src]
+    runs["example8"] = ["example8", "--out", "example8.json"]
+    for n in (3, 8):
+        runs[f"prop4 --n {n}"] = ["prop4", "--n", str(n), "--out", f"prop4-{n}.json"]
+    return runs
+
+
+def run_all(tree: Path, rundir: Path, runs: dict) -> tuple:
+    """(run name -> (exit code, stdout, stderr), file name -> bytes) of the runs in rundir with tree's package."""
+    env = {**os.environ, **THREADS, "PYTHONPATH": str(tree / "src")}
+    outcomes = {}
+    for name, argv in runs.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "moddiag.cli", *argv], cwd=rundir, env=env, capture_output=True, timeout=600
+        )
+        outcomes[name] = (proc.returncode, proc.stdout, proc.stderr)
+    return outcomes, {path.name: path.read_bytes() for path in sorted(rundir.iterdir())}
+
+
+def _first_difference(a: bytes, b: bytes) -> str:
+    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return f"first at byte {at} of {len(a)} / {len(b)}: {a[at:at + 40]!r} / {b[at:at + 40]!r}"
+
+
+def differences(parent: tuple, change: tuple) -> list:
+    """One entry per difference between two ``run_all`` results of the same runs; [] when they agree.
+
+    Exit codes are given as ``parent -> change``; a stream as a unified
+    diff of its lines, a file by its first differing byte.
+    """
+    (parent_runs, parent_files), (change_runs, change_files) = parent, change
+    found = []
+    for name, (code, *streams) in parent_runs.items():
+        other_code, *other_streams = change_runs[name]
+        if code != other_code:
+            found.append(f"{name}: exit code {code} -> {other_code}")
+        for stream, a, b in zip(("stdout", "stderr"), streams, other_streams):
+            if a != b:
+                lines = difflib.unified_diff(
+                    a.decode(errors="replace").splitlines(), b.decode(errors="replace").splitlines(),
+                    "parent", "change", lineterm="",
+                )
+                found.append(f"{name}: {stream} differs\n" + "\n".join(lines))
+    for name in sorted(parent_files.keys() | change_files.keys()):
+        a, b = parent_files.get(name), change_files.get(name)
+        if a is None or b is None:
+            found.append(f"file {name}: only in {'change' if a is None else 'parent'}")
+        elif a != b:
+            found.append(f"file {name}: differs, {_first_difference(a, b)}")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="the revision to compare against, e.g. HEAD")
+    args = parser.parse_args(argv)
+    runs = commands(PROBLEMS)
+    work = Path(tempfile.mkdtemp(prefix="cli-diff-"))
+    try:
+        export_revision(args.parent, work / "parent-tree")
+        (work / "problems").mkdir()
+        write_problems(work / "problems")
+        results = {}
+        for side, tree in (("parent", work / "parent-tree"), ("change", ROOT)):
+            (work / side).mkdir()
+            results[side] = run_all(tree, work / side, runs)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    found = differences(results["parent"], results["change"])
+    for entry in found:
+        print(entry)
+    files = len(results["parent"][1].keys() | results["change"][1].keys())
+    print(f"{len(runs)} command runs and {files} written files compared; {len(found)} differences")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
