@@ -229,7 +229,8 @@ def diagonalize_selfadjoint(K: ModuleOperator, tol: float = 1e-9) -> Diagonaliza
         raise ValueError("tol must be in (0, 1)")
     if not K.is_selfadjoint(tol):
         raise NotSelfAdjointError("operator is not self-adjoint within tolerance")
-    # every block in one stacked solve (design notes, "The Jacobi sweep")
+    # every block in one eig_hermitian call, which sends each to Jacobi or to
+    # the tridiagonal kernel (design notes, "The tridiagonal kernel")
     spectra = eig_hermitian([(blk + blk.conj().T) / 2.0 for blk in K.blocks], min(tol, 1e-12))
     # the verifier's order slack uses this same scale (design notes, "Zero classification")
     zero_tol = tol * K._norm_lower_bound()

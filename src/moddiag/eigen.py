@@ -1,9 +1,11 @@
 """Dense complex Hermitian and normal eigensolvers.
 
-A self-contained complex Jacobi implementation. Every spectral computation
-in this package funnels through the two entry points below, which keeps
-accuracy and tie-breaking behaviour in one place. Intended for the small
-dense matrices this library works with.
+Two self-contained kernels behind one entry point: complex Jacobi
+rotations for small or sparse matrices, and Householder tridiagonalization
+with Sturm bisection and inverse iteration for dense ones of order 16 and
+up. Every spectral computation in this package funnels through the two
+entry points below, which keeps accuracy and tie-breaking behaviour in one
+place. numpy does the arithmetic; it computes no eigenvalue.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ _log = logging.getLogger(__name__)
 
 
 class ConvergenceError(RuntimeError):
-    """Jacobi sweeps failed to reach the off-diagonal target."""
+    """An eigensolver kernel missed its convergence target."""
 
 
 class NotHermitianError(ValueError):
@@ -230,66 +232,22 @@ def _square_matrices(matrices) -> list:
     return [_square_complex(m) for m in matrices]
 
 
-def _solve_stats(d, sweeps, rotations, off, target, e) -> str:
+def _solve_stats(d, figures, final, target, e) -> str:
     # the norms are reported in the units of the input, not of the scaled block
     with np.errstate(over="ignore"):
-        off, target = np.ldexp(off, e), np.ldexp(target, e)
-    return (
-        f"d={d}, {sweeps} sweeps, {rotations} rotations, "
-        f"off-diagonal norm {off:.3e} (target {target:.3e})"
-    )
+        final, target = np.ldexp(final, e), np.ldexp(target, e)
+    return f"d={d}, {figures} {final:.3e} (target {target:.3e})"
 
 
-def eig_hermitian(matrices, tol: float = 1e-12):
-    """Diagonalize Hermitian matrices in one stacked solve by complex Jacobi rotations.
+def _jacobi(h, padded, dims, target) -> tuple:
+    """Sweep a padded stack until each matrix's off-diagonal mass meets its target.
 
-    Parameters
-    ----------
-    matrices : nonempty list or tuple of (d, d) array_like
-        Each Hermitian up to ``tol * max|entry|`` in entrywise distance.
-        They are solved in one stacked call and may differ in order. A
-        bare matrix or a 3-d array raises ValueError.
-    tol : float
-        Also sets the sweep target: rotations stop once the off-diagonal
-        Frobenius mass of a matrix drops below ``tol * frobenius(matrix)``.
-        At most ``MAX_SWEEPS`` sweeps are attempted.
-
-    Returns
-    -------
-    list of HermitianEig, one per matrix
-        Descending eigenvalues and a unitary matrix of row eigenvectors.
-        Ties keep the sweep order (stable sort); each row's phase is fixed
-        by making its first sizable component real positive, so the output
-        is deterministic for a fixed input.
-
-    Notes
-    -----
-    The block is first scaled by the power of two that brings its largest
-    entry into ``[1/2, 1)``, and the values are scaled back, both exactly,
-    so no squared entry under- or overflows and ``eig_hermitian(2**k * A)``
-    returns ``2**k`` times the values of ``A``. Every call sweeps a stack
-    in round-robin order, a round of disjoint rotations per numpy step.
-    Each matrix keeps its own prescale, threshold, target, convergence,
-    sort and phase rule: its result does not depend on its neighbours
-    beyond round-off, and not at all when they all have the same order, so
-    it equals a call with that matrix alone bit for bit (design notes, "The
-    Jacobi sweep"). One DEBUG record per matrix on the ``moddiag.eigen``
-    logger reports its sweeps, rotations and final off-diagonal norm;
-    NotHermitianError and ConvergenceError name the failing matrices.
+    Returns each matrix's values, descending with the padding last, its
+    row eigenvectors in the same order, the text of its sweeps and
+    rotations, and its final off-diagonal norm (design notes, "The Jacobi
+    sweep").
     """
-    mats = _square_matrices(matrices)
-    dims = [len(m) for m in mats]
-    count, n = len(mats), max(dims)
-    # zero padding is exact (design notes, "The Jacobi sweep")
-    h, padded = _zero_padded(mats, n, n)
-    bad = _hermitian_defect([h]) > tol
-    if bad.any():
-        raise NotHermitianError(f"matrix {np.argmax(bad)} of the stack is not Hermitian within tolerance")
-
-    e = np.frexp(np.abs(h).max(axis=(1, 2)))[1]
-    h = _times_power_of_two(h, -e[:, None, None])
-    h += h.conj().swapaxes(1, 2)
-    h *= 0.5
+    count, n = h.shape[:2]
     # each matrix's eigenvector rows sit beside its rows, so one row
     # rotation of av turns both
     av = np.zeros((count, n, 2 * n), dtype=np.complex128)
@@ -297,10 +255,7 @@ def eig_hermitian(matrices, tol: float = 1e-12):
     a[...] = h
     v[:, range(n), range(n)] = 1.0
     del h
-
-    frob = np.sqrt((np.abs(a) ** 2).reshape(count, -1).sum(axis=1))
-    target = max(tol, 1e-14) * frob
-    thr = target / (2.0 * np.array(dims))
+    thr = target / (2.0 * dims)
     off = _offdiag_norm(a)
     sweeps = np.zeros(count, dtype=int)
     rotations = np.zeros(count, dtype=int)
@@ -314,27 +269,133 @@ def eig_hermitian(matrices, tol: float = 1e-12):
         sweeps += active
         off = _offdiag_norm(a)
 
-    failed = off > target
-    if failed.any() or _log.isEnabledFor(logging.DEBUG):
-        stats = [
-            f"matrix {i} of {count}: {_solve_stats(d, *args)}"
-            for i, (d, *args) in enumerate(zip(dims, sweeps, rotations, off, target, e))
-        ]
-        if failed.any():
-            described = "; ".join(s for s, f in zip(stats, failed) if f)
-            raise ConvergenceError(f"Jacobi did not converge: {described}")
-        for s in stats:
-            _log.debug("eig_hermitian %s", s)
-
     vals = np.real(np.diagonal(a, axis1=1, axis2=2)).copy()
     vals[padded] = -np.inf  # padding sorts last
     order = np.argsort(-vals, axis=1, kind="stable")
     rows = np.arange(count)[:, None]
-    values = np.ldexp(vals[rows, order], e[:, None])
-    vectors = v[rows, order]
-    del av, a, v  # the rotated stack is freed before the phases are fixed
-    vectors = _fix_row_phases(vectors)
-    return [HermitianEig(values[i, :d], vectors[i, :d, :d]) for i, d in enumerate(dims)]
+    figures = [f"{s} sweeps, {r} rotations, off-diagonal norm" for s, r in zip(sweeps.tolist(), rotations.tolist())]
+    return vals[rows, order], v[rows, order], figures, off
+
+
+def _tridiagonal_wins(mag, dims, target) -> np.ndarray:
+    """Whether each matrix of a scaled stack goes to the tridiagonal kernel rather than to Jacobi.
+
+    mag holds the moduli of the entries. A matrix goes there when its order
+    is at least 16 and it has at least d couplings (pairs ``p < q``) above
+    Jacobi's rotation threshold ``target / (2 d)``: below either, Jacobi's
+    sweeps are few or short and it wins (design notes, "The tridiagonal
+    kernel").
+    """
+    large = dims >= 16
+    if not large.any():  # the common small call skips the count
+        return large
+    live = mag > (target / (2.0 * dims))[:, None, None]
+    # each pair is counted twice, once in each triangle
+    twice = np.count_nonzero(live, axis=(1, 2)) - np.count_nonzero(np.diagonal(live, axis1=1, axis2=2), axis=1)
+    return large & (twice >= 2 * dims)
+
+
+def eig_hermitian(matrices, tol: float = 1e-12):
+    """Diagonalize Hermitian matrices in one stacked call, by Jacobi rotations or by a tridiagonal kernel.
+
+    Parameters
+    ----------
+    matrices : nonempty list or tuple of (d, d) array_like
+        Each Hermitian up to ``tol * max|entry|`` in entrywise distance.
+        They are solved in one call and may differ in order. A bare matrix
+        or a 3-d array raises ValueError.
+    tol : float
+        Also sets each matrix's target, ``tol * frobenius(matrix)``: Jacobi
+        rotates until the off-diagonal Frobenius mass drops below it, in
+        at most ``MAX_SWEEPS`` sweeps; inverse iteration steps until the
+        Frobenius norm of the residuals ``T z - lambda z`` does.
+
+    Returns
+    -------
+    list of HermitianEig, one per matrix
+        Descending eigenvalues and a unitary matrix of row eigenvectors.
+        Ties keep the kernel's order (stable sort); each row's phase is
+        fixed by making its first sizable component real positive, so the
+        output is deterministic for a fixed input.
+
+    Notes
+    -----
+    The block is first scaled by the power of two that brings its largest
+    entry into ``[1/2, 1)``, and the values are scaled back, both exactly,
+    so no squared entry under- or overflows and ``eig_hermitian(2**k * A)``
+    returns ``2**k`` times the values of ``A``. Each matrix then goes to
+    one of two kernels by its order and its count of couplings above
+    Jacobi's rotation threshold (design notes, "The tridiagonal kernel").
+    Jacobi sweeps the sparse and the small ones in one padded stack, in
+    round-robin order, a round of disjoint rotations per numpy step. The
+    dense ones of order 16 and up are reduced to tridiagonal form by
+    Householder reflectors, and their eigenvalues found by Sturm bisection
+    and their eigenvectors by inverse iteration, in one stack per order.
+    Each matrix keeps its own prescale, target, convergence, sort and
+    phase rule: its result does not depend on its neighbours beyond
+    round-off, and not at all when they all have the same order, so it
+    equals a call with that matrix alone bit for bit (design notes, "The
+    Jacobi sweep"). One DEBUG record per matrix on the ``moddiag.eigen``
+    logger reports its kernel's figures; NotHermitianError and
+    ConvergenceError name the failing matrices.
+    """
+    mats = _square_matrices(matrices)
+    dims = np.array([len(m) for m in mats])
+    count, n = len(mats), int(dims.max())
+    # zero padding is exact (design notes, "The Jacobi sweep")
+    h, padded = _zero_padded(mats, n, n)
+    bad = _hermitian_defect([h]) > tol
+    if bad.any():
+        raise NotHermitianError(f"matrix {np.argmax(bad)} of the stack is not Hermitian within tolerance")
+
+    e = np.frexp(np.abs(h).max(axis=(1, 2)))[1]
+    h = _times_power_of_two(h, -e[:, None, None])
+    h += h.conj().swapaxes(1, 2)
+    h *= 0.5
+    mag = np.abs(h)
+    target = max(tol, 1e-14) * np.sqrt((mag**2).reshape(count, -1).sum(axis=1))
+    dense = _tridiagonal_wins(mag, dims, target)
+    del mag
+    # the Jacobi matrices share one padded stack, the others one stack per
+    # order; a group of every matrix indexes the stack by a slice, so its
+    # stack is a view, not a copy
+    if dense.any():
+        masks = [~dense] + [dense & (dims == d) for d in sorted(set(dims[dense].tolist()))]
+        groups = [slice(None) if m.all() else np.flatnonzero(m) for m in masks if m.any()]
+    else:  # the common small call: one Jacobi stack
+        groups = [slice(None)]
+    orders = [int(dims[group].max()) for group in groups]
+    stacks = [h[group, :k, :k] for group, k in zip(groups, orders)]
+    del h  # each kernel holds the only reference to its stack and frees it once done
+    out, figures, final = [None] * count, [None] * count, np.zeros(count)
+    for group, k in zip(groups, orders):
+        if dense[group].any():
+            # imported on the first dense solve: compiling the module raised
+            # the peak memory of a process that never needs it by 0.9 MB
+            # (design notes, "The tridiagonal kernel")
+            from . import _tridiagonal
+
+            values, vectors, texts, final[group] = _tridiagonal.eigensystems(stacks.pop(0), target[group])
+        else:
+            values, vectors, texts, final[group] = _jacobi(stacks.pop(0), padded[group, :k], dims[group], target[group])
+        values = np.ldexp(values, e[group, None])
+        vectors = _fix_row_phases(vectors)
+        for j, i in enumerate(np.arange(count)[group].tolist()):
+            d = len(mats[i])
+            out[i], figures[i] = HermitianEig(values[j, :d], vectors[j, :d, :d]), texts[j]
+
+    failed = ~(final <= target)  # a NaN figure fails too
+    if failed.any() or _log.isEnabledFor(logging.DEBUG):
+        stats = [
+            f"matrix {i} of {count}: {_solve_stats(len(m), *args)}"
+            for i, (m, *args) in enumerate(zip(mats, figures, final, target, e))
+        ]
+        if failed.any():
+            described = "; ".join(s for s, f in zip(stats, failed) if f)
+            raise ConvergenceError(f"eig_hermitian did not converge: {described}")
+        for s in stats:
+            _log.debug("eig_hermitian %s", s)
+    return out
 
 
 def tie_runs(descending: np.ndarray, gap: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from moddiag import (
     eig_normal,
     projection_ladder,
 )
-from moddiag import eigen
+from moddiag import _tridiagonal, eigen
 
 from helpers import random_hermitian
 
@@ -217,7 +217,7 @@ def test_tournament_schedule_covers_every_pair_once():
 
 def test_power_of_two_scaling_is_exact():
     rng = np.random.default_rng(19)
-    for d in (3, 8):
+    for d in (3, 8, 16, 96):
         a = random_hermitian(rng, d)
         base = eig_hermitian([a])[0]
         for k in (-600, -300, 0, 300, 600):
@@ -228,7 +228,7 @@ def test_power_of_two_scaling_is_exact():
 
 def test_eigenvalues_are_scale_covariant():
     rng = np.random.default_rng(20)
-    for d in (3, 8):
+    for d in (3, 8, 16, 96):
         a = random_hermitian(rng, d)
         want = np.sort(np.linalg.eigvalsh(a))[::-1]
         for s in (1e-200, 1e-170, 1e-100, 1.0, 1e100, 1e155, 1e200):
@@ -270,10 +270,11 @@ def _lone(mats, tol=1e-12):
 
 
 def test_padded_stack_agrees_with_lone_calls():
-    # orders 1..16 pad to 16; padding is exact, so only the order of the
-    # rotations inside a sweep differs from a lone call
+    # orders 1..15 and a sparse order 16, which stays with Jacobi, pad to
+    # 16; padding is exact, so only the order of the rotations inside a
+    # sweep differs from a lone call
     rng = np.random.default_rng(31)
-    mats = [random_hermitian(rng, d) for d in range(1, 17)]
+    mats = [random_hermitian(rng, d) for d in range(1, 16)] + [_sparse(rng, 16, 4)]
     for got, want, a in zip(eig_hermitian(mats), _lone(mats), mats):
         d = len(a)
         assert got.values.shape == (d,) and got.vectors.shape == (d, d)
@@ -451,3 +452,160 @@ def test_the_solvers_take_a_sequence_and_refuse_a_bare_matrix():
         for bad in (h, h.tolist(), h[None], []):
             with pytest.raises(ValueError, match="nonempty list or tuple"):
                 solve(bad)
+
+
+# --- the tridiagonal kernel: dense matrices of order 16 and up ------------
+
+
+def _records(caplog, mats):
+    caplog.clear()
+    caplog.set_level(logging.DEBUG, logger="moddiag.eigen")
+    eig_hermitian(mats)
+    return [r.getMessage() for r in caplog.records]
+
+
+def _sparse(rng, d, couplings):
+    a = np.diag(rng.standard_normal(d)).astype(complex)
+    for p, q in rng.choice(d, size=(couplings, 2), replace=False):
+        a[p, q] = rng.standard_normal() + 1j * rng.standard_normal()
+        a[q, p] = np.conj(a[p, q])
+    return a
+
+
+def _assert_eigensystem(res, a):
+    d = len(a)
+    want = np.sort(np.linalg.eigvalsh(a))[::-1]
+    scale = 1.0 + np.abs(a).max()
+    assert np.all(np.diff(res.values) <= 0.0)
+    assert np.abs(res.values - want).max() <= VALUE_TOL * scale
+    recon = res.vectors.conj().T @ np.diag(res.values) @ res.vectors
+    assert np.abs(recon - a).max() <= RESIDUAL_TOL * scale
+    assert np.abs(res.vectors @ res.vectors.conj().T - np.eye(d)).max() <= UNITARY_TOL
+    assert _phase_rule_holds(res.vectors)
+
+
+def test_matrices_are_routed_by_order_and_coupling_count(caplog):
+    # Jacobi keeps the sparse and the small matrices; a dense one of order
+    # 16 or more goes to the tridiagonal kernel
+    rng = np.random.default_rng(50)
+    ladder = [(b + b.conj().T) / 2.0 for b in projection_ladder(32).operator.blocks]
+    sparse = _sparse(rng, 96, 6)
+    records = _records(caplog, ladder + [sparse, random_hermitian(rng, 15)])
+    assert len(records) == 34
+    assert all("sweeps" in r and "rotations" in r and "bisection" not in r for r in records)
+    (record,) = _records(caplog, [random_hermitian(rng, 96)])
+    assert record.startswith("eig_hermitian matrix 0 of 1: d=96, 13 bisection rounds, 2 inverse-iteration steps, ")
+    assert "residual" in record and "target" in record and "sweeps" not in record
+
+
+def test_clustered_dense_spectra():
+    rng = np.random.default_rng(51)
+    q = np.linalg.qr(rng.standard_normal((96, 96)) + 1j * rng.standard_normal((96, 96)))[0]
+    for spectrum in ([1.0] * 48 + [-1.0] * 48, [2.0] * 24 + [1.0] * 24 + [-1.0] * 24 + [-3.0] * 24):
+        a = q @ np.diag(spectrum) @ q.conj().T
+        a = (a + a.conj().T) / 2.0
+        _assert_eigensystem(eig_hermitian([a])[0], a)
+
+
+def test_block_diagonal_matrix_splits_into_its_blocks():
+    # T splits where the blocks meet, so every eigenvector row has exact
+    # zeros outside one block; the zero block splits into pieces of one
+    # zero each, whose pivots must not overflow the solve
+    rng = np.random.default_rng(52)
+    a = np.zeros((96, 96), dtype=complex)
+    for start, size in ((0, 40), (60, 36)):
+        a[start : start + size, start : start + size] = random_hermitian(rng, size)
+    res = eig_hermitian([a])[0]
+    _assert_eigensystem(res, a)
+    block = np.repeat([0, 1, 2], [40, 20, 36])
+    first = block[np.argmax(res.vectors != 0, axis=1)]
+    assert np.all((res.vectors == 0) | (block[None, :] == first[:, None]))
+    assert np.bincount(first).tolist() == [40, 20, 36]
+
+
+def test_mixed_stack_agrees_with_lone_calls():
+    rng = np.random.default_rng(53)
+    mats = [random_hermitian(rng, 3), random_hermitian(rng, 8), random_hermitian(rng, 96), _sparse(rng, 96, 6)]
+    for i, (got, want, a) in enumerate(zip(eig_hermitian(mats), _lone(mats), mats)):
+        _assert_eigensystem(got, a)
+        assert np.abs(got.values - want.values).max() <= 1e-13 * np.linalg.norm(a, 2)
+        if i == 2:  # the dense matrix is a stack of its own order
+            assert np.array_equal(got.values, want.values) and np.array_equal(got.vectors, want.vectors)
+
+
+def test_dense_solve_is_deterministic():
+    a = random_hermitian(np.random.default_rng(54), 96)
+    first, second = eig_hermitian([a])[0], eig_hermitian([a])[0]
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
+def test_inverse_iteration_nonconvergence_names_each_matrix(monkeypatch):
+    rng = np.random.default_rng(55)
+    mats = [random_hermitian(rng, 32), _sparse(rng, 96, 6), random_hermitian(rng, 96)]
+    monkeypatch.setattr(_tridiagonal, "MAX_INVERSE_STEPS", 0)
+    with pytest.raises(ConvergenceError) as exc:
+        eig_hermitian(mats)
+    msg = str(exc.value)
+    assert "matrix 1 of 3" not in msg
+    for i, d in ((0, 32), (2, 96)):
+        assert f"matrix {i} of 3: d={d}, 13 bisection rounds, 0 inverse-iteration steps, residual " in msg
+    assert msg.count("target") == 2
+
+
+def test_a_nan_residual_is_a_convergence_error(monkeypatch):
+    # NaN compares false with the target, so it must not pass for converged
+    monkeypatch.setattr(_tridiagonal, "solve", lambda factors, y: np.full_like(y, np.inf))
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match=r"matrix 0 of 1: d=32, .* residual nan"):
+        eig_hermitian([random_hermitian(np.random.default_rng(57), 32)])
+
+
+def test_multisection_round_cap_is_a_convergence_error(monkeypatch):
+    # a slot still open after MAX_ROUNDS gets a NaN value and fails its
+    # matrix instead of looping on
+    monkeypatch.setattr(_tridiagonal, "MAX_ROUNDS", 3)
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match=r"matrix 0 of 1: d=32, 3 bisection rounds, .* residual nan"):
+        eig_hermitian([random_hermitian(np.random.default_rng(58), 32)])
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-158, 1e-300, 1e-310, 1e-320])
+def test_tiny_first_column_is_solved(scale, caplog):
+    # a column far below the matrix's scale must give a finite reflector,
+    # and a subnormal entry a phase of modulus 1, or T is wrong or not
+    # finite (design notes, "The tridiagonal kernel")
+    a = random_hermitian(np.random.default_rng(59), 96)
+    a[0, 1:] *= scale
+    a[1:, 0] *= scale
+    (record,) = _records(caplog, [a])
+    assert "bisection rounds" in record
+    _assert_eigensystem(eig_hermitian([a])[0], a)
+
+
+def test_normal_runs_stay_apart_on_the_tridiagonal_kernel(monkeypatch, caplog):
+    # three runs of 16 tied real parts: the Hermitian part and the masked
+    # compressions are dense, so both solves take the tridiagonal kernel,
+    # and each refined row must stay exactly inside its run
+    rng = np.random.default_rng(56)
+    vals = np.repeat([2.0, 0.5, -1.0], 16) + 1j * rng.standard_normal(48)
+    q = np.linalg.qr(rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48)))[0]
+    n = q @ np.diag(vals) @ q.conj().T
+    calls = []
+
+    def spy(mats, tol=1e-12):
+        out = eig_hermitian(mats, tol)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(eigen, "eig_hermitian", spy)
+    caplog.set_level(logging.DEBUG, logger="moddiag.eigen")
+    got, vectors = eig_normal([n])[0]
+    # the oracle's tied real parts differ by round-off, so they are rounded before the sort
+    want = np.array(sorted(np.linalg.eigvals(n), key=lambda z: (-round(z.real, 8), -z.imag)))
+    assert np.abs(got - want).max() <= 1e-9
+    assert np.abs(vectors @ n @ vectors.conj().T - np.diag(got)).max() <= 1e-9
+    assert len(calls) == 2 and all("bisection rounds" in r.getMessage() for r in caplog.records)
+    refined = calls[1][0].vectors
+    run = np.repeat([0, 1, 2], 16)
+    first = run[np.argmax(refined != 0, axis=1)]
+    assert np.all((refined == 0) | (run[None, :] == first[:, None]))
+    assert np.bincount(first).tolist() == [16, 16, 16]

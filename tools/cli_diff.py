@@ -14,13 +14,35 @@ BLAS is pinned to one thread.
 
 Every difference in exit code, stdout, stderr or a written file is
 printed. The exit code is 1 when there is any, 0 otherwise.
+
+    python3 tools/cli_diff.py --parent HEAD --spectral
+
+compares what a change of eigensolver may not change, for a change that
+moves eigenvalues by round-off and may pick another basis of a
+degenerate window. Exit codes, stderr and the verdicts stay exact: the
+diagonalize and verify output with every figure (a number in exponent
+form, a "(worst ...)" note) left out, and every field of a report but
+its residuals, worst pairs and moment figure. Each line of `spectrum`
+must list the same count of values, each within SPECTRAL_TOL of the
+largest modulus on its line: the command prints 10 significant digits,
+so one unit of the last one is up to 1e-9 of a value. A solution must
+have the same labels and certificate; per algebra block its values must
+agree within SPECTRAL_TOL of the block's largest, its supports within
+PROJECTOR_TOL, and each pair's projector ``V* V`` onto its window of k
+ranks within PROJECTOR_TOL entrywise. That holds for any basis of a
+window whose values stand apart from the next window's; a tie across two
+windows may be split between them another valid way and is reported, so
+the check errs towards a false difference. Any other written file stays
+byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -43,6 +65,11 @@ PROBLEMS = {
     "normal-s2x1-r2": ((2, 1), 2, 7),
 }
 THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+SPECTRAL_TOL = 1e-8
+PROJECTOR_TOL = 1e-8
+# a figure of the diagonalize and verify output, which a change of solver may move
+_FIGURE = re.compile(r"[-+]?\d+(?:\.\d*)?e[-+]\d+| \(worst [^)]*\)")
+_REPORT_FIGURES = ("residuals", "worst_pairs", "moment_worst")
 
 
 def write_problems(dest: Path) -> None:
@@ -132,9 +159,91 @@ def differences(parent: tuple, change: tuple) -> list:
     return found
 
 
+def _spectrum_difference(a: bytes, b: bytes):
+    """Why two ``spectrum`` outputs differ beyond SPECTRAL_TOL, or None."""
+    lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
+    if len(lines_a) != len(lines_b):
+        return f"{len(lines_a)} / {len(lines_b)} lines"
+    for line_a, line_b in zip(lines_a, lines_b):
+        (head_a, _, list_a), (head_b, _, list_b) = line_a.partition(": "), line_b.partition(": ")
+        values_a = [complex(v.replace("i", "j")) for v in list_a.split(", ")]
+        values_b = [complex(v.replace("i", "j")) for v in list_b.split(", ")]
+        if head_a != head_b or len(values_a) != len(values_b):
+            return f"{line_a!r} / {line_b!r}"
+        gap = max(abs(x - y) for x, y in zip(values_a, values_b))
+        if gap > SPECTRAL_TOL * max(abs(x) for x in values_a):
+            return f"{head_a}: values {gap:.3e} apart"
+    return None
+
+
+def _solution_difference(a: bytes, b: bytes):
+    """Why two solution files differ beyond the bounds, or None."""
+    import numpy as np
+
+    import moddiag
+
+    first, second = (moddiag.parse_solution(text.decode()) for text in (a, b))
+    if first.pair_labels != second.pair_labels or first.ordering_certificate != second.ordering_certificate:
+        return "labels or certificate differ"
+    for block, parts in enumerate(zip(first.vectors, second.vectors, first.values, second.values,
+                                      first.supports, second.supports)):
+        vectors_a, vectors_b, values_a, values_b, supports_a, supports_b = parts
+        if vectors_a.shape != vectors_b.shape:
+            return f"block {block}: shapes {vectors_a.shape} / {vectors_b.shape}"
+        gap = np.abs(values_a - values_b).max()
+        if gap > SPECTRAL_TOL * np.abs(values_a).max():
+            return f"block {block}: values {gap:.3e} apart"
+        if np.abs(supports_a - supports_b).max() > PROJECTOR_TOL:
+            return f"block {block}: supports differ"
+        projectors_a = vectors_a.conj().swapaxes(1, 2) @ vectors_a
+        projectors_b = vectors_b.conj().swapaxes(1, 2) @ vectors_b
+        gap = np.abs(projectors_a - projectors_b).max(axis=(1, 2))
+        if gap.max() > PROJECTOR_TOL:
+            return f"block {block}: projector of L{first.pair_labels[int(gap.argmax())]} {gap.max():.3e} apart"
+    return None
+
+
+def spectral_differences(parent: tuple, change: tuple) -> list:
+    """Like ``differences``, but spectra and solutions within the bounds and verdicts exactly (module docstring)."""
+    (parent_runs, parent_files), (change_runs, change_files) = parent, change
+    found = []
+    for name, (code, out, err) in parent_runs.items():
+        other_code, other_out, other_err = change_runs[name]
+        if code != other_code:
+            found.append(f"{name}: exit code {code} -> {other_code}")
+        if err != other_err:
+            found.append(f"{name}: stderr differs")
+        if name.endswith(" spectrum"):
+            why = _spectrum_difference(out, other_out) if out != other_out else None
+            if why:
+                found.append(f"{name}: spectra differ, {why}")
+        elif _FIGURE.sub("#", out.decode()) != _FIGURE.sub("#", other_out.decode()):
+            found.append(f"{name}: verdicts differ")
+    for name in sorted(parent_files.keys() | change_files.keys()):
+        a, b = parent_files.get(name), change_files.get(name)
+        if a is None or b is None:
+            found.append(f"file {name}: only in {'change' if a is None else 'parent'}")
+        elif a == b:
+            continue
+        elif name.endswith(".solution.json"):
+            why = _solution_difference(a, b)
+            if why:
+                found.append(f"file {name}: {why}")
+        elif name.endswith((".diagonalize.json", ".verify.json")):
+            verdicts = [{k: v for k, v in json.loads(text).items() if k not in _REPORT_FIGURES} for text in (a, b)]
+            if verdicts[0] != verdicts[1]:
+                found.append(f"file {name}: verdicts differ")
+        else:
+            found.append(f"file {name}: differs, {_first_difference(a, b)}")
+    return found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against, e.g. HEAD")
+    parser.add_argument(
+        "--spectral", action="store_true", help="verdicts exactly, spectra and solution projectors within bounds"
+    )
     args = parser.parse_args(argv)
     runs = commands(PROBLEMS)
     work = Path(tempfile.mkdtemp(prefix="cli-diff-"))
@@ -148,7 +257,8 @@ def main(argv=None) -> int:
             results[side] = run_all(tree, work / side, runs)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    found = differences(results["parent"], results["change"])
+    compare = spectral_differences if args.spectral else differences
+    found = compare(results["parent"], results["change"])
     for entry in found:
         print(entry)
     files = len(results["parent"][1].keys() | results["change"][1].keys())
