@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Complex
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -187,20 +188,72 @@ class AlgebraShape:
         return AlgebraElement(self, mats)
 
 
+@lru_cache(maxsize=256)
+def _copies_by_shape(shapes: tuple) -> tuple:
+    """Per distinct block shape, in order of first appearance: (its blocks, the shape of their copy).
+
+    A shape met once gives its block's index and the shape itself; a shape
+    met m times gives the tuple of its blocks' indices and ``(m, *shape)``.
+    """
+    groups = {}
+    for j, want in enumerate(shapes):
+        groups.setdefault(want, []).append(j)
+    return tuple(
+        (members[0], want) if len(members) == 1 else (tuple(members), (len(members), *want))
+        for want, members in groups.items()
+    )
+
+
 def _frozen_blocks(blocks: Sequence, shapes, what: str) -> tuple:
-    """Read-only complex128 copies of the blocks, one per shape, counted first so ``zip`` drops none."""
+    """Read-only complex128 copies of the blocks, in block order; shapes gives each block's shape.
+
+    The blocks are counted first. All blocks of one shape are copied by one
+    np.array call into one stack, which is checked for shape and finite
+    entries and made read-only once; block j comes back as a view into its
+    shape's stack. A shape met once is copied alone and comes back as
+    itself. When every block has one shape, blocks goes to np.array as
+    given, so an ndarray stack is copied without a list. Any failure hands
+    over to _first_fault, which raises the first fault in block order.
+    """
     if len(blocks) != len(shapes):
         raise ShapeMismatchError(f"{what}: expected {len(shapes)} blocks, got {len(blocks)}")
-    mats = []
+    copies = _copies_by_shape(tuple(shapes))
+    frozen = [None] * len(shapes)
+    for members, want in copies:
+        lone = isinstance(members, int)
+        raw = blocks[members] if lone else blocks if len(copies) == 1 else [blocks[j] for j in members]
+        try:
+            stack = np.array(raw, dtype=np.complex128)
+        except (ValueError, TypeError, OverflowError):  # ragged, not a number, an integer beyond the float range
+            stack = None
+        if stack is None or stack.shape != want or not np.isfinite(stack).all():
+            _first_fault(blocks, shapes, what)
+        stack.setflags(write=False)
+        if lone:
+            frozen[members] = stack
+        elif len(copies) == 1:
+            return tuple(stack)
+        else:
+            for j, block in zip(members, stack):
+                frozen[j] = block
+    return tuple(frozen)
+
+
+def _first_fault(blocks: Sequence, shapes, what: str) -> NoReturn:
+    """Raise the error of the first block, in block order, that fails a copy of its own.
+
+    Called only when a stacked copy failed. A block fails when np.array
+    raises on it, when its copy has the wrong shape, or when an entry is
+    not finite. Blocks that pass one by one but not together (an object
+    array of blocks) raise ShapeMismatchError.
+    """
     for want, raw in zip(shapes, blocks):
         m = np.array(raw, dtype=np.complex128)
         if m.shape != want:
             raise ShapeMismatchError(f"{what}: block must be {want}, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError(f"{what} has non-finite entries")
-        m.setflags(write=False)
-        mats.append(m)
-    return tuple(mats)
+    raise ShapeMismatchError(f"{what}: blocks of one shape must form one array")
 
 
 class _Blocks:

@@ -18,6 +18,7 @@ from moddiag import (
     is_projection,
     leq,
 )
+from moddiag import algebra
 
 from helpers import random_algebra_element, random_hermitian
 
@@ -99,6 +100,105 @@ def test_block_containers_check_their_blocks(kind):
                 x + y
             with pytest.raises(TypeError):
                 y - x
+
+
+LADDER = HilbertModule(AlgebraShape((1,) * 32), 32)
+
+
+def _no_fault_walk(monkeypatch):
+    def walked(*args):
+        raise AssertionError("the fault walk ran on valid blocks")
+
+    monkeypatch.setattr(algebra, "_first_fault", walked)
+
+
+def test_valid_blocks_of_one_shape_are_copied_as_one_stack(monkeypatch):
+    _no_fault_walk(monkeypatch)
+    rng = np.random.default_rng(24)
+    stacks = {
+        AlgebraElement: (LADDER.shape, rng.standard_normal((32, 1, 1))),
+        ModuleElement: (LADDER, rng.standard_normal((32, 1, 32)) + 1j),
+        ModuleOperator: (LADDER, rng.standard_normal((32, 32, 32))),
+    }
+    for cls, (space, stack) in stacks.items():
+        for given in (stack, list(stack), [blk.tolist() for blk in stack]):
+            x = cls(space, given)
+            assert len(x.blocks) == 32 and all(blk.base is x.blocks[0].base for blk in x.blocks)
+            assert np.array_equal(np.stack(x.blocks), stack)
+    # two shapes, each met twice: one stack each, blocks in their own order
+    mixed = [np.full((k, k), b) for b, k in enumerate((2, 1, 2, 1))]
+    x = AlgebraElement(AlgebraShape((2, 1, 2, 1)), mixed)
+    assert [blk[0, 0] for blk in x.blocks] == [0, 1, 2, 3]
+    assert x.blocks[0].base is x.blocks[2].base is not x.blocks[1].base
+
+
+def _per_block_freeze(blocks, shapes, what):
+    """The per-block copy that the stacked one replaced, as the reference for its errors."""
+    if len(blocks) != len(shapes):
+        raise ShapeMismatchError(f"{what}: expected {len(shapes)} blocks, got {len(blocks)}")
+    mats = []
+    for want, raw in zip(shapes, blocks):
+        m = np.array(raw, dtype=np.complex128)
+        if m.shape != want:
+            raise ShapeMismatchError(f"{what}: block must be {want}, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"{what} has non-finite entries")
+        mats.append(m)
+    return tuple(mats)
+
+
+NAN = np.full((2, 2), np.nan)
+FAULTS = {
+    "nan-then-shape": [NAN, np.eye(3), np.eye(1)],
+    "shape-then-nan": [np.eye(3), NAN, np.eye(1)],
+    "ragged": [[[1.0, 2.0], [3.0]], np.eye(2), np.eye(1)],
+    "string": [[["x", 0], [0, 1]], np.eye(2), np.eye(1)],
+    "none": [np.eye(2), [[1, None], [0, 1]], np.eye(1)],
+    "int-beyond-float": [[[10**400, 0], [0, 1]], np.eye(2), np.eye(1)],
+    "lone-shape-after-a-stack": [np.eye(2), np.eye(2), [[np.inf]]],
+    "lone-shape-before-a-ragged-stack": [np.eye(2), [[1, 2], [3]], "x"],
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_the_first_fault_in_block_order_keeps_its_error(fault):
+    blocks = FAULTS[fault]
+    shape = AlgebraShape((2, 2, 1))
+    with pytest.raises(Exception) as expected:
+        _per_block_freeze(blocks, [(2, 2), (2, 2), (1, 1)], "AlgebraElement")
+    with pytest.raises(type(expected.value)) as err:
+        AlgebraElement(shape, blocks)
+    assert type(err.value) is type(expected.value) and str(err.value) == str(expected.value)
+
+
+def test_a_fault_in_an_ndarray_stack_keeps_its_message():
+    stack = np.zeros((32, 32, 32))
+    stack[5, 3, 4] = np.inf
+    with pytest.raises(ValueError, match="^ModuleOperator has non-finite entries$"):
+        ModuleOperator(LADDER, stack)
+    with pytest.raises(ShapeMismatchError, match=re.escape("block must be (32, 32), got (32, 31)")):
+        ModuleOperator(LADDER, stack[:, :, :31])
+
+
+def test_blocks_that_pass_alone_but_do_not_stack_are_refused():
+    # an object array of blocks goes to the stacked copy as given
+    blocks = np.empty(2, dtype=object)
+    blocks[0], blocks[1] = np.eye(2), np.eye(2)
+    with pytest.raises(ShapeMismatchError, match="must form one array"):
+        AlgebraElement(AlgebraShape((2, 2)), blocks)
+    assert AlgebraElement(AlgebraShape((2, 2)), list(blocks)).trace() == 4
+
+
+def test_blocks_are_read_only_and_the_callers_stack_stays_its_own():
+    stack = np.ones((32, 1, 32))
+    x = ModuleElement(LADDER, stack)
+    for blk in x.blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            blk[0, 0] = 2.0
+    assert not x.blocks[0].base.flags.writeable
+    stack *= 3
+    assert stack.flags.writeable
+    assert all(np.array_equal(blk, np.ones((1, 32))) for blk in x.blocks)
 
 
 def test_diagonal_and_block_projection():

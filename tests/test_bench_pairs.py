@@ -48,3 +48,32 @@ def test_pair_counts_need_an_even_count(count):
     with pytest.raises(SystemExit):
         bench_pairs._pair_counts([f"dense_block={count}"])
     assert bench_pairs._pair_counts([f"dense_block={count + 1}"]) == {"dense_block": count + 1}
+
+
+def _tree_with_caches(root):
+    for rel in ("src/moddiag/__pycache__", "perfbench/__pycache__", "perfbench/tests/__pycache__",
+                "tools/__pycache__", "tests/__pycache__", "__pycache__"):
+        (root / rel).mkdir(parents=True)
+    (root / "src" / "__pycache__").write_text("a file of that name is not a cache")
+    return [root / rel for rel in ("perfbench/__pycache__", "perfbench/tests/__pycache__",
+                                   "src/moddiag/__pycache__", "tools/__pycache__")]
+
+
+def test_bytecode_caches_are_found_under_the_code_directories_only(tmp_path):
+    assert bench_pairs.bytecode_caches(tmp_path) == []
+    expected = _tree_with_caches(tmp_path)
+    assert bench_pairs.bytecode_caches(tmp_path) == expected
+
+
+def test_a_bytecode_cache_stops_the_run_before_any_export(tmp_path, monkeypatch):
+    # a cached change side imports without compiling, and its setup_s reads low
+    expected = _tree_with_caches(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda rev, dest: pytest.fail("exported"))
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", "HEAD", "--out", str(tmp_path / "out.json"), "--claim", "c",
+                          "--pairs", "ladder_file=2"])
+    named = [line.strip() for line in str(stop.value).splitlines()[1:]]
+    assert named == [str(path.relative_to(tmp_path)) for path in expected]
+    assert not (tmp_path / "out.json").exists()

@@ -19,9 +19,11 @@ from moddiag import (
     diagonalize_selfadjoint,
     left_action,
     leq,
+    projection_ladder,
     theta,
     verify_eigensystem,
 )
+from moddiag import algebra
 from moddiag.algebra import _norm_lower_bound
 from moddiag.io import serialize_solution
 
@@ -315,6 +317,37 @@ def test_a_result_keeps_its_own_copy_of_the_stacks_it_is_given():
                 base *= 3
     assert _same_bits(copied, res)
     assert verify_eigensystem(k, copied).summary() == summary
+
+
+def test_the_ladder_result_stores_one_read_only_stack_per_part(monkeypatch):
+    # every algebra block of C^32 has order 1, so each part is one stack
+    ladder = projection_ladder(32)
+    res = diagonalize_selfadjoint(ladder.operator)
+
+    def walked(*args):
+        raise AssertionError("the fault walk ran on valid stacks")
+
+    monkeypatch.setattr(algebra, "_first_fault", walked)
+    given = {part: np.array(getattr(res, part)) for part in PARTS}  # (32, P, 1, ...) each
+    copied = dataclasses.replace(res, **given)
+    assert _same_bits(copied, res)
+    for part in PARTS:
+        stacks = getattr(copied, part)
+        assert all(blk.base is stacks[0].base for blk in stacks) and not stacks[0].base.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stacks[-1][0, 0, 0] = 1.0
+    for stack in given.values():
+        stack *= 3
+    assert _same_bits(copied, res)
+    assert verify_eigensystem(ladder.operator, copied).overall
+    pairs = copied.pairs
+    assert len(pairs) == 32  # one window per module coordinate
+    for p, pair in enumerate(pairs):
+        assert all(np.array_equal(st[p], x) for st, x in zip(copied.vectors, pair.vector.blocks))
+        assert all(np.array_equal(st[p], x) for st, x in zip(copied.values, pair.value.blocks))
+        assert all(np.array_equal(st[p], x) for st, x in zip(copied.supports, pair.support.blocks))
+    again = DiagonalizationResult.from_pairs(pairs, copied.ordering_certificate, copied.tolerance_used)
+    assert _same_bits(again, res) and again.pair_labels == res.pair_labels
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex64])

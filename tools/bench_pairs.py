@@ -13,6 +13,12 @@ even, so each side runs first equally often. Both sides use seed
 `--seed + 100 * w + i`, w being the workload's place on the command line.
 Every run lasts BENCHMARK.json's `run_seconds`.
 
+The tool refuses to start while a `__pycache__` directory exists under the
+working tree's src/, perfbench/ or tools/, and names each one: with it, the
+change side imports without compiling while the fresh parent export
+compiles, and `setup_s` favours the change. Remove them and run again, with
+PYTHONDONTWRITEBYTECODE=1 set for any tests run in between.
+
 The file holds the claim, the command, the parent, the pairing rule, the
 host, a summary per workload and the raw result of every run. Per
 end-to-end metric the summary gives each side's quartiles, the ratio of the
@@ -34,6 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = Path("perfbench") / "run.py"
+# the directories whose code a benchmark run imports or compiles
+CODE_DIRS = ("src", "perfbench", "tools")
 
 
 def _git(*args: str) -> str:
@@ -50,6 +58,11 @@ def export_revision(rev: str, dest: Path) -> None:
         proc.stdout.close()
         if proc.wait() != 0:
             raise SystemExit(f"bench_pairs: git archive {rev} failed")
+
+
+def bytecode_caches(tree: Path) -> list:
+    """Every __pycache__ directory under tree's CODE_DIRS, sorted."""
+    return sorted(path for name in CODE_DIRS for path in (tree / name).rglob("__pycache__") if path.is_dir())
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
@@ -127,6 +140,10 @@ def main(argv=None) -> int:
     unknown = set(counts) - {w["name"] for w in spec["workloads"]}
     if unknown:
         parser.error(f"unknown workloads {sorted(unknown)}")
+    caches = bytecode_caches(ROOT)
+    if caches:
+        listed = "\n".join(f"  {path.relative_to(ROOT)}" for path in caches)
+        raise SystemExit(f"bench_pairs: remove the bytecode caches in the working tree first:\n{listed}")
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parent_rev = _git("rev-parse", "--short", args.parent)
