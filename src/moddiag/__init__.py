@@ -14,7 +14,6 @@ from .algebra import (
     AlgebraShape,
     NotSelfAdjointError,
     ShapeMismatchError,
-    is_projection,
     leq,
 )
 from .eigen import (
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraShape",
     "AlgebraElement",
-    "is_projection",
     "leq",
     "ShapeMismatchError",
     "NotSelfAdjointError",

@@ -22,7 +22,6 @@ __all__ = [
     "AlgebraElement",
     "ShapeMismatchError",
     "NotSelfAdjointError",
-    "is_projection",
     "leq",
 ]
 
@@ -179,14 +178,6 @@ class AlgebraShape:
             mats.append(np.diag(arr))
         return AlgebraElement(self, mats)
 
-    def block_projection(self, index: int) -> AlgebraElement:
-        """Central projection onto one block."""
-        mats = [
-            np.eye(k) if b == index else np.zeros((k, k))
-            for b, k in enumerate(self.block_sizes)
-        ]
-        return AlgebraElement(self, mats)
-
 
 @lru_cache(maxsize=256)
 def _copies_by_shape(shapes: tuple) -> tuple:
@@ -297,6 +288,10 @@ class _Blocks:
 
     __rmul__ = __mul__
 
+    def is_selfadjoint(self, tol: float = 1e-10) -> bool:
+        """Every entry of ``M - M*`` is at most tol times the largest entry of M; the blocks must be square."""
+        return bool(_hermitian_defect(self.blocks) <= tol)
+
 
 class AlgebraElement(_Blocks):
     """One element of a block matrix algebra: a tuple of square blocks."""
@@ -332,23 +327,12 @@ class AlgebraElement(_Blocks):
     def isclose(self, other: AlgebraElement, tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol
 
-    def is_selfadjoint(self, tol: float = 1e-10) -> bool:
-        """Every entry of ``a - a*`` is at most tol times the largest entry of a."""
-        return bool(_hermitian_defect(self.blocks) <= tol)
-
     def __str__(self):
         parts = [np.array2string(a, precision=6, suppress_small=True) for a in self.blocks]
         return " (+) ".join(parts)
 
     def __repr__(self):
         return f"AlgebraElement(shape={self.shape.block_sizes}, norm={self.norm():.6g})"
-
-
-def is_projection(a: AlgebraElement, tol: float = 1e-9) -> bool:
-    """True when a is self-adjoint and idempotent within tol (absolute)."""
-    if (a - a.adjoint()).norm() > tol:
-        return False
-    return (a * a - a).norm() <= tol
 
 
 def _check_selfadjoint(a: AlgebraElement, what: str):

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import AlgebraElement, NotSelfAdjointError, ShapeMismatchError, _frozen_blocks, _positive_int
-from .eigen import eig_hermitian, eig_normal, tie_runs
+from .eigen import _tie_runs, eig_hermitian, eig_normal
 from .modules import HilbertModule, ModuleElement
 from .operators import ModuleOperator
 
@@ -128,11 +128,6 @@ class DiagonalizationResult:
             for p, label in enumerate(self.pair_labels)
         )
 
-    def pair_by_label(self, label: int) -> EigenPair:
-        if label not in self.pair_labels:
-            raise KeyError(f"no eigenpair with label {label}")
-        return self.pairs[self.pair_labels.index(label)]
-
     def scalar_spectrum(self) -> tuple:
         """Per algebra block, the diagonal scalars of all value blocks.
 
@@ -147,7 +142,7 @@ class DiagonalizationResult:
         for vals in self.values:
             d = np.diagonal(vals, axis1=1, axis2=2).ravel()
             d = d[np.argsort(-d.real, kind="stable")]
-            run = tie_runs(d.real, 1e-10 * float(np.abs(d).max()))
+            run = _tie_runs(d.real, 1e-10 * float(np.abs(d).max()))
             spectrum.append(tuple(map(complex, d[np.lexsort((-d.imag, run))])))
         return tuple(spectrum)
 

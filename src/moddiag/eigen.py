@@ -398,7 +398,7 @@ def eig_hermitian(matrices, tol: float = 1e-12):
     return out
 
 
-def tie_runs(descending: np.ndarray, gap: float) -> np.ndarray:
+def _tie_runs(descending: np.ndarray, gap: float) -> np.ndarray:
     """Run ids of real values sorted in descending order.
 
     Neighbours at most ``gap`` apart chain into one run of tied values;
@@ -448,7 +448,7 @@ def eig_normal(matrices, tol: float = 1e-10):
         gap = max(tol, 1e-12) * float(np.abs(m).max())
         # the runs of tied Hermitian-part eigenvalues order the output, so
         # round-off in tied real parts cannot
-        cluster = tie_runs(hv, gap)
+        cluster = _tie_runs(hv, gap)
         comp = vec @ ((m - m.conj().T) / 2j) @ vec.conj().T
         # entries that couple two runs become exact zeros, which Jacobi never
         # rotates (design notes, "Tie order in `eig_normal`")

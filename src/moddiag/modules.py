@@ -57,16 +57,6 @@ class HilbertModule:
         ]
         return ModuleElement(self, blocks)
 
-    def zero_element(self) -> ModuleElement:
-        return self.element([self.shape.zero()] * self.rank)
-
-    def basis_element(self, index: int) -> ModuleElement:
-        if not 0 <= index < self.rank:
-            raise IndexError(f"coordinate index {index} out of range")
-        coords = [self.shape.zero()] * self.rank
-        coords[index] = self.shape.identity()
-        return self.element(coords)
-
 
 class ModuleElement(_Blocks):
     """One element of a free Hilbert module, stored per block as a row strip."""
@@ -92,9 +82,6 @@ class ModuleElement(_Blocks):
             for k, st in zip(shape.block_sizes, self.blocks)
         ]
         return AlgebraElement(shape, mats)
-
-    def coords(self) -> tuple[AlgebraElement, ...]:
-        return tuple(self.coord(i) for i in range(self.module.rank))
 
     def __mul__(self, other):
         # x * a multiplies every coordinate by a on the right

@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, _Blocks, _norm_lower_bound, _top_singular_value
-from .eigen import _hermitian_defect, _normality_defect
+from .algebra import _Blocks, _norm_lower_bound, _top_singular_value
+from .eigen import _normality_defect
 from .modules import HilbertModule, ModuleElement
 
 __all__ = [
@@ -47,16 +47,6 @@ class ModuleOperator(_Blocks):
     def identity(cls, module: HilbertModule) -> ModuleOperator:
         return cls(module, [np.eye(module.rank * k) for k in module.shape.block_sizes])
 
-    def entry(self, i: int, j: int) -> AlgebraElement:
-        n = self.module.rank
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError("entry index out of range")
-        mats = [
-            blk[i * k : (i + 1) * k, j * k : (j + 1) * k]
-            for k, blk in zip(self.module.shape.block_sizes, self.blocks)
-        ]
-        return AlgebraElement(self.module.shape, mats)
-
     def __call__(self, x: ModuleElement) -> ModuleElement:
         self._require_same(x)
         return ModuleElement(self.module, [st @ blk for st, blk in zip(x.blocks, self.blocks)])
@@ -85,10 +75,6 @@ class ModuleOperator(_Blocks):
 
     def entrywise_max(self) -> float:
         return max(float(np.abs(blk).max()) for blk in self.blocks)
-
-    def is_selfadjoint(self, tol: float = 1e-10) -> bool:
-        """Every entry of ``K - K*`` is at most tol times the largest entry of K."""
-        return bool(_hermitian_defect(self.blocks) <= tol)
 
     def is_normal(self, tol: float = 1e-10) -> bool:
         """Every entry of ``K K* - K* K`` is at most tol times the largest entry of K, squared."""

@@ -79,6 +79,11 @@ def module_over(sizes, rank):
     return HilbertModule(AlgebraShape(tuple(sizes)), rank)
 
 
+def pair(result, label):
+    """The eigenpair of result that carries label."""
+    return result.pairs[result.pair_labels.index(label)]
+
+
 def strip_stacks(elements, module=None):
     """Per algebra block, the (P, k, n*k) stack of the elements' row strips."""
     module = module or elements[0].module

@@ -15,7 +15,6 @@ from moddiag import (
     ModuleOperator,
     NotSelfAdjointError,
     ShapeMismatchError,
-    is_projection,
     leq,
 )
 from moddiag import algebra
@@ -201,12 +200,9 @@ def test_blocks_are_read_only_and_the_callers_stack_stays_its_own():
     assert all(np.array_equal(blk, np.ones((1, 32))) for blk in x.blocks)
 
 
-def test_diagonal_and_block_projection():
+def test_diagonal():
     a = SHAPE.diagonal([[1, 2], [3], [4, 5, 6]])
     assert a.trace() == pytest.approx(21)
-    p = SHAPE.block_projection(1)
-    assert is_projection(p)
-    assert (p * a).trace() == pytest.approx(3)
 
 
 def test_arithmetic_matches_blockwise_numpy():
@@ -380,17 +376,6 @@ def test_is_selfadjoint_is_relative_to_the_largest_entry(s):
     for t in 10.0 ** np.arange(-200, 201, 50):
         assert AlgebraElement(shape, [t * h]).is_selfadjoint()
     assert shape.zero().is_selfadjoint()
-
-
-def test_is_projection():
-    assert is_projection(SHAPE.identity())
-    assert is_projection(SHAPE.zero())
-    assert not is_projection(2.0 * SHAPE.identity())
-    rng = np.random.default_rng(25)
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    rank_one = AlgebraElement(SHAPE, [np.zeros((2, 2)), np.zeros((1, 1)), np.outer(v, v.conj())])
-    assert is_projection(rank_one)
 
 
 def test_mixed_shape_arithmetic_raises():

@@ -30,6 +30,7 @@ from moddiag.io import serialize_solution
 from helpers import (
     ACCEPTANCE_SHAPES,
     module_over,
+    pair,
     random_normal_operator,
     random_positive_operator,
     random_selfadjoint_operator,
@@ -58,7 +59,7 @@ def test_window_rule_on_diagonal_operators(scalars, k, windows):
     res = diagonalize_selfadjoint(K)
     assert sorted(res.pair_labels) == sorted(label for label, _ in windows)
     for label, diagonal in windows:
-        assert np.array_equal(res.pair_by_label(label).value.blocks[0], np.diag(diagonal))
+        assert np.array_equal(pair(res, label).value.blocks[0], np.diag(diagonal))
     assert verify_eigensystem(K, res).overall
 
 
@@ -80,7 +81,7 @@ def test_windows_across_blocks_frozen():
     }
     assert res.pair_labels == (1, 2, 3, 4)
     for label, blocks in want.items():
-        got = res.pair_by_label(label).value.blocks
+        got = pair(res, label).value.blocks
         for blk, diag in zip(got, blocks):
             assert np.abs(blk - np.diag(diag)).max() <= 1e-12, (label, blk)
     assert [r.describe() for r in res.ordering_certificate] == [
@@ -123,8 +124,8 @@ def test_certificate_relations_hold_semantically():
     zero = mod.shape.zero()
     slack = res.tolerance_used * (1 + k.norm())
     for rel in res.ordering_certificate:
-        lo = zero if rel.lhs is None else res.pair_by_label(rel.lhs).value
-        hi = zero if rel.rhs is None else res.pair_by_label(rel.rhs).value
+        lo = zero if rel.lhs is None else pair(res, rel.lhs).value
+        hi = zero if rel.rhs is None else pair(res, rel.rhs).value
         assert leq(lo, hi, tol=slack), rel.describe()
 
 
@@ -132,10 +133,10 @@ def test_norm_decay_within_each_parity():
     rng = np.random.default_rng(73)
     mod = module_over((3,), 4)
     res = diagonalize_selfadjoint(random_positive_operator(mod, rng))
-    odd = [res.pair_by_label(l).value.norm() for l in sorted(res.pair_labels)]
+    odd = [pair(res, l).value.norm() for l in sorted(res.pair_labels)]
     assert all(x >= y - 1e-12 for x, y in zip(odd, odd[1:]))
     res = diagonalize_selfadjoint(-1.0 * random_positive_operator(mod, rng))
-    even = [res.pair_by_label(l).value.norm() for l in sorted(res.pair_labels)]
+    even = [pair(res, l).value.norm() for l in sorted(res.pair_labels)]
     assert all(x >= y - 1e-12 for x, y in zip(even, even[1:]))
 
 
@@ -432,13 +433,6 @@ def test_rejects_non_selfadjoint_and_bad_tol():
         diagonalize_selfadjoint(ModuleOperator.zero(mod), tol=0.0)
     with pytest.raises(ValueError):
         diagonalize_selfadjoint(ModuleOperator.zero(mod), tol=2.0)
-
-
-def test_pair_by_label_missing():
-    mod = module_over((1,), 1)
-    res = diagonalize_selfadjoint(ModuleOperator.identity(mod))
-    with pytest.raises(KeyError):
-        res.pair_by_label(17)
 
 
 def test_normal_operator_verifies():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from moddiag import (
+    ModuleElement,
     diagonalize_selfadjoint,
     inner,
-    is_projection,
     left_action,
     leq,
     orthogonal_complement_trivial,
@@ -81,7 +81,7 @@ def test_invariant_family_uses_right_action_only():
         assert right <= EXACT
         assert left > 1.0  # genuinely fails as a left-action eigenvector
         gram = inner(vec, vec)
-        assert not is_projection(gram)
+        assert not (gram.isclose(gram.adjoint(), 1e-9) and (gram * gram).isclose(gram, 1e-9))
         assert np.array_equal(gram.blocks[0], 2.0 * np.ones((2, 2)))
 
 
@@ -102,7 +102,8 @@ def test_ladder_expected_pairs_are_exact():
     for pair in lad.expected:
         residual = (k(pair.vector) - left_action(pair.value, pair.vector)).norm()
         assert residual <= EXACT
-        assert is_projection(pair.support, tol=EXACT)
+        assert pair.support.isclose(pair.support.adjoint(), EXACT)
+        assert (pair.support * pair.support).isclose(pair.support, EXACT)
         # value lives on its support
         assert (pair.value * pair.support - pair.value).norm() <= EXACT
         gram = inner(pair.vector, pair.vector)
@@ -131,8 +132,10 @@ def _ladder_pairs_by_element_arithmetic(count, alphas):
     lad = projection_ladder(count, alphas)
     shape, module = lad.shape, lad.module
     one = shape.identity()
-    proj = [shape.block_projection(b) for b in range(count)]
-    basis = [module.basis_element(i) for i in range(count)]
+    # one-hot diagonals and identity strips: the 0.0 and 1.0 entries of the
+    # central projections and the basis elements
+    proj = [shape.diagonal([[float(c == b)] * k for c, k in enumerate(shape.block_sizes)]) for b in range(count)]
+    basis = [ModuleElement(module, [np.eye(k, count * k, i * k) for k in shape.block_sizes]) for i in range(count)]
     alphas = lad.alphas
     expected = [(proj[0] * basis[0], alphas[0] * proj[0], proj[0])]
     root_half = 1.0 / np.sqrt(2.0)

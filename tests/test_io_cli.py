@@ -312,17 +312,21 @@ def test_cli_solver_nonconvergence_exits_1(tmp_path, monkeypatch, capsys):
 # entry-by-entry reading, and the same documents as the per-entry serializer.
 
 
-def _reference_alg(a):
-    return [[[float(z.real), float(z.imag)] for z in blk.ravel()] for blk in a.blocks]
+def _reference_alg(blocks):
+    return [[[float(z.real), float(z.imag)] for z in blk.ravel()] for blk in blocks]
 
 
 def _reference_problem_doc(K):
-    n = K.module.rank
+    n, sizes = K.module.rank, K.module.shape.block_sizes
+
+    def entry(i, j):
+        return [blk[i * k : (i + 1) * k, j * k : (j + 1) * k] for k, blk in zip(sizes, K.blocks)]
+
     return {
         "schema": 1,
-        "algebra": {"blocks": list(K.module.shape.block_sizes)},
+        "algebra": {"blocks": list(sizes)},
         "module_rank": n,
-        "operator": [[_reference_alg(K.entry(i, j)) for j in range(n)] for i in range(n)],
+        "operator": [[_reference_alg(entry(i, j)) for j in range(n)] for i in range(n)],
     }
 
 
@@ -336,9 +340,9 @@ def _reference_solution_doc(res):
         "pairs": [
             {
                 "label": p.label,
-                "vector": [_reference_alg(c) for c in p.vector.coords()],
-                "value": _reference_alg(p.value),
-                "support": _reference_alg(p.support),
+                "vector": [_reference_alg(p.vector.coord(i).blocks) for i in range(module.rank)],
+                "value": _reference_alg(p.value.blocks),
+                "support": _reference_alg(p.support.blocks),
             }
             for p in res.pairs
         ],

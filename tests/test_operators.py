@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from moddiag import (
+    AlgebraElement,
     AlgebraShape,
     HilbertModule,
+    ModuleElement,
     ModuleOperator,
     ShapeMismatchError,
     inner,
@@ -42,7 +44,8 @@ def test_apply_matches_entry_formula():
     for j in range(MOD.rank):
         acc = MOD.shape.zero()
         for i in range(MOD.rank):
-            acc = acc + x.coord(i) * t.entry(i, j)
+            entry = [blk[i * k : (i + 1) * k, j * k : (j + 1) * k] for k, blk in zip(MOD.shape.block_sizes, t.blocks)]
+            acc = acc + x.coord(i) * AlgebraElement(MOD.shape, entry)
         assert y.coord(j).isclose(acc, tol=1e-11 * (1 + acc.norm()))
 
 
@@ -84,7 +87,8 @@ def test_theta_entries():
     for i in range(MOD.rank):
         for j in range(MOD.rank):
             want = x.coord(i).adjoint() * y.coord(j)
-            assert th.entry(i, j).isclose(want, tol=1e-12 * (1 + want.norm()))
+            entry = [blk[i * k : (i + 1) * k, j * k : (j + 1) * k] for k, blk in zip(MOD.shape.block_sizes, th.blocks)]
+            assert AlgebraElement(MOD.shape, entry).isclose(want, tol=1e-12 * (1 + want.norm()))
 
 
 def test_theta_action():
@@ -125,7 +129,7 @@ def test_basis_thetas_resolve_any_operator():
     t = random_operator(MOD, rng)
     acc = ModuleOperator.zero(MOD)
     for i in range(MOD.rank):
-        e = MOD.basis_element(i)
+        e = ModuleElement(MOD, [np.eye(k, MOD.rank * k, i * k) for k in MOD.shape.block_sizes])
         acc = acc + theta(e, t(e))
     assert _max_dev(acc, t) <= 1e-11 * (1 + t.entrywise_max())
 

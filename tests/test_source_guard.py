@@ -3,8 +3,9 @@
 numpy and scipy never compute eigenvalues or singular values inside the
 package: the tests and the benchmark's correctness gate check the package
 against numpy.linalg, so the package must not call the oracle it is checked
-against. No module imports a name it never uses, and every name a module
-lists in ``__all__`` exists. One function makes every Cholesky
+against. No module imports a name it never uses, every name a module
+lists in ``__all__`` exists, and a public module lists every public
+function and class it defines. One function makes every Cholesky
 factorization, so each definiteness check groups its matrices by order in
 the same place. One call turns the numbers of an input file into an array,
 so every file part is read, and its faults located, the same way.
@@ -135,6 +136,30 @@ def test_every_exported_name_exists():
 def test_the_export_guard_catches_a_stale_name():
     stale = types.SimpleNamespace(**{**vars(moddiag.modules), "__all__": [*moddiag.modules.__all__, "module_norm"]})
     assert _stale_exports(stale) == ["module_norm"]
+
+
+def _unlisted(source: str) -> list:
+    """Each public top-level function or class that the module does not list in ``__all__``, with its line."""
+    tree = ast.parse(source)
+    listed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            listed.update(ast.literal_eval(node.value))
+    defined = (node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    return [(node.lineno, node.name) for node in defined if not node.name.startswith("_") and node.name not in listed]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if not p.stem.startswith("_")], ids=lambda path: path.name)
+def test_every_public_name_is_exported(path):
+    assert _unlisted(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_export_guard_catches_an_unlisted_name():
+    source = (
+        "__all__ = ['eig_normal', 'NotNormalError']\nclass NotNormalError(ValueError): pass\n"
+        "def eig_normal(m): return _solve(m)\ndef _solve(m): return m\ndef tie_runs(d, gap): return d\n"
+    )
+    assert _unlisted(source) == [(5, "tie_runs")]
 
 
 def _owners(source: str, match) -> list:

@@ -15,6 +15,7 @@ from moddiag import (
     AlgebraElement,
     DiagonalizationResult,
     EigenPair,
+    ModuleElement,
     ModuleOperator,
     NotSelfAdjointError,
     OrderRelation,
@@ -33,6 +34,7 @@ from moddiag import (
 from helpers import (
     ACCEPTANCE_SHAPES,
     module_over,
+    pair,
     random_hermitian,
     random_normal_operator,
     random_positive_operator,
@@ -74,7 +76,7 @@ def test_perturbed_value_flips_only_eigen_residual():
     k = _unit_scale_selfadjoint(mod, 82)
     res = diagonalize_selfadjoint(k)
     label = res.pair_labels[0]
-    bad_value = res.pair_by_label(label).value + 1e-6 * mod.shape.identity()
+    bad_value = pair(res, label).value + 1e-6 * mod.shape.identity()
     tampered = _replace_pair(res, label, value=bad_value)
     # moment_tol loose on purpose so the shift stays invisible to the oracle
     report = verify_eigensystem(k, tampered, moment_tol=1e-3)
@@ -91,7 +93,7 @@ def test_scaled_vector_flips_only_projection_defect():
     k = _unit_scale_selfadjoint(mod, 83)
     res = diagonalize_selfadjoint(k)
     label = res.pair_labels[1]
-    short = res.pair_by_label(label).vector * 0.5
+    short = pair(res, label).vector * 0.5
     report = verify_eigensystem(k, _replace_pair(res, label, vector=short))
     assert report.projection_defect > report.residual_bound
     assert report.eigen_residual <= report.residual_bound
@@ -108,7 +110,7 @@ def test_dropped_vector_flips_only_complement_clause():
     tampered = _replace_pair(
         res,
         2,
-        vector=mod.zero_element(),
+        vector=mod.element([mod.shape.zero()] * mod.rank),
         support=mod.shape.zero(),
         value=mod.shape.zero(),
     )
@@ -183,7 +185,7 @@ def test_moment_oracle_catches_shifted_values():
     assert moment_deviation(k, res) <= 1e-7
     assert moment_deviation(k, res) <= 1e-10
     label = res.pair_labels[0]
-    shifted = res.pair_by_label(label).value + 1e-3 * mod.shape.identity()
+    shifted = pair(res, label).value + 1e-3 * mod.shape.identity()
     tampered = _replace_pair(res, label, value=shifted)
     assert not moment_deviation(k, tampered) <= 1e-7
     assert moment_deviation(k, tampered) > 1e-5
@@ -296,7 +298,7 @@ def test_overlapping_vectors_flip_only_orthogonality_at_every_scale(s):
     mod = module_over((2,), 3)
     k = s * ModuleOperator.identity(mod)
     res = diagonalize_selfadjoint(k)
-    x1, x3 = res.pair_by_label(1).vector, res.pair_by_label(3).vector
+    x1, x3 = pair(res, 1).vector, pair(res, 3).vector
     mixed = (x3 + 0.5 * x1) * (1.0 / np.sqrt(1.25))
     report = verify_eigensystem(k, _replace_pair(res, 3, vector=mixed))
     _only_failing(report, "orthogonality")
@@ -309,7 +311,7 @@ def test_stretched_vector_flips_only_projection_at_every_scale(s):
     mod = module_over((2,), 3)
     k = s * ModuleOperator.identity(mod)
     res = diagonalize_selfadjoint(k)
-    long = res.pair_by_label(3).vector * 1.5
+    long = pair(res, 3).vector * 1.5
     report = verify_eigensystem(k, _replace_pair(res, 3, vector=long))
     _only_failing(report, "projection")
     assert report.worst_pairs["projection"] == 3
@@ -322,7 +324,7 @@ def test_shifted_value_flips_only_eigen_residual_at_every_scale(s):
     k = s * _unit_scale_selfadjoint(mod, 88)
     res = diagonalize_selfadjoint(k)
     label = res.pair_labels[-1]
-    shifted = res.pair_by_label(label).value + 1e-6 * s * mod.shape.identity()
+    shifted = pair(res, label).value + 1e-6 * s * mod.shape.identity()
     report = verify_eigensystem(k, _replace_pair(res, label, value=shifted), moment_tol=1e-3)
     _only_failing(report, "eigen")
     assert report.worst_pairs["eigen"] == label
@@ -372,7 +374,7 @@ def test_moment_deviation_is_unitless(s):
     k = _unit_scale_selfadjoint(mod, 86)
     res = diagonalize_selfadjoint(k)
     label = res.pair_labels[0]
-    shifted = _replace_pair(res, label, value=res.pair_by_label(label).value + 1e-3 * mod.shape.identity())
+    shifted = _replace_pair(res, label, value=pair(res, label).value + 1e-3 * mod.shape.identity())
     for r in (res, shifted):
         scaled = DiagonalizationResult.from_pairs(
             tuple(p._replace(value=s * p.value) for p in r.pairs), r.ordering_certificate, r.tolerance_used
@@ -409,7 +411,7 @@ def test_every_pair_must_live_on_the_operator_module():
     mod = module_over((2,), 2)
     k = _unit_scale_selfadjoint(mod, 90)
     res = diagonalize_selfadjoint(k)
-    stray = module_over((2,), 3).basis_element(0)
+    stray = ModuleElement(module_over((2,), 3), [np.eye(2, 6)])
     with pytest.raises(ShapeMismatchError):
         verify_eigensystem(k, _replace_pair(res, res.pair_labels[-1], vector=stray))
 
@@ -469,9 +471,9 @@ def _battery():
             res = diagonalize_selfadjoint(k)
         yield k, res
         first, last = res.pair_labels[0], res.pair_labels[-1]
-        bump = res.pair_by_label(first).value + 1e-5 * k.norm() * mod.shape.identity()
+        bump = pair(res, first).value + 1e-5 * k.norm() * mod.shape.identity()
         yield k, _replace_pair(res, first, value=bump)
-        mixed = res.pair_by_label(last).vector + 0.3 * res.pair_by_label(first).vector
+        mixed = pair(res, last).vector + 0.3 * pair(res, first).vector
         yield k, _replace_pair(res, last, vector=mixed)
         half = 0.5 * mod.shape.identity()
         yield k, _replace_pair(res, first, support=half)
@@ -530,9 +532,9 @@ def _ordering_tampers(res, s):
     cert[len(cert) // 2] = OrderRelation(mid.rhs, mid.lhs)
     yield DiagonalizationResult.from_pairs(res.pairs, tuple(cert), res.tolerance_used)
     identity = res.pairs[0].value.shape.identity()
-    yield _replace_pair(res, first, value=res.pair_by_label(first).value - 1e-3 * s * identity)
-    yield _replace_pair(res, second, value=res.pair_by_label(second).value + 1e-12 * s * identity)
-    blocks = [np.array(b) for b in res.pair_by_label(first).value.blocks]
+    yield _replace_pair(res, first, value=pair(res, first).value - 1e-3 * s * identity)
+    yield _replace_pair(res, second, value=pair(res, second).value + 1e-12 * s * identity)
+    blocks = [np.array(b) for b in pair(res, first).value.blocks]
     big = max(range(len(blocks)), key=lambda b: blocks[b].shape[0])
     blocks[big][0, -1] += 0.5 * s
     yield _replace_pair(res, first, value=AlgebraElement(identity.shape, blocks))
@@ -657,7 +659,7 @@ def test_a_non_selfadjoint_claimed_value_fails_ordering_instead_of_raising():
     k = _unit_scale_selfadjoint(mod, 96)
     res = diagonalize_selfadjoint(k)
     label = res.pair_labels[0]
-    crooked = res.pair_by_label(label).value + AlgebraElement(mod.shape, [np.array([[0.0, 0.5], [0.0, 0.0]])])
+    crooked = pair(res, label).value + AlgebraElement(mod.shape, [np.array([[0.0, 0.5], [0.0, 0.0]])])
     report = verify_eigensystem(k, _replace_pair(res, label, value=crooked))
     assert not report.ordering_ok and not report.overall
 
@@ -669,7 +671,7 @@ def test_a_relation_false_in_one_block_only_fails_the_clause():
     res = diagonalize_selfadjoint(k)
     top = res.pair_labels[0]
     for b in range(mod.shape.num_blocks):
-        blocks = list(res.pair_by_label(top).value.blocks)
+        blocks = list(pair(res, top).value.blocks)
         blocks[b] = blocks[b] - 10.0 * np.eye(len(blocks[b]))
         sunk = _replace_pair(res, top, value=AlgebraElement(mod.shape, blocks))
         assert not verify_eigensystem(k, sunk).ordering_ok, b
