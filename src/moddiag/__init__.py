@@ -1,12 +1,12 @@
-"""Diagonalization of self-adjoint operators on free modules over block matrix algebras.
+"""Diagonalization of self-adjoint and normal operators on free modules over block matrix algebras.
 
 The algebra is a finite direct sum of full complex matrix blocks, the module
 is free of finite rank over it, and operators carry algebra-valued
 eigenvalues: K(x) = value * x with value a block-diagonal element rather
-than a scalar. This package computes such eigensystems with unit supports
-and a machine-checkable eigenvalue ordering certificate, verifies claimed
-eigensystems independently, and ships two closed-form constructions that
-exercise the corner cases.
+than a scalar. This package computes such eigensystems with unit supports,
+with a machine-checkable eigenvalue ordering certificate when K is
+self-adjoint, verifies claimed eigensystems independently, and ships two
+closed-form constructions that exercise the corner cases.
 """
 
 from .algebra import (

@@ -250,10 +250,9 @@ def _first_fault(blocks: Sequence, shapes, what: str) -> NoReturn:
 class _Blocks:
     """One read-only complex array per algebra block (``_frozen_blocks``).
 
-    The shared base of AlgebraElement, ModuleElement and ModuleOperator. A
-    subclass sets its space before calling this constructor, takes
-    ``(space, blocks)`` in its own, and gives ``_space`` and the block
-    shapes that space asks for.
+    The shared base of ModuleElement and ``_SquareBlocks``. A subclass sets
+    its space before calling this constructor, takes ``(space, blocks)`` in
+    its own, and gives ``_space`` and the block shapes that space asks for.
     """
 
     __slots__ = ("blocks",)
@@ -288,12 +287,21 @@ class _Blocks:
 
     __rmul__ = __mul__
 
+
+class _SquareBlocks(_Blocks):
+    """The block container of AlgebraElement and ModuleOperator, whose blocks are square."""
+
+    __slots__ = ()
+
+    def adjoint(self):
+        return type(self)(self._space(), [a.conj().T for a in self.blocks])
+
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
-        """Every entry of ``M - M*`` is at most tol times the largest entry of M; the blocks must be square."""
+        """Every entry of ``M - M*`` is at most tol times the largest entry of M."""
         return bool(_hermitian_defect(self.blocks) <= tol)
 
 
-class AlgebraElement(_Blocks):
+class AlgebraElement(_SquareBlocks):
     """One element of a block matrix algebra: a tuple of square blocks."""
 
     __slots__ = ("shape",)
@@ -313,9 +321,6 @@ class AlgebraElement(_Blocks):
             self._require_same(other)
             return AlgebraElement(self.shape, [a @ b for a, b in zip(self.blocks, other.blocks)])
         return super().__mul__(other)
-
-    def adjoint(self) -> AlgebraElement:
-        return AlgebraElement(self.shape, [a.conj().T for a in self.blocks])
 
     def trace(self) -> complex:
         return complex(sum(np.trace(a) for a in self.blocks))

@@ -1,9 +1,11 @@
 """Command-line driver.
 
+The diagonalize and spectrum commands take self-adjoint and normal problems.
 Exit codes: 0 when every check passes, 1 on a verification failure or when
 the eigensolver does not converge, 2 on a malformed or unusable input,
-including a --tol outside (0, 1). Problems and solutions travel as JSON files;
-see the io module for the schemas.
+including an operator that is neither self-adjoint nor normal and a --tol
+outside (0, 1). Problems and solutions travel as JSON files; see the io
+module for the schemas.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import NotSelfAdjointError, leq
-from .diagonalize import diagonalize_selfadjoint
-from .eigen import ConvergenceError, NotNormalError, eig_hermitian, eig_normal
+from .diagonalize import diagonalize_normal, diagonalize_selfadjoint
+from .eigen import ConvergenceError, NotNormalError
 from .gallery import projection_ladder, two_block_gallery
 from .io import _MAX_ENTRY, InputFormatError, parse_problem, parse_solution, serialize_report, serialize_solution
 from .modules import inner, left_action
@@ -42,9 +44,21 @@ def _finish(report, out_path) -> int:
     return 0 if report.overall else 1
 
 
+def _diagonalized(K, tol: float):
+    """K's diagonalization and whether K is self-adjoint; the diagonalizers' own checks decide its kind."""
+    try:
+        return diagonalize_selfadjoint(K, tol), True
+    except NotSelfAdjointError:
+        pass
+    try:
+        return diagonalize_normal(K, tol), False
+    except NotNormalError:
+        raise InputFormatError("operator is neither self-adjoint nor normal", "problem.operator") from None
+
+
 def _cmd_diagonalize(args) -> int:
     K = parse_problem(_read(args.input))
-    result = diagonalize_selfadjoint(K, tol=args.tol)
+    result, _ = _diagonalized(K, args.tol)
     report = verify_eigensystem(K, result, tol=args.tol, moment_tol=args.moment_tol)
     if args.solution:
         Path(args.solution).write_text(serialize_solution(result), encoding="utf-8")
@@ -140,18 +154,10 @@ def _cmd_prop4(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    K = parse_problem(_read(args.input))
-    # every block in one stacked solve, as the diagonalizers make it
-    if K.is_selfadjoint(1e-10):
-        spectra = eig_hermitian([(blk + blk.conj().T) / 2.0 for blk in K.blocks])
-        lines = [", ".join(f"{v:.10g}" for v in vals) for vals, _ in spectra]
-    elif K.is_normal(1e-10):
-        spectra = eig_normal(K.blocks)
-        lines = [", ".join(f"{v.real:.10g}{v.imag:+.10g}i" for v in vals) for vals, _ in spectra]
-    else:
-        raise InputFormatError("operator is neither self-adjoint nor normal", "problem.operator")
-    for b, (k, line) in enumerate(zip(K.module.shape.block_sizes, lines)):
-        print(f"block {b} (size {k}): {line}")
+    result, selfadjoint = _diagonalized(parse_problem(_read(args.input)), 1e-9)  # the diagonalizers' default tol
+    fmt = "{0.real:.10g}" if selfadjoint else "{0.real:.10g}{0.imag:+.10g}i"
+    for b, (k, spectrum) in enumerate(zip(result.module.shape.block_sizes, result.scalar_spectrum())):
+        print(f"block {b} (size {k}): " + ", ".join(map(fmt.format, spectrum)))
     return 0
 
 
@@ -178,7 +184,7 @@ def _tol(text: str) -> float:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moddiag",
-        description="Diagonalize self-adjoint operators on free modules over block matrix algebras.",
+        description="Diagonalize self-adjoint and normal operators on free modules over block matrix algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -106,23 +106,20 @@ def _hermitian_defect(mats):
     return defect / np.maximum(top, math.ulp(0.0))  # where top is 0 so is defect
 
 
-def _normality_defect(mats) -> float:
-    """Largest entry of ``N N* - N* N`` over mats, relative to the largest entry squared.
+def _normality_defect(m) -> float:
+    """Largest entry of ``N N* - N* N``, relative to the largest entry of N squared.
 
-    The mats are first scaled by one power of two that brings that entry
+    N is first scaled by the power of two that brings its largest entry
     into ``[1/2, 1)``, so the products neither under- nor overflow and the
-    ratio does not depend on the units. 0 when all vanish.
+    ratio does not depend on the units. 0 when N vanishes.
     """
-    top = max(float(np.abs(m).max()) for m in mats)
+    top = float(np.abs(m).max())
     if top == 0.0:
         return 0.0
     e = math.frexp(top)[1]
-    worst = 0.0
-    for m in mats:
-        n = _times_power_of_two(m, -e)
-        nh = n.conj().T
-        worst = max(worst, float(np.abs(n @ nh - nh @ n).max()))
-    return worst / math.ldexp(top, -e) ** 2
+    n = _times_power_of_two(m, -e)
+    nh = n.conj().T
+    return float(np.abs(n @ nh - nh @ n).max()) / math.ldexp(top, -e) ** 2
 
 
 def _offdiag_norm(a: np.ndarray) -> np.ndarray:
@@ -435,7 +432,7 @@ def eig_normal(matrices, tol: float = 1e-10):
     """
     mats = _square_matrices(matrices)
     for i, m in enumerate(mats):
-        if _normality_defect([m]) > tol:
+        if _normality_defect(m) > tol:
             raise NotNormalError(f"matrix {i} of the stack is not normal within tolerance")
     bases = eig_hermitian([0.5 * (m + m.conj().T) for m in mats], 1e-12)
 

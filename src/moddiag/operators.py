@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import _Blocks, _norm_lower_bound, _top_singular_value
-from .eigen import _normality_defect
+from .algebra import _SquareBlocks, _norm_lower_bound, _top_singular_value
 from .modules import HilbertModule, ModuleElement
 
 __all__ = [
@@ -23,7 +22,7 @@ __all__ = [
 ]
 
 
-class ModuleOperator(_Blocks):
+class ModuleOperator(_SquareBlocks):
     """A-linear map on A^n, represented per block by its flattened action."""
 
     __slots__ = ("module", "_lower_bound")
@@ -60,9 +59,6 @@ class ModuleOperator(_Blocks):
             self.module, [b @ a for a, b in zip(self.blocks, other.blocks)]
         )
 
-    def adjoint(self) -> ModuleOperator:
-        return ModuleOperator(self.module, [blk.conj().T for blk in self.blocks])
-
     def norm(self) -> float:
         """Operator norm: the top singular value of the flattened action."""
         return _top_singular_value(self.blocks)
@@ -75,10 +71,6 @@ class ModuleOperator(_Blocks):
 
     def entrywise_max(self) -> float:
         return max(float(np.abs(blk).max()) for blk in self.blocks)
-
-    def is_normal(self, tol: float = 1e-10) -> bool:
-        """Every entry of ``K K* - K* K`` is at most tol times the largest entry of K, squared."""
-        return _normality_defect(self.blocks) <= tol
 
     def __repr__(self):
         return f"ModuleOperator(rank={self.module.rank}, blocks={self.module.shape.block_sizes})"

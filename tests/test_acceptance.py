@@ -17,7 +17,9 @@ from moddiag import (
     left_action,
     leq,
     moment_deviation,
+    parse_solution,
     projection_ladder,
+    serialize_problem,
     theta,
     two_block_gallery,
     verify_eigensystem,
@@ -152,7 +154,7 @@ def test_criterion_5_unitary_conjugation_of_eigenpairs():
     _criterion(5, body)
 
 
-def test_criterion_6_normal_extension():
+def test_criterion_6_normal_extension(tmp_path):
     def body():
         rng = np.random.default_rng(60)
         for i in range(25):
@@ -176,6 +178,15 @@ def test_criterion_6_normal_extension():
                 a = np.sort_complex(np.array(block_sa))
                 b = np.sort_complex(np.array(block_nm))
                 assert np.abs(a - b).max() <= 1e-8
+        # the same path through the command line: diagonalize takes a normal
+        # problem, and verify passes the solution it writes
+        for i, sizes in enumerate(ACCEPTANCE_SHAPES):
+            k = random_normal_operator(module_over(sizes, i % 3 + 1), rng)
+            problem, solution = tmp_path / f"normal-{i}.json", tmp_path / f"normal-{i}.solution.json"
+            problem.write_text(serialize_problem(k), encoding="utf-8")
+            assert main(["diagonalize", "--input", str(problem), "--solution", str(solution)]) == 0
+            assert parse_solution(solution.read_text(encoding="utf-8")).ordering_certificate == ()
+            assert main(["verify", "--input", str(problem), "--solution", str(solution)]) == 0
 
     _criterion(6, body)
 

@@ -23,6 +23,7 @@ from moddiag import (
     verify_eigensystem,
 )
 import moddiag.cli
+import moddiag.diagonalize
 import moddiag.io
 from moddiag.cli import main
 
@@ -229,12 +230,60 @@ def test_cli_rejects_solution_for_other_module(tmp_path):
     assert main(["verify", "--input", problem, "--solution", solution_path]) == 2
 
 
-def test_cli_rejects_non_selfadjoint_problem(tmp_path):
+def test_cli_rejects_non_selfadjoint_problem(tmp_path, capsys):
     doc = json.loads(_problem_text())
-    # break symmetry in the first block entry
+    # break symmetry in the first block entry, which leaves K neither
+    # self-adjoint nor normal: both commands refuse it with the same line
     doc["operator"][0][1][0][0] = [99.0, 0.0]
     crooked = _write(tmp_path, "crooked.json", json.dumps(doc))
-    assert main(["diagonalize", "--input", crooked]) == 2
+    for command in ("diagonalize", "spectrum"):
+        assert main([command, "--input", crooked]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: problem.operator: operator is neither self-adjoint nor normal\n"
+
+
+def _real_lines(spectra, sizes):
+    """The spectrum command's lines for a self-adjoint problem's scalar spectrum."""
+    return [
+        f"block {b} (size {k}): " + ", ".join(f"{z.real:.10g}" for z in spectrum)
+        for b, (k, spectrum) in enumerate(zip(sizes, spectra))
+    ]
+
+
+def test_cli_diagonalizes_a_normal_problem(tmp_path, capsys):
+    K = random_normal_operator(module_over((2, 1), 2), np.random.default_rng(5))
+    problem = _write(tmp_path, "normal.json", serialize_problem(K))
+    solution_path = str(tmp_path / "solution.json")
+    assert main(["diagonalize", "--input", problem, "--solution", solution_path]) == 0
+    assert capsys.readouterr().out.startswith("diagonalized into 2 eigenpairs: L1, L2\noverall: pass\n")
+    result = parse_solution((tmp_path / "solution.json").read_text())
+    assert result.pair_labels == (1, 2) and result.ordering_certificate == ()
+    assert main(["verify", "--input", problem, "--solution", solution_path]) == 0
+    capsys.readouterr()
+    # spectrum prints the same result's spectrum, in the complex format
+    assert main(["spectrum", "--input", problem]) == 0
+    spectra = diagonalize_normal(K).scalar_spectrum()
+    assert capsys.readouterr().out.splitlines() == [
+        f"block {b} (size {k}): " + ", ".join(f"{z.real:.10g}{z.imag:+.10g}i" for z in sp)
+        for b, (k, sp) in enumerate(zip((2, 1), spectra))
+    ]
+
+
+def test_cli_commands_agree_on_a_nearly_selfadjoint_operator(tmp_path, capsys):
+    # a skew part of 2.5e-10 times the largest entry: self-adjoint within the
+    # default tol of 1e-9, though not within 1e-10, for both commands
+    h = random_selfadjoint_operator(module_over((2, 1), 2), np.random.default_rng(91))
+    top = max(np.abs(blk).max() for blk in h.blocks)
+    skew = [np.eye(len(blk), k=1) - np.eye(len(blk), k=-1) for blk in h.blocks]
+    near = ModuleOperator(h.module, [blk + 1.25e-10 * top * s for blk, s in zip(h.blocks, skew)])
+    assert near.is_selfadjoint(1e-9) and not near.is_selfadjoint(1e-10)
+    problem = _write(tmp_path, "near.json", serialize_problem(near))
+    assert main(["diagonalize", "--input", problem]) == 0
+    assert "  relation 0 <= L1\n" in capsys.readouterr().out
+    assert main(["spectrum", "--input", problem]) == 0
+    spectra = diagonalize_selfadjoint(near).scalar_spectrum()
+    assert capsys.readouterr().out.splitlines() == _real_lines(spectra, (2, 1))
 
 
 def test_cli_spectrum_prints_blocks(tmp_path, capsys):
@@ -245,20 +294,16 @@ def test_cli_spectrum_prints_blocks(tmp_path, capsys):
 
 
 def test_cli_spectrum_prints_the_diagonalizer_spectrum(monkeypatch, tmp_path, capsys):
-    # one stacked solve over all blocks, as diagonalize_selfadjoint makes it
+    # diagonalize_selfadjoint's one stacked solve over all blocks, and no other
     text = _problem_text(seed=17, sizes=(2, 1, 3), rank=2)
     problem = _write(tmp_path, "problem.json", text)
     calls = []
-    solve = moddiag.cli.eig_hermitian
-    monkeypatch.setattr(moddiag.cli, "eig_hermitian", lambda *args: calls.append(1) or solve(*args))
+    solve = moddiag.diagonalize.eig_hermitian
+    monkeypatch.setattr(moddiag.diagonalize, "eig_hermitian", lambda *args: calls.append(1) or solve(*args))
     assert main(["spectrum", "--input", problem]) == 0
     assert len(calls) == 1
     spectra = diagonalize_selfadjoint(parse_problem(text)).scalar_spectrum()
-    want = [
-        f"block {b} (size {k}): " + ", ".join(f"{z.real:.10g}" for z in spectrum)
-        for b, (k, spectrum) in enumerate(zip((2, 1, 3), spectra))
-    ]
-    assert capsys.readouterr().out.splitlines() == want
+    assert capsys.readouterr().out.splitlines() == _real_lines(spectra, (2, 1, 3))
 
 
 def test_cli_example8(capsys):

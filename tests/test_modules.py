@@ -28,6 +28,14 @@ def test_coords_round_trip():
         assert np.array_equal(st1, st2)
 
 
+def test_only_square_blocks_have_an_adjoint():
+    # a module element's (k, n*k) strips are square only at rank 1, so it
+    # has neither an adjoint nor a self-adjointness test at any rank
+    for rank in (1, 2):
+        x = ModuleElement(module_over((2,), rank), [np.eye(2, 2 * rank)])
+        assert not hasattr(x, "is_selfadjoint") and not hasattr(x, "adjoint")
+
+
 def test_inner_first_slot_linear():
     rng = np.random.default_rng(32)
     x = random_element(MOD, rng)

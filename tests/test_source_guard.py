@@ -13,8 +13,11 @@ One function switches the cyclic garbage collector off and on again,
 so every reader and writer restores the caller's state the same way. One
 function freezes the arrays that elements and results store, so every
 stored array is checked by one rule (the solver's shared pair schedule
-aside). And one function zero-pads blocks to a common order and marks the
-coordinates it added, so every padded stack and its mask agree.
+aside). One function zero-pads blocks to a common order and marks the
+coordinates it added, so every padded stack and its mask agree. The
+command-line driver calls no eigensolver, so every spectrum it prints
+comes from a diagonalizer, and only ``eig_normal`` measures normality, so
+one rule decides which operators are normal.
 """
 
 import ast
@@ -294,3 +297,32 @@ def test_the_mask_guard_catches_a_second_site():
     sources["verify.py"] += "\n\ndef _mask(kmax, sizes):\n    return np.arange(kmax) >= np.array(sizes)[:, None]\n"
     sources["modules.py"] += "\npadded = widths[:, None] <= arange(n)\n"
     assert _mask_sites(sources) == [("eigen.py", "_zero_padded"), ("modules.py", None), ("verify.py", "_mask")]
+
+
+def _cli_solves(source: str) -> list:
+    return _callers(source, "eig_hermitian", "eig_normal")
+
+
+def test_the_cli_calls_no_eigensolver():
+    assert _cli_solves(_package_sources()["cli.py"]) == []
+
+
+def test_the_cli_solver_guard_catches_a_reintroduced_call():
+    source = _package_sources()["cli.py"]
+    source += "\n\ndef _spectra(K):\n    return eig_hermitian(list(K.blocks))\n"
+    source += "\nvalues = eigen.eig_normal(K.blocks)\n"
+    assert _cli_solves(source) == ["_spectra", None]
+
+
+def _normality_tests(sources: dict) -> list:
+    return [(name, owner) for name, source in sources.items() for owner in _callers(source, "_normality_defect")]
+
+
+def test_one_function_tests_normality():
+    assert _normality_tests(_package_sources()) == [("eigen.py", "eig_normal")]
+
+
+def test_the_normality_guard_catches_a_second_site():
+    sources = _package_sources()
+    sources["operators.py"] += "\n\ndef is_normal(K, tol):\n    return _normality_defect(K.blocks) <= tol\n"
+    assert _normality_tests(sources) == [("eigen.py", "eig_normal"), ("operators.py", "is_normal")]
