@@ -8,16 +8,18 @@ schema. Parsing errors carry a location string naming the offending field.
 
 Numbers move one array at a time. Each file part (a problem's operator
 grid; a solution's vectors, values and supports) is read by one function,
-_complex_blocks, from one table of its list levels, and written by one
-tolist call whose rows are cut at the algebra's block offsets. On a valid
-file all numbers of a part go through one np.array call. The leaves' types
-are checked before numpy sees them, so that call reads exactly the numbers
-the schema accepts. A part with a fault is checked entry by entry, which
-raises the error with its location.
+_complex_blocks, from one table of its list levels. On a valid file all
+numbers of a part go through one np.array call. The leaves' types are
+checked before numpy sees them, so that call reads exactly the numbers the
+schema accepts. A part with a fault is checked entry by entry, which
+raises the error with its location. A file is written by one % format: a
+skeleton built from the module's shape, with a %r slot per number and per
+pair label, filled from one tolist call of the joined stacks; %r writes a
+float or an int as json.dumps does.
 
-Problems and solutions are read and written with the cyclic garbage
-collector off (_cyclic_gc_off): the many small lists of a file are
-acyclic, and reference counting frees them.
+Problems and solutions are read with the cyclic garbage collector off
+(_cyclic_gc_off): the many small lists json.loads makes are acyclic, and
+reference counting frees them. The writers make no such lists.
 
 A file with several faults reports one of them. A problem names its first
 fault in reading order. A solution first checks every pair's label and
@@ -84,11 +86,10 @@ def _cyclic_gc_off():
     """Turn CPython's cyclic garbage collector off for a with block or, as a
     decorator, for a whole call, and restore its previous state on exit.
 
-    A file's JSON is many small lists: those json.loads builds, and those a
-    writer builds for json.dumps. None of them is part of a reference cycle,
-    so reference counting frees them, yet the collector, left on, keeps
-    scanning them as they are made: a third to a half of a parse or
-    serialize of a large file. A collector the caller had turned off stays
+    A parsed file is many small lists, none of them part of a reference
+    cycle, so reference counting frees them, yet the collector, left on,
+    keeps scanning them as json.loads makes them: a third to a half of a
+    parse of a large file. A collector the caller had turned off stays
     off, and nested uses keep the outermost state.
 
     The switch is process-wide: another thread of the process loses cyclic
@@ -276,23 +277,30 @@ def _parse_pairs(raw_pairs: list, module: HilbertModule) -> tuple:
     return list(labels), vecs, part("value"), part("support")
 
 
-def _part_lists(blocks: list) -> list:
-    """One file part's per-block complex arrays as the schema's nested lists.
+def _listed(item: str, count: int) -> str:
+    """A JSON list of count copies of the text item, separated as json.dumps separates it."""
+    return "[" + ", ".join([item] * count) + "]"
 
-    Block b has shape lead + (k*k,), the layout _complex_blocks returns.
-    Item [...][b] of the result, indexed by lead, is block b's list of
-    [re, im] pairs. One tolist call writes the part: the blocks are joined
-    along the last axis and each row of pairs is cut at the block offsets.
+
+def _element_text(sizes: tuple) -> str:
+    """An algebra element's text with a %r slot per number: per block, its k*k [re, im] pairs."""
+    return "[" + ", ".join(_listed("[%r, %r]", k * k) for k in sizes) + "]"
+
+
+def _number_rows(parts: list) -> list:
+    """A file's numbers in writing order, one row per item of the parts' common first axis.
+
+    Each part is a list of per-block complex128 arrays in _complex_blocks's
+    layout, lead + (k*k,). Row p holds item p of each part in turn, each
+    entry's blocks joined, as re, im floats, all made by one tolist call.
     """
-    *lead, _ = blocks[0].shape
-    ends = np.cumsum([blk.shape[-1] for blk in blocks]).tolist()
-    cuts = [slice(start, end) for start, end in zip([0, *ends], ends)]
-    joined = np.concatenate(blocks, axis=-1)
-    pairs = joined.view(np.float64).reshape(-1, ends[-1], 2).tolist()
-    rows = [list(map(row.__getitem__, cuts)) for row in pairs]
-    for width in reversed(lead[1:]):
-        rows = [rows[i : i + width] for i in range(0, len(rows), width)]
-    return rows
+    rows = [np.concatenate(blocks, axis=-1).reshape(len(blocks[0]), -1) for blocks in parts]
+    return np.concatenate(rows, axis=1).view(np.float64).tolist()
+
+
+def _fields(**fields) -> str:
+    """A JSON object's fields as json.dumps writes them, without the braces."""
+    return json.dumps(fields)[1:-1]
 
 
 @_cyclic_gc_off()
@@ -322,19 +330,14 @@ def parse_problem(text: str) -> ModuleOperator:
     return ModuleOperator(module, mats)
 
 
-@_cyclic_gc_off()
 def serialize_problem(K: ModuleOperator) -> str:
     n = K.module.rank
     sizes = K.module.shape.block_sizes
     # grids[b][i, j] is block b of entry (i, j), read from row strip i
     grids = [_coordinate_blocks(blk.reshape(n, k, n * k), k) for k, blk in zip(sizes, K.blocks)]
-    obj = {
-        "schema": SCHEMA,
-        "algebra": {"blocks": list(sizes)},
-        "module_rank": n,
-        "operator": _part_lists(grids),
-    }
-    return json.dumps(obj) + "\n"
+    operator = _listed(_listed(_element_text(sizes), n), n) % tuple(chain.from_iterable(_number_rows([grids])))
+    head = _fields(schema=SCHEMA, algebra={"blocks": list(sizes)}, module_rank=n)
+    return "{" + head + ', "operator": ' + operator + "}\n"
 
 
 def _parse_relation(data, loc: str) -> OrderRelation:
@@ -376,30 +379,23 @@ def parse_solution(text: str) -> DiagonalizationResult:
     return DiagonalizationResult(module, tuple(labels), strips, vals, sups, tuple(cert), tolerance)
 
 
-@_cyclic_gc_off()
 def serialize_solution(result: DiagonalizationResult) -> str:
     module = result.module
     sizes, count = module.shape.block_sizes, len(result.pair_labels)
-    # per pair p: vectors[p][i][b], values[p][b] and supports[p][b]
-    vectors = _part_lists([_coordinate_blocks(v, k) for v, k in zip(result.vectors, sizes)])
+    element = _element_text(sizes)
+    pair = f'{{"label": %r, "vector": {_listed(element, module.rank)}, "value": {element}, "support": {element}}}'
+    # row p: pair p's vector coordinates, then its value, then its support
+    vectors = [_coordinate_blocks(v, k) for v, k in zip(result.vectors, sizes)]
     values, supports = (
-        _part_lists([a.reshape(count, k * k) for a, k in zip(arrays, sizes)])
-        for arrays in (result.values, result.supports)
+        [a.reshape(count, k * k) for a, k in zip(arrays, sizes)] for arrays in (result.values, result.supports)
     )
-    obj = {
-        "schema": SCHEMA,
-        "algebra": {"blocks": list(sizes)},
-        "module_rank": module.rank,
-        "tolerance": result.tolerance_used,
-        "pairs": [
-            {"label": label, "vector": vector, "value": value, "support": support}
-            for label, vector, value, support in zip(result.pair_labels, vectors, values, supports, strict=True)
-        ],
-        "certificate": [
-            {"lhs": rel.lhs, "rhs": rel.rhs} for rel in result.ordering_certificate
-        ],
-    }
-    return json.dumps(obj) + "\n"
+    numbers = []
+    for label, row in zip(result.pair_labels, _number_rows([vectors, values, supports]), strict=True):
+        numbers += [label, *row]  # labels are ints, as DiagonalizationResult stores them
+    tolerance = result.tolerance_used
+    head = _fields(schema=SCHEMA, algebra={"blocks": list(sizes)}, module_rank=module.rank, tolerance=tolerance)
+    certificate = _fields(certificate=[{"lhs": rel.lhs, "rhs": rel.rhs} for rel in result.ordering_certificate])
+    return "{" + head + ', "pairs": ' + _listed(pair, count) % tuple(numbers) + ", " + certificate + "}\n"
 
 
 def _report_float(x: float):

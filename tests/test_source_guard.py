@@ -8,9 +8,10 @@ lists in ``__all__`` exists, and a public module lists every public
 function and class it defines. One function makes every Cholesky
 factorization, so each definiteness check groups its matrices by order in
 the same place. One call turns the numbers of an input file into an array,
-so every file part is read, and its faults located, the same way.
+so every file part is read, and its faults located, the same way, and one
+call turns stored stacks into the numbers a file is written from.
 One function switches the cyclic garbage collector off and on again,
-so every reader and writer restores the caller's state the same way. One
+so every reader restores the caller's state the same way. One
 function freezes the arrays that elements and results store, so every
 stored array is checked by one rule (the solver's shared pair schedule
 aside). One function zero-pads blocks to a common order and marks the
@@ -232,6 +233,22 @@ def test_the_array_guard_catches_a_second_site():
     source = source.replace(anchor, "items, flat = [part], np.empty(0)")
     source += "\n\ndef _parse_block(data):\n    return np.empty(len(data))\n"
     assert _array_builders(source) == ["_complex_blocks", "_complex_blocks", "_parse_block"]
+
+
+def _number_writers(source: str) -> list:
+    """The function around each tolist call."""
+    return _callers(source, "tolist")
+
+
+def test_one_function_turns_stored_stacks_into_file_numbers():
+    assert _number_writers(_package_sources()["io.py"]) == ["_number_rows"]
+
+
+def test_the_number_writer_guard_catches_a_second_site():
+    source = _package_sources()["io.py"]
+    source += "\n\ndef _part_lists(blocks):\n    return np.concatenate(blocks, axis=-1).view(np.float64).tolist()\n"
+    source += "\nlabels = np.asarray(result.pair_labels).tolist()\n"
+    assert _number_writers(source) == ["_number_rows", "_part_lists", None]
 
 
 def _collector_switches(sources: dict) -> list:

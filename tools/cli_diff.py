@@ -4,13 +4,13 @@
 
 Run from the repository root. The parent revision is exported with
 `bench_pairs.export_revision` into a temporary directory, removed
-afterwards. A fixed seeded set of problem files is written once, with the
-working tree's package, and both trees run the same commands on it:
-`diagonalize`, `verify` (of the solution that tree's `diagonalize` wrote)
-and `spectrum` on every file, then `example8`, `prop4 --n 3` and
-`prop4 --n 8`. Each tree runs in its own directory and the commands name
-their files by relative paths, so an error message reads the same in both.
-BLAS is pinned to one thread.
+afterwards. A fixed set of problem files (seeded, but for one of
+hand-picked numbers) is written once with the working tree's package, and
+both trees run the same commands on it: `diagonalize`, `verify` (of the
+solution that tree's `diagonalize` wrote) and `spectrum` on every file,
+then `example8`, `prop4 --n 3` and `prop4 --n 8`. Each tree runs in its
+own directory and the commands name their files by relative paths, so an
+error message reads the same in both. BLAS is pinned to one thread.
 
 Every difference in exit code, stdout, stderr or a written file is
 printed. The exit code is 1 when there is any, 0 otherwise.
@@ -52,8 +52,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, export_revision  # noqa: E402
 
-# name: (block sizes, module rank, seed); "ladder" is projection_ladder(32)
-# and "normal" a normal, not self-adjoint, operator
+# name: (block sizes, module rank, seed); "ladder" is projection_ladder(32),
+# "normal" a normal, not self-adjoint, operator and "edges" the operator of
+# EDGE_BLOCKS
 PROBLEMS = {
     "ladder32": ((1,) * 32, 32, None),
     "dense-8-r12": ((8,), 12, 1),
@@ -63,7 +64,20 @@ PROBLEMS = {
     "s2x1x3-r1": ((2, 1, 3), 1, 5),
     "s2x1x3-r3": ((2, 1, 3), 3, 6),
     "normal-s2x1-r2": ((2, 1), 2, 7),
+    "edges-s2x1-r2": ((2, 1), 2, None),
 }
+# A self-adjoint operator of numbers whose text a writer could get wrong:
+# signed zeros, subnormals, 2**-1000, integral floats (1e22 is written
+# 1e+22) and 2**53. Its largest magnitude, 1e22, is far above 2**-1000.
+EDGE_BLOCKS = [
+    [
+        [1e22, 5e-324 + 1j, -0.0, 3.0 - 2.0j],
+        [5e-324 - 1j, complex(-1.0, -0.0), 1e16, 2.0**-1000],
+        [-0.0, 1e16, 0.5, 1e-310j],
+        [3.0 + 2.0j, 2.0**-1000, -1e-310j, -7.0],
+    ],
+    [[1.5e-323, complex(-0.0, 2.0**53)], [complex(-0.0, -(2.0**53)), 1.0]],
+]
 THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 SPECTRAL_TOL = 1e-8
 PROJECTOR_TOL = 1e-8
@@ -80,8 +94,10 @@ def write_problems(dest: Path) -> None:
     import moddiag
 
     for name, (sizes, rank, seed) in PROBLEMS.items():
-        if seed is None:
+        if name.startswith("ladder"):
             op = moddiag.projection_ladder(rank).operator
+        elif name.startswith("edges"):
+            op = moddiag.ModuleOperator(moddiag.HilbertModule(moddiag.AlgebraShape(sizes), rank), EDGE_BLOCKS)
         else:
             rng = np.random.default_rng(seed)
             mats = []
