@@ -6,20 +6,23 @@ lists of such pairs, so every value survives a round trip bit for bit.
 Problems and solutions are written compactly; whitespace is not part of the
 schema. Parsing errors carry a location string naming the offending field.
 
-Numbers move one array at a time. Each file part (a problem's operator
-grid; a solution's vectors, values and supports) is read by one function,
-_complex_blocks, from one table of its list levels. On a valid file all
-numbers of a part go through one np.array call. The leaves' types are
-checked before numpy sees them, so that call reads exactly the numbers the
-schema accepts. A part with a fault is checked entry by entry, which
-raises the error with its location. A file is written by one % format: a
-skeleton built from the module's shape, with a %r slot per number and per
-pair label, filled from one tolist call of the joined stacks; %r writes a
-float or an int as json.dumps does.
+Numbers move one array at a time, by one of two paths. A file laid out
+exactly as the writers write it takes the text path (_written): its text
+is checked against the writers' own skeleton, built from the module's
+shape with a slot per number and per pair label (_skeleton), and all its
+numbers are read by one json.loads of a flat list. Any other file takes
+the tree path: json.loads of the whole text, then, per file part (a
+problem's operator grid; a solution's vectors, values and supports),
+_complex_blocks checks the list levels and the leaves' types, and _locate
+raises the first fault with its location. Both paths end in one np.array
+call per part (_number_blocks). The text path never raises: it declines,
+so values, errors and their locations are the tree path's. A file is
+written by one % format of the skeleton, filled from one tolist call of
+the joined stacks; %r writes a float or an int as json.dumps does.
 
 Problems and solutions are read with the cyclic garbage collector off
-(_cyclic_gc_off): the many small lists json.loads makes are acyclic, and
-reference counting frees them. The writers make no such lists.
+(_cyclic_gc_off): the tree path's many small lists are acyclic, and
+reference counting frees them. The text path and the writers make none.
 
 A file with several faults reports one of them. A problem names its first
 fault in reading order. A solution first checks every pair's label and
@@ -67,6 +70,14 @@ _MIN_ENTRY = 2.0**-1000
 # and a JSON true or false (a bool, a subclass of int) is no number.
 _NUMBER_TYPES = {int, float}
 
+# The text path's tables: the characters a JSON number is made of, the
+# punctuation it reads as spaces, the keys of a solution's pair, and the
+# character pairs that show an empty slot.
+_NUMBER_CHARS = b"0123456789.eE+-"
+_FLATTEN = bytes.maketrans(b"[]{}:", b"     ")
+_PAIR_KEYS = [b"label", b"vector", b"value", b"support"]
+_EMPTY_SLOTS = np.frombuffer(b"[, , ]", "<u2")
+
 
 def _is_int(val) -> bool:
     return type(val) is int
@@ -86,10 +97,10 @@ def _cyclic_gc_off():
     """Turn CPython's cyclic garbage collector off for a with block or, as a
     decorator, for a whole call, and restore its previous state on exit.
 
-    A parsed file is many small lists, none of them part of a reference
-    cycle, so reference counting frees them, yet the collector, left on,
-    keeps scanning them as json.loads makes them: a third to a half of a
-    parse of a large file. A collector the caller had turned off stays
+    A file the tree path reads is many small lists, none of them part of a
+    reference cycle, so reference counting frees them, yet the collector,
+    left on, keeps scanning them as json.loads makes them: a third to a
+    half of a parse of a large file. A collector the caller had turned off stays
     off, and nested uses keep the outermost state.
 
     The switch is process-wide: another thread of the process loses cyclic
@@ -200,26 +211,39 @@ def _locate(node, levels: list, loc: str, index: int = 0) -> None:
             _number(child, loc)  # a number is located at its pair
 
 
+def _number_blocks(numbers: list, lead: tuple, squares: tuple) -> list | None:
+    """A flat list of [re, im] numbers, made an array by one np.array call,
+    as one contiguous complex array of shape lead + (k*k,) per algebra
+    block (squares gives each k*k); None if a number is not finite or lies
+    beyond the float range."""
+    try:
+        flat = np.array(numbers, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    z = flat.view(np.complex128).reshape(*lead, sum(squares))
+    return [np.ascontiguousarray(blk) for blk in np.split(z, np.cumsum(squares)[:-1], axis=-1)]
+
+
 def _complex_blocks(part, levels: list, loc: str) -> list:
-    """One file part's [re, im] pairs as one complex array per algebra block.
+    """One file part's [re, im] pairs, read from its tree, as one complex array per algebra block.
 
     part is the file part as nested lists, and levels gives its list levels
     from the outside in: those of the part's lead ((n, n) for a problem's
     operator grid, (P, n) for a solution's vectors, (P,) for its values or
-    supports), then the three of _element_levels. Block b comes back as a
-    contiguous array of shape lead + (k*k,), the layout a per-block np.array
-    call would give.
+    supports), then the three of _element_levels. The blocks come from
+    _number_blocks.
 
     map(len) checks each level in turn, then the leaves' types are checked,
-    and all numbers of the part go through one np.array call. A string or
-    dict where a list belongs fails a length check or ends as string leaves
-    (its characters or keys), and a number where a list belongs makes len
-    raise TypeError. A leaf of another type, an integer beyond the float
-    range (OverflowError) and a non-finite number are faults _number
-    refuses, so _locate always finds the fault and raises at the first in
-    reading order.
+    and all numbers of the part go to _number_blocks. A string or dict
+    where a list belongs fails a length check or ends as string leaves (its
+    characters or keys), and a number where a list belongs makes len raise
+    TypeError. A leaf of another type, an integer beyond the float range
+    and a non-finite number are faults _number refuses, so _locate always
+    finds the fault and raises at the first in reading order.
     """
-    items, flat = [part], None
+    items, blocks = [part], None
     try:
         for lengths, _, _ in levels:
             if list(map(len, items)) != [*lengths] * (len(items) // len(lengths)):
@@ -227,15 +251,13 @@ def _complex_blocks(part, levels: list, loc: str) -> list:
             items = list(chain.from_iterable(items))
         else:
             if set(map(type, items)) <= _NUMBER_TYPES:
-                flat = np.array(items, dtype=np.float64)
-    except (TypeError, OverflowError):  # a number where a list belongs, or an integer beyond the float range
+                lead = tuple(lengths[0] for lengths, _, _ in levels[:-3])
+                blocks = _number_blocks(items, lead, levels[-2][0])
+    except TypeError:  # a number where a list belongs
         pass
-    if flat is None or not np.isfinite(flat).all():
+    if blocks is None:
         _locate(part, levels, loc)
-    lead = tuple(lengths[0] for lengths, _, _ in levels[:-3])
-    squares = levels[-2][0]
-    z = flat.view(np.complex128).reshape(*lead, sum(squares))
-    return [np.ascontiguousarray(blk) for blk in np.split(z, np.cumsum(squares)[:-1], axis=-1)]
+    return blocks
 
 
 def _stacked_strips(coords: np.ndarray, k: int) -> np.ndarray:
@@ -277,20 +299,89 @@ def _parse_pairs(raw_pairs: list, module: HilbertModule) -> tuple:
     return list(labels), vecs, part("value"), part("support")
 
 
-def _listed(item: str, count: int) -> str:
-    """A JSON list of count copies of the text item, separated as json.dumps separates it."""
-    return "[" + ", ".join([item] * count) + "]"
+def _skeleton(sizes: tuple, rank: int, count: int | None = None, slot: str = "%r") -> str:
+    """The text of a written file part, with slot in place of each number.
+
+    Without count, a problem's operator grid: rank rows of rank algebra
+    elements. With count, a solution's count pairs, whose labels are slots
+    too. An element is, per block, its k*k [re, im] pairs, and lists are
+    separated as json.dumps separates them.
+    """
+
+    def listed(item: str, n: int) -> str:
+        return "[" + ", ".join([item] * n) + "]"
+
+    element = "[" + ", ".join(listed(f"[{slot}, {slot}]", k * k) for k in sizes) + "]"
+    if count is None:
+        return listed(listed(element, rank), rank)
+    pair = f'{{"label": {slot}, "vector": {listed(element, rank)}, "value": {element}, "support": {element}}}'
+    return listed(pair, count)
 
 
-def _element_text(sizes: tuple) -> str:
-    """An algebra element's text with a %r slot per number: per block, its k*k [re, im] pairs."""
-    return "[" + ", ".join(_listed("[%r, %r]", k * k) for k in sizes) + "]"
+def _written(text: str, key: str, end: str, read_fields):
+    """The text path: (read_fields(fields), labels, blocks) of a file laid
+    out as the writers write it; None leaves any other text to the tree
+    path. read_fields returns a tuple that starts with the file's module.
+
+    span, the part key's text, runs from after the first ', "key": ' to the
+    last end. The text around it is read as two objects, whose fields go to
+    read_fields; the closing one must not hold key. Deleting the number
+    characters from span must leave the _skeleton's text less its slots,
+    whitespace kept; no slot may be empty; the quoted strings must be the
+    skeleton's keys. Then one json.loads of the rest as a flat list puts
+    one JSON number in each slot (docs/design-notes.md, "Array-at-a-time
+    I/O"). A solution's labels are taken out before _number_blocks.
+    """
+    sep = f', "{key}": '
+    start, stop = text.find(sep), text.rfind(end)
+    if not 0 <= start < stop or not text.isascii():
+        return None
+    try:
+        head, tail = json.loads(text[:start] + "}"), json.loads("{" + text[stop:].removeprefix(","))
+        if key in tail:
+            return None
+        fields = read_fields({**head, **tail})
+    except (ValueError, RecursionError):  # InputFormatError and JSONDecodeError are ValueErrors
+        return None
+    module = fields[0]
+    sizes, n, span = module.shape.block_sizes, module.rank, text[start + len(sep) : stop].encode()
+    count = span.count(b"{") if key == "pairs" else None
+    width = 2 * sum(k * k for k in sizes)  # the numbers of an algebra element
+    stride = 1 + (n + 2) * width  # a pair's label, vector, value and support
+    if len(span) < (n * n * width if count is None else count * stride):  # bound the skeleton by span first
+        return None
+    if span.translate(None, _NUMBER_CHARS) != _skeleton(sizes, n, count, "").encode().translate(None, _NUMBER_CHARS):
+        return None
+    # an empty slot shows as "[,", " ," or " ]", at an even or an odd offset
+    halves = (np.frombuffer(span, "<u2", (len(span) - i) // 2, i) for i in (0, 1))
+    if any((half == pair).any() for half in halves for pair in _EMPTY_SLOTS):
+        return None
+    if count is not None:
+        parts = span.split(b'"')
+        if parts[1::2] != _PAIR_KEYS * count:
+            return None
+        span = b" ".join(parts[::2])
+        del parts
+    flat = b"[" + span.translate(_FLATTEN) + b"]"
+    del span
+    try:
+        numbers = json.loads(flat)
+    except ValueError:  # a JSONDecodeError, or an integer over the interpreter's digit limit
+        return None
+    labels = None
+    if count is not None:
+        labels = numbers[::stride]
+        if set(map(type, labels)) != {int} or min(labels) < 1 or len(set(labels)) < count:
+            return None
+        del numbers[::stride]
+    blocks = _number_blocks(numbers, (n, n) if count is None else (count, n + 2), tuple(k * k for k in sizes))
+    return None if blocks is None else (fields, labels, blocks)
 
 
 def _number_rows(parts: list) -> list:
     """A file's numbers in writing order, one row per item of the parts' common first axis.
 
-    Each part is a list of per-block complex128 arrays in _complex_blocks's
+    Each part is a list of per-block complex128 arrays in _number_blocks's
     layout, lead + (k*k,). Row p holds item p of each part in turn, each
     entry's blocks joined, as re, im floats, all made by one tolist call.
     """
@@ -303,21 +394,28 @@ def _fields(**fields) -> str:
     return json.dumps(fields)[1:-1]
 
 
+def _module(obj, loc: str) -> HilbertModule:
+    _check_schema(obj, loc)
+    shape = _parse_shape(obj, loc)
+    return HilbertModule(shape, _int_field(obj, "module_rank", loc, 1))
+
+
 @_cyclic_gc_off()
 def parse_problem(text: str) -> ModuleOperator:
-    obj = _loads(text)
-    _check_schema(obj, "problem")
-    shape = _parse_shape(obj, "problem")
-    rank = _int_field(obj, "module_rank", "problem", 1)
-    module = HilbertModule(shape, rank)
-    op = _field(obj, "operator", "problem")
-    levels = [
-        ((rank,), "'operator' must be a {0}x{0} array", "[{}]"),
-        ((rank,), "row must have {} entries", "[{}]"),
-        *_element_levels(shape.block_sizes),
-    ]
     # grids[b][i, j] is block b of entry (i, j), flattened row-major
-    grids = _complex_blocks(op, levels, "problem.operator")
+    written = _written(text, "operator", "}", lambda obj: (_module(obj, "problem"),))
+    if written:
+        (module,), _, grids = written
+    else:
+        obj = _loads(text)
+        module = _module(obj, "problem")
+        op = _field(obj, "operator", "problem")
+        levels = [
+            ((module.rank,), "'operator' must be a {0}x{0} array", "[{}]"),
+            ((module.rank,), "row must have {} entries", "[{}]"),
+            *_element_levels(module.shape.block_sizes),
+        ]
+        grids = _complex_blocks(op, levels, "problem.operator")
     top = max(max(np.abs(g.real).max(), np.abs(g.imag).max()) for g in grids)
     if top >= _MAX_ENTRY:
         raise InputFormatError("every number must be below 2**1000 in magnitude", "problem.operator")
@@ -326,7 +424,8 @@ def parse_problem(text: str) -> ModuleOperator:
             "the largest number must be at least 2**-1000 in magnitude, or the operator zero", "problem.operator"
         )
     # row strip i of the stacked matrix holds entries (i, 0..n-1)
-    mats = [_stacked_strips(g, k).reshape(rank * k, rank * k) for g, k in zip(grids, shape.block_sizes)]
+    n = module.rank
+    mats = [_stacked_strips(g, k).reshape(n * k, n * k) for g, k in zip(grids, module.shape.block_sizes)]
     return ModuleOperator(module, mats)
 
 
@@ -335,7 +434,7 @@ def serialize_problem(K: ModuleOperator) -> str:
     sizes = K.module.shape.block_sizes
     # grids[b][i, j] is block b of entry (i, j), read from row strip i
     grids = [_coordinate_blocks(blk.reshape(n, k, n * k), k) for k, blk in zip(sizes, K.blocks)]
-    operator = _listed(_listed(_element_text(sizes), n), n) % tuple(chain.from_iterable(_number_rows([grids])))
+    operator = _skeleton(sizes, n) % tuple(chain.from_iterable(_number_rows([grids])))
     head = _fields(schema=SCHEMA, algebra={"blocks": list(sizes)}, module_rank=n)
     return "{" + head + ', "operator": ' + operator + "}\n"
 
@@ -353,37 +452,47 @@ def _parse_relation(data, loc: str) -> OrderRelation:
     return OrderRelation(sides[0], sides[1])
 
 
-@_cyclic_gc_off()
-def parse_solution(text: str) -> DiagonalizationResult:
-    obj = _loads(text)
-    _check_schema(obj, "solution")
-    shape = _parse_shape(obj, "solution")
-    rank = _int_field(obj, "module_rank", "solution", 1)
-    module = HilbertModule(shape, rank)
+def _solution_head(obj) -> tuple:
+    """A solution's module and tolerance."""
+    module = _module(obj, "solution")
     tolerance = _number(_field(obj, "tolerance", "solution"), "solution.tolerance")
     if not 0.0 < tolerance < 1.0:
         raise InputFormatError("tolerance must lie strictly between 0 and 1", "solution.tolerance")
-    raw_pairs = _field(obj, "pairs", "solution")
-    if not isinstance(raw_pairs, list) or not raw_pairs:
-        raise InputFormatError("'pairs' must be a nonempty list", "solution.pairs")
-    labels, vecs, vals, sups = _parse_pairs(raw_pairs, module)
+    return module, tolerance
+
+
+def _certificate(obj) -> tuple:
     raw_cert = _field(obj, "certificate", "solution")
     if not isinstance(raw_cert, list):
         raise InputFormatError("'certificate' must be a list", "solution.certificate")
-    cert = [
-        _parse_relation(r, f"solution.certificate[{i}]") for i, r in enumerate(raw_cert)
-    ]
-    sizes = shape.block_sizes
+    return tuple(_parse_relation(r, f"solution.certificate[{i}]") for i, r in enumerate(raw_cert))
+
+
+@_cyclic_gc_off()
+def parse_solution(text: str) -> DiagonalizationResult:
+    written = _written(text, "pairs", ', "certificate": ', lambda obj: (*_solution_head(obj), _certificate(obj)))
+    if written:
+        (module, tolerance, cert), labels, blocks = written
+        # per pair, n vector coordinates, then its value and its support
+        n = module.rank
+        vecs, vals, sups = ([b[:, part] for b in blocks] for part in (slice(n), n, n + 1))
+    else:
+        obj = _loads(text)
+        module, tolerance = _solution_head(obj)
+        raw_pairs = _field(obj, "pairs", "solution")
+        if not isinstance(raw_pairs, list) or not raw_pairs:
+            raise InputFormatError("'pairs' must be a nonempty list", "solution.pairs")
+        labels, vecs, vals, sups = _parse_pairs(raw_pairs, module)
+        cert = _certificate(obj)
+    sizes = module.shape.block_sizes
     strips = tuple(_stacked_strips(v, k) for v, k in zip(vecs, sizes))
     vals, sups = (tuple(a.reshape(-1, k, k) for a, k in zip(arrays, sizes)) for arrays in (vals, sups))
-    return DiagonalizationResult(module, tuple(labels), strips, vals, sups, tuple(cert), tolerance)
+    return DiagonalizationResult(module, tuple(labels), strips, vals, sups, cert, tolerance)
 
 
 def serialize_solution(result: DiagonalizationResult) -> str:
     module = result.module
     sizes, count = module.shape.block_sizes, len(result.pair_labels)
-    element = _element_text(sizes)
-    pair = f'{{"label": %r, "vector": {_listed(element, module.rank)}, "value": {element}, "support": {element}}}'
     # row p: pair p's vector coordinates, then its value, then its support
     vectors = [_coordinate_blocks(v, k) for v, k in zip(result.vectors, sizes)]
     values, supports = (
@@ -395,7 +504,8 @@ def serialize_solution(result: DiagonalizationResult) -> str:
     tolerance = result.tolerance_used
     head = _fields(schema=SCHEMA, algebra={"blocks": list(sizes)}, module_rank=module.rank, tolerance=tolerance)
     certificate = _fields(certificate=[{"lhs": rel.lhs, "rhs": rel.rhs} for rel in result.ordering_certificate])
-    return "{" + head + ', "pairs": ' + _listed(pair, count) % tuple(numbers) + ", " + certificate + "}\n"
+    pairs = _skeleton(sizes, module.rank, count) % tuple(numbers)
+    return "{" + head + ', "pairs": ' + pairs + ", " + certificate + "}\n"
 
 
 def _report_float(x: float):

@@ -3,6 +3,9 @@
 import dataclasses
 import gc
 import json
+import random
+import re
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -551,18 +554,170 @@ def test_a_boolean_number_is_refused_at_its_location_in_every_part(layout, numbe
         assert refused(_solution_doc(), field) == where
 
 
-def test_the_array_path_runs_once_per_file_part(monkeypatch):
+def test_written_files_take_the_text_path_and_indented_ones_the_tree_path(monkeypatch):
     calls = []
     array_path = moddiag.io._complex_blocks
     monkeypatch.setattr(moddiag.io, "_complex_blocks", lambda *args: calls.append(1) or array_path(*args))
     for K in (parse_problem(_problem_text()), projection_ladder(32).operator):
-        res = diagonalize_selfadjoint(K)
-        calls.clear()
-        parse_problem(serialize_problem(K))
-        assert len(calls) == 1  # the operator grid, whatever the number of algebra blocks
-        calls.clear()
-        parse_solution(serialize_solution(res))
-        assert len(calls) == 3  # the vectors, the values and the supports
+        solution = serialize_solution(diagonalize_selfadjoint(K))
+        for parse, text, parts in ((parse_problem, serialize_problem(K), 1), (parse_solution, solution, 3)):
+            calls.clear()
+            parse(text)
+            assert calls == []  # as written: the text path, whatever the number of algebra blocks
+            parse(json.dumps(json.loads(text), indent=2))
+            assert len(calls) == parts  # indented: the tree path, once per file part
+
+
+def _outcome(parse, text):
+    """What parse makes of text: the bits it read, or the type and text of the error it raised."""
+    try:
+        got = parse(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, ModuleOperator):
+        return got.module, _bits(got.blocks)
+    parts = (got.vectors, got.values, got.supports)
+    return got.module, got.pair_labels, got.ordering_certificate, got.tolerance_used, [_bits(p) for p in parts]
+
+
+def _tree_outcome(monkeypatch, parse, text):
+    """_outcome with the text path declining every file, so that the whole text is read as a tree."""
+    with monkeypatch.context() as m:
+        m.setattr(moddiag.io, "_written", lambda *args: None)
+        return _outcome(parse, text)
+
+
+def _taken(monkeypatch, parse, text) -> bool:
+    """Whether the text path reads text."""
+    written, results = moddiag.io._written, []
+    with monkeypatch.context() as m:
+        m.setattr(moddiag.io, "_written", lambda *args: results.append(written(*args)) or results[-1])
+        _outcome(parse, text)
+    return results[-1] is not None
+
+
+# what the property test inserts, or writes over a character with
+MUTANTS = [*'0123456789.eE+- ,[]{}:"\t\n', "true", "NaN", "1e400", "9" * 400, '"lable"', ', "pairs": ']
+
+
+def test_the_text_path_reads_every_file_as_the_tree_path_does(monkeypatch):
+    rng = random.Random(26)
+    files = []
+    for sizes in ACCEPTANCE_SHAPES:
+        for rank in (1, 2, 3):
+            K = random_selfadjoint_operator(module_over(sizes, rank), np.random.default_rng(rank))
+            files.append((parse_problem, serialize_problem(K)))
+            files.append((parse_solution, serialize_solution(diagonalize_selfadjoint(K))))
+    taken = 0
+    for _ in range(4000):
+        parse, text = rng.choice(files)
+        for _ in range(rng.randint(1, 3)):  # delete, insert or replace at one place
+            i, edit = rng.randrange(len(text) + 1), rng.randrange(3)
+            text = text[:i] + ("" if edit == 0 else rng.choice(MUTANTS)) + text[i + (edit != 1) :]
+        assert _outcome(parse, text) == _tree_outcome(monkeypatch, parse, text), text
+        taken += _taken(monkeypatch, parse, text)
+    assert 200 < taken < 3800  # both paths are taken
+
+
+_PAIR = re.compile(r"\[(-?[0-9][0-9.eE+-]*), (-?[0-9][0-9.eE+-]*)\]")
+
+
+def _edit_first_pair(text, edit):
+    """text with the first [re, im] pair of its file part replaced by edit(re, im) of their texts."""
+    match = _PAIR.search(text, text.index('"module_rank"'))
+    return text[: match.start()] + edit(*match.groups()) + text[match.end() :]
+
+
+def _swap_first(text, a, b):
+    """text with the first a and the first b after it swapped."""
+    i = text.index(a)
+    j = text.index(b, i + len(a))
+    return text[:i] + b + text[i + len(a) : j] + a + text[j + len(b) :]
+
+
+def _closing(text, **fields):
+    """text with fields added to the end of its object."""
+    return text.rstrip()[:-1] + ", " + json.dumps(fields)[1:-1] + "}\n"
+
+
+def _label(value, count=1):
+    return lambda t: re.sub(r'"label": \d+', f'"label": {value}', t, count)
+
+
+# name: (file kind, edit of the written file, whether the text path reads the edited file)
+TEXT_PATH_CASES = {
+    # the structure is compared with its whitespace, and flattening deletes no space
+    "space-moved": ("problem", lambda t: _edit_first_pair(t, lambda a, b: f"[{a[:-1]},{a[-1]} {b}]"), False),
+    "space-dropped": ("problem", lambda t: _edit_first_pair(t, lambda a, b: f"[{a},{b}]"), False),
+    "tab-for-space": ("solution", lambda t: _edit_first_pair(t, lambda a, b: f"[{a},\t{b}]"), False),
+    # no slot is empty, so no number moves out of its slot
+    "re-moved-out": ("problem", lambda t: _edit_first_pair(t, lambda a, b: f"{a}[, {b}]"), False),
+    "im-moved-out": ("problem", lambda t: _edit_first_pair(t, lambda a, b: f"[{a}, ]{b}"), False),
+    "label-moved-out": ("solution", lambda t: re.sub(r'\{"label": (\d+), ', r'\1{"label": , ', t, 1), False),
+    # keys exactly, and in order
+    "lable": ("solution", lambda t: t.replace('"label"', '"lable"', 1), False),
+    "la-bel": ("solution", lambda t: t.replace('"label"', '"la bel"', 1), False),
+    "label-with-a-digit": ("solution", lambda t: t.replace('"label"', '"lab1el"', 1), False),
+    "value-support-swapped": ("solution", lambda t: _swap_first(t, '"value"', '"support"'), False),
+    # the text before and after the file part
+    "pairs-in-the-tail": ("solution", lambda t: _closing(t, pairs=json.loads(t)["pairs"][::-1]), False),
+    "tolerance-in-the-tail": ("solution", lambda t: _closing(t, tolerance=0.5), True),
+    "operator-twice": ("problem", lambda t: _closing(t, operator=json.loads(t)["operator"][::-1]), False),
+    "operator-in-the-head": ("problem", lambda t: t.replace('{"schema"', '{"operator": 1, "schema"', 1), True),
+    "head-keys-swapped": ("problem", lambda t: _swap_first(t, '"schema": 1', '"module_rank": 2'), True),
+    "keys-reversed": ("solution", lambda t: json.dumps(dict(reversed(json.loads(t).items()))), False),
+    "indented": ("problem", lambda t: json.dumps(json.loads(t), indent=1), False),
+    "text-after-the-brace": ("problem", lambda t: t + "x", False),
+    "space-after-the-brace": ("problem", lambda t: t + " \t\r\n", True),
+    "rank-too-large": ("problem", lambda t: t.replace('"module_rank": 2', '"module_rank": 3'), False),
+    "no-pairs": ("solution", lambda t: re.sub(r'"pairs": .*, "certificate"', '"pairs": [], "certificate"', t), False),
+    # labels are distinct exact ints of at least 1, and numbers are finite floats
+    "label-zero": ("solution", _label(0), False),
+    "label-negative": ("solution", _label(-1), False),
+    "label-float": ("solution", _label(1.0), False),
+    "label-exponent": ("solution", _label("1e0"), False),
+    "labels-equal": ("solution", _label(1, 0), False),
+    "label-of-400-digits": ("solution", _label(10**400), True),
+    "inf": ("problem", lambda t: _edit_first_pair(t, lambda a, b: f"[1e400, {b}]"), False),
+    "integer-beyond-the-floats": ("solution", lambda t: _edit_first_pair(t, lambda a, b: f"[{a}, {10**400}]"), False),
+    "too-many-digits": ("problem", lambda t: _edit_first_pair(t, lambda a, b: f"[{a}, {'1' * 5000}]"), False),
+    "integer-and-exponent": ("problem", lambda t: _edit_first_pair(t, lambda a, b: "[-0, 1E+2]"), True),
+    "leading-zero": ("problem", lambda t: _edit_first_pair(t, lambda a, b: f"[01, {b}]"), False),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_PATH_CASES)
+def test_the_text_path_keeps_its_rules(monkeypatch, name):
+    kind, edit, taken = TEXT_PATH_CASES[name]
+    if kind == "problem":
+        parse, text = parse_problem, edit(_problem_text())
+    else:
+        parse, text = parse_solution, edit(serialize_solution(diagonalize_selfadjoint(parse_problem(_problem_text()))))
+    assert _taken(monkeypatch, parse, text) == taken
+    assert _outcome(parse, text) == _tree_outcome(monkeypatch, parse, text)
+
+
+# the shape a short file claims is bounded by its length before a skeleton is built
+@pytest.mark.parametrize("claim", [{"module_rank": 10**12}, {"algebra": {"blocks": [10**8]}}], ids=["rank", "block"])
+@pytest.mark.parametrize("kind", ["problem", "solution"])
+def test_a_short_file_claiming_a_huge_shape_exits_2_without_a_large_allocation(tmp_path, capsys, kind, claim):
+    head = {"schema": 1, "algebra": {"blocks": [1]}, "module_rank": 1}
+    element = [[[0.0, 0.0]]]
+    problem = _write(tmp_path, "problem.json", json.dumps({**head, "operator": [[element]]}))
+    if kind == "problem":
+        problem = _write(tmp_path, "claim.json", json.dumps({**head, **claim, "operator": [[element]]}))
+    pair = {"label": 1, "vector": [element], "value": element, "support": element}
+    solution = {**head, **claim, "tolerance": 1e-9, "pairs": [pair], "certificate": []}
+    args = ["verify", "--input", problem, "--solution", _write(tmp_path, "solution.json", json.dumps(solution))]
+    assert len(json.dumps(solution)) < 250
+    tracemalloc.start()
+    try:
+        assert main(args) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert capsys.readouterr().err.startswith(f"input error: {kind}.")
 
 
 @contextmanager
@@ -606,7 +761,7 @@ def test_io_runs_json_with_the_collector_off_and_restores_it(monkeypatch, name, 
     with _collector(enabled):
         fn(good)
         assert gc.isenabled() == enabled
-    assert seen == [False]
+    assert seen and not any(seen)  # every json.loads call, and there was one
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

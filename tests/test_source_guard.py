@@ -10,6 +10,8 @@ factorization, so each definiteness check groups its matrices by order in
 the same place. One call turns the numbers of an input file into an array,
 so every file part is read, and its faults located, the same way, and one
 call turns stored stacks into the numbers a file is written from.
+Only the named io functions call json.loads: the tree path's read of a
+whole file and the text path's reads of its head, tail and numbers.
 One function switches the cyclic garbage collector off and on again,
 so every reader restores the caller's state the same way. One
 function freezes the arrays that elements and results store, so every
@@ -223,16 +225,37 @@ def _array_builders(source: str) -> list:
 
 
 def test_one_function_turns_file_numbers_into_arrays():
-    assert _array_builders(_package_sources()["io.py"]) == ["_complex_blocks"]
+    assert _array_builders(_package_sources()["io.py"]) == ["_number_blocks"]
 
 
 def test_the_array_guard_catches_a_second_site():
     source = _package_sources()["io.py"]
-    anchor = "items, flat = [part], None"
+    anchor = "items, blocks = [part], None"
     assert anchor in source
-    source = source.replace(anchor, "items, flat = [part], np.empty(0)")
+    source = source.replace(anchor, "items, blocks = [part], np.empty(0)")
     source += "\n\ndef _parse_block(data):\n    return np.empty(len(data))\n"
-    assert _array_builders(source) == ["_complex_blocks", "_complex_blocks", "_parse_block"]
+    assert _array_builders(source) == ["_complex_blocks", "_number_blocks", "_parse_block"]
+
+
+def _json_readers(source: str) -> list:
+    """The function around each json.loads call, in source order."""
+    return _callers(source, "loads")
+
+
+# the tree path's one read of a whole file, the text path's reads of a
+# file's head and tail, and its one read of a file part's numbers
+JSON_READERS = ["_loads", "_written", "_written", "_written"]
+
+
+def test_only_the_named_io_functions_call_json_loads():
+    assert _json_readers(_package_sources()["io.py"]) == JSON_READERS
+
+
+def test_the_json_guard_catches_a_second_site():
+    source = _package_sources()["io.py"]
+    source += "\n\ndef parse_report(text):\n    return json.loads(text)\n"
+    source += "\nfrom json import loads\nloads(text)\n"
+    assert _json_readers(source) == [*JSON_READERS, "parse_report", None]
 
 
 def _number_writers(source: str) -> list:

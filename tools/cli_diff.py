@@ -5,8 +5,9 @@
 Run from the repository root. The parent revision is exported with
 `bench_pairs.export_revision` into a temporary directory, removed
 afterwards. A fixed set of problem files (seeded, but for one of
-hand-picked numbers) is written once with the working tree's package, and
-both trees run the same commands on it: `diagonalize`, `verify` (of the
+hand-picked numbers) is written once with the working tree's package; one
+has its keys in reverse order, so the readers' tree path reads it. Both
+trees run the same commands on the files: `diagonalize`, `verify` (of the
 solution that tree's `diagonalize` wrote) and `spectrum` on every file,
 then `example8`, `prop4 --n 3` and `prop4 --n 8`. Each tree runs in its
 own directory and the commands name their files by relative paths, so an
@@ -53,8 +54,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, export_revision  # noqa: E402
 
 # name: (block sizes, module rank, seed); "ladder" is projection_ladder(32),
-# "normal" a normal, not self-adjoint, operator and "edges" the operator of
-# EDGE_BLOCKS
+# "normal" a normal, not self-adjoint, operator, "edges" the operator of
+# EDGE_BLOCKS and "reversed" a file whose keys come in reverse order
 PROBLEMS = {
     "ladder32": ((1,) * 32, 32, None),
     "dense-8-r12": ((8,), 12, 1),
@@ -65,6 +66,7 @@ PROBLEMS = {
     "s2x1x3-r3": ((2, 1, 3), 3, 6),
     "normal-s2x1-r2": ((2, 1), 2, 7),
     "edges-s2x1-r2": ((2, 1), 2, None),
+    "reversed-s2x3-r3": ((2, 3), 3, 8),
 }
 # A self-adjoint operator of numbers whose text a writer could get wrong:
 # signed zeros, subnormals, 2**-1000, integral floats (1e22 is written
@@ -110,7 +112,10 @@ def write_problems(dest: Path) -> None:
                 else:
                     mats.append((m + m.conj().T) / 2.0)
             op = moddiag.ModuleOperator(moddiag.HilbertModule(moddiag.AlgebraShape(sizes), rank), mats)
-        (dest / f"{name}.json").write_text(moddiag.serialize_problem(op), encoding="utf-8")
+        text = moddiag.serialize_problem(op)
+        if name.startswith("reversed"):
+            text = json.dumps(dict(reversed(json.loads(text).items()))) + "\n"
+        (dest / f"{name}.json").write_text(text, encoding="utf-8")
 
 
 def commands(problems) -> dict:
