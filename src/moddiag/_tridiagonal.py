@@ -17,19 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .eigen import _times_power_of_two
+
 # points per multisection round, and the caps on multisection rounds and
 # on inverse-iteration steps
 POINTS = 15
 MAX_ROUNDS = 64
 MAX_INVERSE_STEPS = 4
 EPS = np.finfo(np.float64).eps
-
-
-def scaled(z, e) -> np.ndarray:
-    """Complex z times ``2**-e``, part by part: exact, unless a part underflows."""
-    out = np.empty(np.broadcast_shapes(z.shape, np.shape(e)), dtype=np.complex128)
-    out.real, out.imag = np.ldexp(z.real, -e), np.ldexp(z.imag, -e)
-    return out
 
 
 def phase(z) -> np.ndarray:
@@ -39,7 +34,8 @@ def phase(z) -> np.ndarray:
     subnormal z, whose modulus rounds coarsely, still gets a phase of
     modulus 1 to the last bits.
     """
-    t = scaled(z, np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))[1])
+    e = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))[1]
+    t = _times_power_of_two(z[..., None], -e[..., None])[..., 0]  # each z by its own power
     r = np.abs(t)
     s = t / np.where(r > 0.0, r, 1.0)
     s[r == 0.0] = 1.0
@@ -74,7 +70,7 @@ def householder(a) -> tuple:
         # so no square, product or quotient of the reflector leaves the
         # normal range, even for a subnormal x (LAPACK zlarfg)
         e = np.frexp(np.abs(x).max(axis=1))[1]
-        y = scaled(x, e[:, None])
+        y = _times_power_of_two(x, -e[:, None])
         length = np.sqrt((y.real**2 + y.imag**2).sum(axis=1))
         below[:, k], phases[:, k + 1] = np.ldexp(length, e), -s
         nonzero = length > 0.0

@@ -12,17 +12,13 @@ is checked against the writers' own skeleton, built from the module's
 shape with a slot per number and per pair label (_skeleton), and all its
 numbers are read by one json.loads of a flat list. Any other file takes
 the tree path: json.loads of the whole text, then, per file part (a
-problem's operator grid; a solution's vectors, values and supports),
-_complex_blocks checks the list levels and the leaves' types, and _locate
+problem's operator grid; a solution's vectors, values and supports), one
+walk (_walk) checks each list level and each leaf in reading order and
 raises the first fault with its location. Both paths end in one np.array
 call per part (_number_blocks). The text path never raises: it declines,
 so values, errors and their locations are the tree path's. A file is
 written by one % format of the skeleton, filled from one tolist call of
 the joined stacks; %r writes a float or an int as json.dumps does.
-
-Problems and solutions are read with the cyclic garbage collector off
-(_cyclic_gc_off): the tree path's many small lists are acyclic, and
-reference counting frees them. The text path and the writers make none.
 
 A file with several faults reports one of them. A problem names its first
 fault in reading order. A solution first checks every pair's label and
@@ -33,9 +29,8 @@ is reported before a bad number in pair 0's vector.
 
 from __future__ import annotations
 
-import gc
 import json
-from contextlib import contextmanager
+import math
 from itertools import chain
 
 import numpy as np
@@ -92,30 +87,6 @@ class InputFormatError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-@contextmanager
-def _cyclic_gc_off():
-    """Turn CPython's cyclic garbage collector off for a with block or, as a
-    decorator, for a whole call, and restore its previous state on exit.
-
-    A file the tree path reads is many small lists, none of them part of a
-    reference cycle, so reference counting frees them, yet the collector,
-    left on, keeps scanning them as json.loads makes them: a third to a
-    half of a parse of a large file. A collector the caller had turned off stays
-    off, and nested uses keep the outermost state.
-
-    The switch is process-wide: another thread of the process loses cyclic
-    collection for the length of one call. See docs/design-notes.md,
-    "Cyclic collector".
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _loads(text: str):
     if not text.strip():
         raise InputFormatError("file is empty", "line 1")
@@ -155,7 +126,7 @@ def _number(val, loc: str) -> float:
         out = float(val)
     except OverflowError:
         raise InputFormatError("number is too large for a float", loc) from None
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise InputFormatError("number is not finite", loc)
     return out
 
@@ -194,21 +165,22 @@ def _element_levels(sizes: tuple) -> list:
     ]
 
 
-def _locate(node, levels: list, loc: str, index: int = 0) -> None:
-    """Raise InputFormatError at the first fault of node in reading order.
+def _walk(node, levels: list, loc: str, leaves: list, depth: int = 0, index: int = 0) -> None:
+    """Check node, an item of levels[depth], and append its leaves, as floats, to leaves.
 
-    Depth first: an item that is not a list of its level's length, or a leaf
-    that is not a finite number. Called only on a part with a fault.
+    Depth first, in reading order: raise InputFormatError at the first item
+    that is not a list of its level's length, or a leaf that is not a finite
+    number.
     """
-    (lengths, message, suffix), *inner = levels
+    lengths, message, suffix = levels[depth]
     want = lengths[index % len(lengths)]
     if not isinstance(node, list) or len(node) != want:
         raise InputFormatError(message.format(want), loc)
-    for i, child in enumerate(node):
-        if inner:
-            _locate(child, inner, loc + suffix.format(i), i)
-        else:
-            _number(child, loc)  # a number is located at its pair
+    if depth + 1 < len(levels):
+        for i, child in enumerate(node):
+            _walk(child, levels, loc + suffix.format(i), leaves, depth + 1, i)
+    else:
+        leaves += [_number(child, loc) for child in node]  # a number is located at its pair
 
 
 def _number_blocks(numbers: list, lead: tuple, squares: tuple) -> list | None:
@@ -232,32 +204,12 @@ def _complex_blocks(part, levels: list, loc: str) -> list:
     part is the file part as nested lists, and levels gives its list levels
     from the outside in: those of the part's lead ((n, n) for a problem's
     operator grid, (P, n) for a solution's vectors, (P,) for its values or
-    supports), then the three of _element_levels. The blocks come from
-    _number_blocks.
-
-    map(len) checks each level in turn, then the leaves' types are checked,
-    and all numbers of the part go to _number_blocks. A string or dict
-    where a list belongs fails a length check or ends as string leaves (its
-    characters or keys), and a number where a list belongs makes len raise
-    TypeError. A leaf of another type, an integer beyond the float range
-    and a non-finite number are faults _number refuses, so _locate always
-    finds the fault and raises at the first in reading order.
+    supports), then the three of _element_levels. _walk checks the part,
+    and its leaves go to _number_blocks.
     """
-    items, blocks = [part], None
-    try:
-        for lengths, _, _ in levels:
-            if list(map(len, items)) != [*lengths] * (len(items) // len(lengths)):
-                break
-            items = list(chain.from_iterable(items))
-        else:
-            if set(map(type, items)) <= _NUMBER_TYPES:
-                lead = tuple(lengths[0] for lengths, _, _ in levels[:-3])
-                blocks = _number_blocks(items, lead, levels[-2][0])
-    except TypeError:  # a number where a list belongs
-        pass
-    if blocks is None:
-        _locate(part, levels, loc)
-    return blocks
+    leaves = []
+    _walk(part, levels, loc, leaves)
+    return _number_blocks(leaves, tuple(lengths[0] for lengths, _, _ in levels[:-3]), levels[-2][0])
 
 
 def _stacked_strips(coords: np.ndarray, k: int) -> np.ndarray:
@@ -400,7 +352,6 @@ def _module(obj, loc: str) -> HilbertModule:
     return HilbertModule(shape, _int_field(obj, "module_rank", loc, 1))
 
 
-@_cyclic_gc_off()
 def parse_problem(text: str) -> ModuleOperator:
     # grids[b][i, j] is block b of entry (i, j), flattened row-major
     written = _written(text, "operator", "}", lambda obj: (_module(obj, "problem"),))
@@ -468,7 +419,6 @@ def _certificate(obj) -> tuple:
     return tuple(_parse_relation(r, f"solution.certificate[{i}]") for i, r in enumerate(raw_cert))
 
 
-@_cyclic_gc_off()
 def parse_solution(text: str) -> DiagonalizationResult:
     written = _written(text, "pairs", ', "certificate": ', lambda obj: (*_solution_head(obj), _certificate(obj)))
     if written:

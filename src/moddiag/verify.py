@@ -263,7 +263,8 @@ def verify_eigensystem(
         # orthogonal_complement_trivial of the strips padded here; a claim
         # with non-finite products has no Cholesky factor and fails
         complement = _all_positive_definite(grams, np.concatenate(masks))
-        ordering = _ordering_ok(result, values, value_padded, max(tol, result.tolerance_used) * scale)
+        # the slack is the residual bound, tol * scale: the claim's own tolerance widens nothing
+        ordering = _ordering_ok(result, values, value_padded, tol * scale)
     worst_pairs = {
         "eigen": _worst(eigen, labels.__getitem__),
         "orthogonality": _worst(orthogonality, lambda m: (labels[first[m]], labels[second[m]])),

@@ -12,11 +12,10 @@ so every file part is read, and its faults located, the same way, and one
 call turns stored stacks into the numbers a file is written from.
 Only the named io functions call json.loads: the tree path's read of a
 whole file and the text path's reads of its head, tail and numbers.
-One function switches the cyclic garbage collector off and on again,
-so every reader restores the caller's state the same way. One
-function freezes the arrays that elements and results store, so every
-stored array is checked by one rule (the solver's shared pair schedule
-aside). One function zero-pads blocks to a common order and marks the
+No function switches the cyclic garbage collector off or on, so the
+package changes no interpreter-wide state. One function freezes the
+arrays that elements and results store, so every stored array is checked
+by one rule (the solver's shared pair schedule aside). One function zero-pads blocks to a common order and marks the
 coordinates it added, so every padded stack and its mask agree. The
 command-line driver calls no eigensolver, so every spectrum it prints
 comes from a diagonalizer, and only ``eig_normal`` measures normality, so
@@ -230,9 +229,9 @@ def test_one_function_turns_file_numbers_into_arrays():
 
 def test_the_array_guard_catches_a_second_site():
     source = _package_sources()["io.py"]
-    anchor = "items, blocks = [part], None"
+    anchor = "    leaves = []\n"
     assert anchor in source
-    source = source.replace(anchor, "items, blocks = [part], np.empty(0)")
+    source = source.replace(anchor, "    leaves = list(np.empty(0))\n")
     source += "\n\ndef _parse_block(data):\n    return np.empty(len(data))\n"
     assert _array_builders(source) == ["_complex_blocks", "_number_blocks", "_parse_block"]
 
@@ -279,19 +278,14 @@ def _collector_switches(sources: dict) -> list:
 
 
 def test_one_function_switches_the_cyclic_collector():
-    assert _collector_switches(_package_sources()) == [("io.py", "_cyclic_gc_off")] * 2
+    assert _collector_switches(_package_sources()) == []
 
 
 def test_the_collector_guard_catches_a_second_site():
     sources = _package_sources()
     sources["io.py"] += "\n\ndef parse_report(text):\n    gc.disable()\n    return json.loads(text)\n"
     sources["cli.py"] += "\nfrom gc import enable\nenable()\n"
-    assert _collector_switches(sources) == [
-        ("cli.py", None),
-        ("io.py", "_cyclic_gc_off"),
-        ("io.py", "_cyclic_gc_off"),
-        ("io.py", "parse_report"),
-    ]
+    assert _collector_switches(sources) == [("cli.py", None), ("io.py", "parse_report")]
 
 
 def _freezers(sources: dict) -> list:

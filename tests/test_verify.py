@@ -553,7 +553,7 @@ def test_stacked_ordering_clause_matches_per_relation_leq(s):
         k = s * k
         for res in _ordering_tampers(diagonalize_selfadjoint(k), s):
             report = verify_eigensystem(k, res)
-            expected = _leq_reference(res, max(1e-9, res.tolerance_used) * report.operator_scale)
+            expected = _leq_reference(res, report.residual_bound)
             assert report.ordering_ok == expected, (k.module.shape.block_sizes, s)
             verdicts.append(expected)
     assert verdicts.count(True) >= 4 and verdicts.count(False) >= 8
@@ -569,6 +569,47 @@ def test_one_false_relation_among_the_ladder_relations_fails_the_clause():
         tampered = cert[:i] + (OrderRelation(1, None),) + cert[i + 1 :]
         report = verify_eigensystem(k, DiagonalizationResult.from_pairs(res.pairs, tampered, res.tolerance_used))
         assert not report.ordering_ok, i
+
+
+@pytest.mark.parametrize(
+    "relation, claimed",
+    [(OrderRelation(3, None), 0.5), (OrderRelation(1, 3), 0.9), (OrderRelation(None, 2), 0.99)],
+    ids=["L3<=0", "L1<=L3", "0<=L2"],
+)
+def test_a_loose_claimed_tolerance_does_not_widen_the_ordering_slack(relation, claimed):
+    # each relation is false; its slack once grew to claimed * operator_scale
+    k = random_selfadjoint_operator(module_over((2, 3), 3), np.random.default_rng(3))
+    res = diagonalize_selfadjoint(k)
+    assert res.pair_labels == (1, 2, 3) and verify_eigensystem(k, res).overall
+    report = verify_eigensystem(k, DiagonalizationResult.from_pairs(res.pairs, (relation,), claimed))
+    assert not report.ordering_ok and not report.overall
+    assert report.eigen_residual <= report.residual_bound and report.complement_trivial and report.oracle_ok
+
+
+def test_a_result_made_at_a_loose_tol_verifies_at_that_tol():
+    # one scalar near 1e-7 ||K|| is classed as zero at tol 1e-6, so its
+    # link through 0 holds within 1e-6 * operator_scale, not always within
+    # a tighter verifier's slack
+    mod = module_over((2, 1), 2)
+    rng = np.random.default_rng(7)
+    tight_failures = 0
+    for i in range(200):
+        spectra = [rng.uniform(-1.0, 1.0, 2 * k) for k in (2, 1)]
+        top = max(np.abs(d).max() for d in spectra)
+        chosen = spectra[rng.integers(2)]
+        chosen[rng.integers(len(chosen))] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * 1e-7 * top
+        mats = []
+        for d in spectra:
+            q = np.linalg.qr(rng.standard_normal((len(d),) * 2) + 1j * rng.standard_normal((len(d),) * 2))[0]
+            h = q @ np.diag(d) @ q.conj().T
+            mats.append((h + h.conj().T) / 2.0)
+        k = ModuleOperator(mod, mats)
+        res = diagonalize_selfadjoint(k, tol=1e-6)
+        report = verify_eigensystem(k, res, tol=1e-6)
+        assert report.overall, (i, report.summary())
+        if i < 40:
+            tight_failures += not verify_eigensystem(k, res, tol=1e-9).ordering_ok
+    assert tight_failures
 
 
 def test_exactly_zero_shifted_blocks_pass_the_ordering_clause():
