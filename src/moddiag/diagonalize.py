@@ -17,7 +17,6 @@ order relations linking every eigenvalue through the zero element.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from numbers import Real
 from functools import cached_property
@@ -161,34 +160,19 @@ def _windows(spectra, block_sizes, zero_tol: float):
     or when it is not positive and lies in the bottom half.
     """
     n = len(spectra[0]) // block_sizes[0]
-    lows, highs = [], []
-    for m in range(n):
-        window = np.concatenate([s[m * k : (m + 1) * k] for s, k in zip(spectra, block_sizes)])
-        lo, hi = float(window.min()), float(window.max())
-        lows.append(int(lo > zero_tol) - int(lo < -zero_tol))
-        highs.append(int(hi > zero_tol) - int(hi < -zero_tol))
-
-    labels: list = [None] * n
-    odd, even = itertools.count(1, 2), itertools.count(2, 2)
-    for m in range(n):
-        if lows[m] == 1:
-            labels[m] = next(odd)
-    for m in reversed(range(n)):
-        if highs[m] == -1:
-            labels[m] = next(even)
-    taken = set(labels)
-    free = (label for label in itertools.count(1) if label not in taken)
-    labels = [next(free) if label is None else label for label in labels]
-
-    reverse = [highs[m] == -1 or (lows[m] < 1 and m >= (n + 1) // 2) for m in range(n)]
-
+    windows = np.concatenate([np.reshape(s, (n, k)) for s, k in zip(spectra, block_sizes)], axis=1)
+    ends = np.stack([windows.min(axis=1), windows.max(axis=1)])
+    lows, highs = ((ends > zero_tol).astype(int) - (ends < -zero_tol)).tolist()
+    # the windows descend, so the positive ones form a prefix and the negative ones a suffix
+    pos, neg = lows.count(1), highs.count(-1)
+    odd, even = list(range(1, 2 * pos, 2)), list(range(2 * neg, 0, -2))
+    free = sorted(set(range(1, 2 * n + 1)) - set(odd) - set(even))[: n - pos - neg]
+    labels = odd + free + even
+    reverse = [m >= n - neg or (m >= pos and m >= (n + 1) // 2) for m in range(n)]
     certificate = [OrderRelation(labels[m], labels[m - 1]) for m in range(n - 1, 0, -1)]
-    first_nonpos = next((m for m in range(n) if highs[m] <= 0), None)
-    if first_nonpos is not None:
-        certificate.append(OrderRelation(labels[first_nonpos], None))
-    last_nonneg = next((m for m in reversed(range(n)) if lows[m] >= 0), None)
-    if last_nonneg is not None:
-        certificate.append(OrderRelation(None, labels[last_nonneg]))
+    # the links through zero: the first window with no positive mark, the last with no negative one
+    certificate += [OrderRelation(labels[m], None) for m in [highs.count(1)] if m < n]
+    certificate += [OrderRelation(None, labels[m]) for m in [n - 1 - lows.count(-1)] if m >= 0]
     return labels, reverse, tuple(certificate)
 
 

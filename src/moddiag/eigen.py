@@ -236,13 +236,14 @@ def _solve_stats(d, figures, final, target, e) -> str:
     return f"d={d}, {figures} {final:.3e} (target {target:.3e})"
 
 
-def _jacobi(h, padded, dims, target) -> tuple:
+def _jacobi(h, padded, target, thr) -> tuple:
     """Sweep a padded stack until each matrix's off-diagonal mass meets its target.
 
-    Returns each matrix's values, descending with the padding last, its
-    row eigenvectors in the same order, the text of its sweeps and
-    rotations, and its final off-diagonal norm (design notes, "The Jacobi
-    sweep").
+    thr holds each matrix's rotation threshold: a pair rotates when its
+    coupling exceeds it. Returns each matrix's values, descending with the
+    padding last, its row eigenvectors in the same order, the text of its
+    sweeps and rotations, and its final off-diagonal norm (design notes,
+    "The Jacobi sweep").
     """
     count, n = h.shape[:2]
     # each matrix's eigenvector rows sit beside its rows, so one row
@@ -252,7 +253,7 @@ def _jacobi(h, padded, dims, target) -> tuple:
     a[...] = h
     v[:, range(n), range(n)] = 1.0
     del h
-    thr = target / (2.0 * dims)
+    thr = thr.copy()  # a converged matrix's threshold is masked below
     off = _offdiag_norm(a)
     sweeps = np.zeros(count, dtype=int)
     rotations = np.zeros(count, dtype=int)
@@ -274,19 +275,19 @@ def _jacobi(h, padded, dims, target) -> tuple:
     return vals[rows, order], v[rows, order], figures, off
 
 
-def _tridiagonal_wins(mag, dims, target) -> np.ndarray:
+def _tridiagonal_wins(mag, dims, thr) -> np.ndarray:
     """Whether each matrix of a scaled stack goes to the tridiagonal kernel rather than to Jacobi.
 
     mag holds the moduli of the entries. A matrix goes there when its order
     is at least 16 and it has at least d couplings (pairs ``p < q``) above
-    Jacobi's rotation threshold ``target / (2 d)``: below either, Jacobi's
+    thr, Jacobi's rotation threshold: below either, Jacobi's
     sweeps are few or short and it wins (design notes, "The tridiagonal
     kernel").
     """
     large = dims >= 16
     if not large.any():  # the common small call skips the count
         return large
-    live = mag > (target / (2.0 * dims))[:, None, None]
+    live = mag > thr[:, None, None]
     # each pair is counted twice, once in each triangle
     twice = np.count_nonzero(live, axis=(1, 2)) - np.count_nonzero(np.diagonal(live, axis1=1, axis2=2), axis=1)
     return large & (twice >= 2 * dims)
@@ -351,7 +352,9 @@ def eig_hermitian(matrices, tol: float = 1e-12):
     h *= 0.5
     mag = np.abs(h)
     target = max(tol, 1e-14) * np.sqrt((mag**2).reshape(count, -1).sum(axis=1))
-    dense = _tridiagonal_wins(mag, dims, target)
+    # Jacobi's rotation threshold, which also routes a matrix between the kernels
+    thr = target / (2.0 * dims)
+    dense = _tridiagonal_wins(mag, dims, thr)
     del mag
     # the Jacobi matrices share one padded stack, the others one stack per
     # order; a group of every matrix indexes the stack by a slice, so its
@@ -374,7 +377,7 @@ def eig_hermitian(matrices, tol: float = 1e-12):
 
             values, vectors, texts, final[group] = _tridiagonal.eigensystems(stacks.pop(0), target[group])
         else:
-            values, vectors, texts, final[group] = _jacobi(stacks.pop(0), padded[group, :k], dims[group], target[group])
+            values, vectors, texts, final[group] = _jacobi(stacks.pop(0), padded[group, :k], target[group], thr[group])
         values = np.ldexp(values, e[group, None])
         vectors = _fix_row_phases(vectors)
         for j, i in enumerate(np.arange(count)[group].tolist()):

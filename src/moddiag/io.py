@@ -165,22 +165,27 @@ def _element_levels(sizes: tuple) -> list:
     ]
 
 
-def _walk(node, levels: list, loc: str, leaves: list, depth: int = 0, index: int = 0) -> None:
+def _walk(node, levels: list, leaves: list, depth: int = 0, index: int = 0) -> None:
     """Check node, an item of levels[depth], and append its leaves, as floats, to leaves.
 
     Depth first, in reading order: raise InputFormatError at the first item
     that is not a list of its level's length, or a leaf that is not a finite
-    number.
+    number. The fault's location is relative to node: each level prefixes
+    its child's suffix only on the way out of a fault, so a valid part
+    formats no location.
     """
     lengths, message, suffix = levels[depth]
     want = lengths[index % len(lengths)]
     if not isinstance(node, list) or len(node) != want:
-        raise InputFormatError(message.format(want), loc)
+        raise InputFormatError(message.format(want), "")
     if depth + 1 < len(levels):
-        for i, child in enumerate(node):
-            _walk(child, levels, loc + suffix.format(i), leaves, depth + 1, i)
+        try:
+            for i, child in enumerate(node):
+                _walk(child, levels, leaves, depth + 1, i)
+        except InputFormatError as exc:
+            raise InputFormatError(exc.reason, suffix.format(i) + exc.location) from None
     else:
-        leaves += [_number(child, loc) for child in node]  # a number is located at its pair
+        leaves += [_number(child, "") for child in node]  # a number is located at its pair
 
 
 def _number_blocks(numbers: list, lead: tuple, squares: tuple) -> list | None:
@@ -208,7 +213,10 @@ def _complex_blocks(part, levels: list, loc: str) -> list:
     and its leaves go to _number_blocks.
     """
     leaves = []
-    _walk(part, levels, loc, leaves)
+    try:
+        _walk(part, levels, leaves)
+    except InputFormatError as exc:
+        raise InputFormatError(exc.reason, loc + exc.location) from None
     return _number_blocks(leaves, tuple(lengths[0] for lengths, _, _ in levels[:-3]), levels[-2][0])
 
 

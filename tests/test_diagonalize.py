@@ -25,6 +25,7 @@ from moddiag import (
 )
 from moddiag import algebra
 from moddiag.algebra import _norm_lower_bound
+from moddiag.diagonalize import _windows
 from moddiag.io import serialize_solution
 
 from helpers import (
@@ -92,6 +93,66 @@ def test_windows_across_blocks_frozen():
         "0 <= L3",
     ]
     assert verify_eigensystem(k, res).overall
+
+
+def _reference_windows(spectra, block_sizes, zero_tol):
+    """diagonalize._windows as a loop over the windows, with a counter per kind of label."""
+    n = len(spectra[0]) // block_sizes[0]
+    lows, highs = [], []
+    for m in range(n):
+        window = np.concatenate([s[m * k : (m + 1) * k] for s, k in zip(spectra, block_sizes)])
+        lo, hi = float(window.min()), float(window.max())
+        lows.append(int(lo > zero_tol) - int(lo < -zero_tol))
+        highs.append(int(hi > zero_tol) - int(hi < -zero_tol))
+
+    labels: list = [None] * n
+    odd, even = itertools.count(1, 2), itertools.count(2, 2)
+    for m in range(n):
+        if lows[m] == 1:
+            labels[m] = next(odd)
+    for m in reversed(range(n)):
+        if highs[m] == -1:
+            labels[m] = next(even)
+    taken = set(labels)
+    free = (label for label in itertools.count(1) if label not in taken)
+    labels = [next(free) if label is None else label for label in labels]
+
+    reverse = [highs[m] == -1 or (lows[m] < 1 and m >= (n + 1) // 2) for m in range(n)]
+
+    certificate = [OrderRelation(labels[m], labels[m - 1]) for m in range(n - 1, 0, -1)]
+    first_nonpos = next((m for m in range(n) if highs[m] <= 0), None)
+    if first_nonpos is not None:
+        certificate.append(OrderRelation(labels[first_nonpos], None))
+    last_nonneg = next((m for m in reversed(range(n)) if lows[m] >= 0), None)
+    if last_nonneg is not None:
+        certificate.append(OrderRelation(None, labels[last_nonneg]))
+    return labels, reverse, tuple(certificate)
+
+
+def _random_spectra(rng):
+    """Descending spectra of 1-3 blocks of order 1-3 over 1-6 windows, with ties,
+    exact zeros and scalars on either side of every zero tolerance drawn."""
+    sizes = tuple(rng.integers(1, 4, size=rng.integers(1, 4)).tolist())
+    n = int(rng.integers(1, 7))
+    spectra = []
+    for k in sizes:
+        if rng.random() < 0.5:
+            s = rng.choice([2.0, 1.0, 1e-9, 1e-12, 0.0, -1e-12, -1e-9, -1.0, -2.0], size=n * k)
+        else:
+            s = rng.standard_normal(n * k) * 10.0 ** rng.uniform(-12, 1)
+        spectra.append(np.sort(s)[::-1])
+    return spectra, sizes
+
+
+def test_window_rule_matches_the_reference_on_random_spectra():
+    rng = np.random.default_rng(28)
+    for _ in range(2000):
+        spectra, sizes = _random_spectra(rng)
+        zero_tol = float(rng.choice([0.0, 1e-10, 1e-9, 0.5]))
+        labels, reverse, certificate = _windows(spectra, sizes, zero_tol)
+        want_labels, want_reverse, want_certificate = _reference_windows(spectra, sizes, zero_tol)
+        assert (labels, reverse) == (want_labels, want_reverse), (spectra, zero_tol)
+        assert [r.describe() for r in certificate] == [r.describe() for r in want_certificate], (spectra, zero_tol)
 
 
 def test_zero_operator():

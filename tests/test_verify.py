@@ -5,6 +5,7 @@ list has to trip exactly the clause that watches for it, which proves the
 clauses are independent checks rather than shadows of one another.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -28,6 +29,7 @@ from moddiag import (
     moment_deviation,
     projection_ladder,
     serialize_report,
+    two_block_gallery,
     verify_eigensystem,
 )
 
@@ -610,6 +612,61 @@ def test_a_result_made_at_a_loose_tol_verifies_at_that_tol():
         if i < 40:
             tight_failures += not verify_eigensystem(k, res, tol=1e-9).ordering_ok
     assert tight_failures
+
+
+def _commuting_unitaries(values, rng):
+    """Per pair, a random unitary that commutes with its (P, k, k) diagonal value
+    block: a rotation inside each run of tied scalars, a phase on the others."""
+    unitaries = np.zeros(values.shape, dtype=complex)
+    for u, diag in zip(unitaries, np.real(np.diagonal(values, axis1=1, axis2=2))):
+        for scalar in set(np.round(diag).tolist()):
+            tied = np.flatnonzero(np.round(diag) == scalar)
+            z = rng.standard_normal((len(tied),) * 2) + 1j * rng.standard_normal((len(tied),) * 2)
+            u[np.ix_(tied, tied)] = np.linalg.qr(z)[0]
+    return unitaries
+
+
+def test_correct_results_the_paper_admits_verify():
+    # the converse of the tamper tests: another eigenbasis of each tied
+    # value, another order of the pairs, and the gallery's unit family with
+    # its own labels and certificate must all still pass
+    rng = np.random.default_rng(28)
+    ties = 0
+    for sizes in ACCEPTANCE_SHAPES:
+        for rank in (1, 2, 3):
+            mod = module_over(sizes, rank)
+            mats = []
+            for k in sizes:
+                # integer scalars, each twice, so a window of a block of size 2 or 3 holds a tie
+                v = np.repeat(rng.integers(-2, 3, size=(rank * k + 1) // 2), 2)[: rank * k].astype(float)
+                q = np.linalg.qr(rng.standard_normal((rank * k,) * 2) + 1j * rng.standard_normal((rank * k,) * 2))[0]
+                h = q @ np.diag(v) @ q.conj().T
+                mats.append((h + h.conj().T) / 2.0)
+            k_op = ModuleOperator(mod, mats)
+            res = diagonalize_selfadjoint(k_op)
+            assert verify_eigensystem(k_op, res).overall
+            unitaries = [_commuting_unitaries(values, rng) for values in res.values]
+            ties += sum(np.count_nonzero(u) > len(u) for us in unitaries for u in us)  # a rotation, not phases
+            rotated = dataclasses.replace(
+                res,
+                vectors=tuple(u @ v for u, v in zip(unitaries, res.vectors)),
+                supports=tuple(u @ s @ u.conj().swapaxes(1, 2) for u, s in zip(unitaries, res.supports)),
+            )
+            for variant in (rotated, res):
+                order = rng.permutation(len(res.pair_labels))
+                shuffled = DiagonalizationResult.from_pairs(
+                    [variant.pairs[i] for i in order], variant.ordering_certificate, variant.tolerance_used
+                )
+                for claim in (variant, shuffled):
+                    report = verify_eigensystem(k_op, claim)
+                    assert report.overall, (sizes, rank, report.summary())
+    assert ties
+
+    gallery = two_block_gallery()
+    unit = next(family for family in gallery.families if family.name == "unit")
+    pairs = [EigenPair(v, value, inner(v, v), label) for (v, value), label in zip(unit.pairs, (3, 1))]
+    claim = DiagonalizationResult.from_pairs(pairs, (OrderRelation(3, 1), OrderRelation(None, 3)), 1e-9)
+    assert verify_eigensystem(gallery.operator, claim).overall
 
 
 def test_exactly_zero_shifted_blocks_pass_the_ordering_clause():

@@ -6,9 +6,10 @@ Run from the repository root. The parent revision is exported with
 `bench_pairs.export_revision` into a temporary directory, removed
 afterwards. A fixed set of problem files (seeded, but for one of
 hand-picked numbers) is written once with the working tree's package; one
-has its keys in reverse order, so the readers' tree path reads it, and one
-holds a string where a number belongs, so every command on it exits 2 with
-the tree path's located input error. Both
+has its keys in reverse order, so the readers' tree path reads it; one
+holds a string where a number belongs and one a row with an algebra
+element missing, so every command on them exits 2 with the tree path's
+located input error, of a leaf and of a list level. Both
 trees run the same commands on the files: `diagonalize`, `verify` (of the
 solution that tree's `diagonalize` wrote) and `spectrum` on every file,
 then `example8`, `prop4 --n 3` and `prop4 --n 8`. Each tree runs in its
@@ -57,8 +58,9 @@ from bench_pairs import ROOT, export_revision  # noqa: E402
 
 # name: (block sizes, module rank, seed); "ladder" is projection_ladder(32),
 # "normal" a normal, not self-adjoint, operator, "edges" the operator of
-# EDGE_BLOCKS, "reversed" a file whose keys come in reverse order and
+# EDGE_BLOCKS, "reversed" a file whose keys come in reverse order,
 # "malformed" a file with a string where a number belongs deep in its grid
+# and "short-row" one whose row 1 has an algebra element fewer
 PROBLEMS = {
     "ladder32": ((1,) * 32, 32, None),
     "dense-8-r12": ((8,), 12, 1),
@@ -71,6 +73,7 @@ PROBLEMS = {
     "edges-s2x1-r2": ((2, 1), 2, None),
     "reversed-s2x3-r3": ((2, 3), 3, 8),
     "malformed-s2x3-r3": ((2, 3), 3, 9),
+    "short-row-s2x3-r3": ((2, 3), 3, 10),
 }
 # A self-adjoint operator of numbers whose text a writer could get wrong:
 # signed zeros, subnormals, 2**-1000, integral floats (1e22 is written
@@ -122,6 +125,10 @@ def write_problems(dest: Path) -> None:
         elif name.startswith("malformed"):
             doc = json.loads(text)
             doc["operator"][2][1][1][7][1] = "0.5"  # the imaginary part of pair 7 of block 1 of entry (2, 1)
+            text = json.dumps(doc) + "\n"
+        elif name.startswith("short-row"):
+            doc = json.loads(text)
+            del doc["operator"][1][-1]
             text = json.dumps(doc) + "\n"
         (dest / f"{name}.json").write_text(text, encoding="utf-8")
 
