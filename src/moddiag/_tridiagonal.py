@@ -351,9 +351,9 @@ def eigensystems(h, target) -> tuple:
 
     h holds prescaled Hermitian matrices ``(m, n, n)`` and target one
     residual target per matrix. Returns each matrix's values, descending,
-    its row eigenvectors in the same order, the text of the bisection
-    rounds of its slowest eigenvalue and of its inverse-iteration steps,
-    and its final residual, NaN if a slot was left open.
+    its row eigenvectors in the same order, its counts of the bisection
+    rounds of its slowest eigenvalue and of its inverse-iteration steps as
+    a pair of ints, and its final residual, NaN if a slot was left open.
     """
     count, n = h.shape[:2]
     diagonal, below, phases, reflectors = householder(h)
@@ -370,8 +370,5 @@ def eigensystems(h, target) -> tuple:
         u, beta = reflectors[k]
         tail = vectors[:, :, k + 1 :]
         tail -= (beta[:, None, None] * (tail @ u[..., None])) * u.conj()[:, None, :]
-    figures = [
-        f"{r} bisection rounds, {k} inverse-iteration steps, residual"
-        for r, k in zip(rounds.reshape(count, n).max(axis=1).tolist(), steps.tolist())
-    ]
-    return values[rows, order], vectors, figures, residual
+    counts = list(zip(rounds.reshape(count, n).max(axis=1).tolist(), steps.tolist()))
+    return values[rows, order], vectors, counts, residual

@@ -337,7 +337,7 @@ class AlgebraElement(_SquareBlocks):
         return " (+) ".join(parts)
 
     def __repr__(self):
-        return f"AlgebraElement(shape={self.shape.block_sizes}, norm={self.norm():.6g})"
+        return f"AlgebraElement(blocks={self.shape.block_sizes})"
 
 
 def _check_selfadjoint(a: AlgebraElement, what: str):

@@ -110,9 +110,7 @@ def _cmd_example8(args) -> int:
             ok = ok and residual <= FAMILY_TOL
             print(f"  value {_fmt_alg(val)}  residual {residual:.3e}  gram {_fmt_alg(gram)}")
         if family.unit_vectors:
-            unit_defect = max(
-                (inner(v, v) - g.shape.identity()).norm() for v, _ in family.pairs
-            )
+            unit_defect = max((inner(v, v) - g.shape.identity()).norm() for v, _ in family.pairs)
             ok = ok and unit_defect <= FAMILY_TOL
             print(f"  all vectors are units (defect {unit_defect:.3e})")
     scaled, unit = g.families[0], g.families[1]
@@ -191,9 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagonalize", help="diagonalize a problem file and verify the output")
     p.add_argument("--input", required=True, help="problem JSON file")
     p.add_argument("--tol", type=_tol, default=1e-9, help="residual tolerance in (0, 1) (default 1e-9)")
-    p.add_argument(
-        "--moment-tol", type=_tol, default=1e-7, help="relative moment tolerance in (0, 1) (default 1e-7)"
-    )
+    p.add_argument("--moment-tol", type=_tol, default=1e-7, help="relative moment tolerance in (0, 1) (default 1e-7)")
     p.add_argument("--out", help="write the verification report JSON here")
     p.add_argument("--solution", help="write the solution JSON here")
     p.set_defaults(func=_cmd_diagonalize)

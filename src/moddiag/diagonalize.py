@@ -62,7 +62,7 @@ class OrderRelation:
 class DiagonalizationResult:
     """Eigenpairs stored per algebra block, with their order certificate.
 
-    For algebra block b of size k and P pairs, vectors[b] is the (P, k, n*k)
+    For algebra block b of size k and P >= 1 pairs, vectors[b] is the (P, k, n*k)
     stack of the pairs' row strips and values[b] and supports[b] are the
     (P, k, k) stacks of their value and support blocks; pair p carries
     pair_labels[p], distinct integers of at least 1, and tolerance_used is
@@ -87,6 +87,8 @@ class DiagonalizationResult:
             labels = tuple(_positive_int(label, "a pair label") for label in self.pair_labels)
         except ValueError:
             raise ValueError(f"pair labels must be integers of at least 1, got {self.pair_labels!r}") from None
+        if not labels:
+            raise ValueError("a result needs at least one eigenpair")
         if len(set(labels)) != len(labels):
             raise ValueError(f"pair labels must be distinct, got {labels}")
         if not (isinstance(self.tolerance_used, Real) and 0.0 < self.tolerance_used < 1.0):

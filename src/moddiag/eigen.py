@@ -229,21 +229,14 @@ def _square_matrices(matrices) -> list:
     return [_square_complex(m) for m in matrices]
 
 
-def _solve_stats(d, figures, final, target, e) -> str:
-    # the norms are reported in the units of the input, not of the scaled block
-    with np.errstate(over="ignore"):
-        final, target = np.ldexp(final, e), np.ldexp(target, e)
-    return f"d={d}, {figures} {final:.3e} (target {target:.3e})"
-
-
 def _jacobi(h, padded, target, thr) -> tuple:
     """Sweep a padded stack until each matrix's off-diagonal mass meets its target.
 
     thr holds each matrix's rotation threshold: a pair rotates when its
     coupling exceeds it. Returns each matrix's values, descending with the
-    padding last, its row eigenvectors in the same order, the text of its
-    sweeps and rotations, and its final off-diagonal norm (design notes,
-    "The Jacobi sweep").
+    padding last, its row eigenvectors in the same order, its counts of
+    sweeps and rotations as a pair of ints, and its final off-diagonal
+    norm (design notes, "The Jacobi sweep").
     """
     count, n = h.shape[:2]
     # each matrix's eigenvector rows sit beside its rows, so one row
@@ -255,8 +248,7 @@ def _jacobi(h, padded, target, thr) -> tuple:
     del h
     thr = thr.copy()  # a converged matrix's threshold is masked below
     off = _offdiag_norm(a)
-    sweeps = np.zeros(count, dtype=int)
-    rotations = np.zeros(count, dtype=int)
+    sweeps, rotations = np.zeros((2, count), dtype=int)
     for _ in range(MAX_SWEEPS):
         active = off > target
         if not active.any():
@@ -271,8 +263,7 @@ def _jacobi(h, padded, target, thr) -> tuple:
     vals[padded] = -np.inf  # padding sorts last
     order = np.argsort(-vals, axis=1, kind="stable")
     rows = np.arange(count)[:, None]
-    figures = [f"{s} sweeps, {r} rotations, off-diagonal norm" for s, r in zip(sweeps.tolist(), rotations.tolist())]
-    return vals[rows, order], v[rows, order], figures, off
+    return vals[rows, order], v[rows, order], list(zip(sweeps.tolist(), rotations.tolist())), off
 
 
 def _tridiagonal_wins(mag, dims, thr) -> np.ndarray:
@@ -367,7 +358,7 @@ def eig_hermitian(matrices, tol: float = 1e-12):
     orders = [int(dims[group].max()) for group in groups]
     stacks = [h[group, :k, :k] for group, k in zip(groups, orders)]
     del h  # each kernel holds the only reference to its stack and frees it once done
-    out, figures, final = [None] * count, [None] * count, np.zeros(count)
+    out, counts, final = [None] * count, [None] * count, np.zeros(count)
     for group, k in zip(groups, orders):
         if dense[group].any():
             # imported on the first dense solve: compiling the module raised
@@ -375,20 +366,28 @@ def eig_hermitian(matrices, tol: float = 1e-12):
             # (design notes, "The tridiagonal kernel")
             from . import _tridiagonal
 
-            values, vectors, texts, final[group] = _tridiagonal.eigensystems(stacks.pop(0), target[group])
+            values, vectors, counted, final[group] = _tridiagonal.eigensystems(stacks.pop(0), target[group])
         else:
-            values, vectors, texts, final[group] = _jacobi(stacks.pop(0), padded[group, :k], target[group], thr[group])
+            values, vectors, counted, final[group] = _jacobi(stacks.pop(0), padded[group, :k], target[group], thr[group])
         values = np.ldexp(values, e[group, None])
         vectors = _fix_row_phases(vectors)
         for j, i in enumerate(np.arange(count)[group].tolist()):
             d = len(mats[i])
-            out[i], figures[i] = HermitianEig(values[j, :d], vectors[j, :d, :d]), texts[j]
+            out[i], counts[i] = HermitianEig(values[j, :d], vectors[j, :d, :d]), counted[j]
 
     failed = ~(final <= target)  # a NaN figure fails too
     if failed.any() or _log.isEnabledFor(logging.DEBUG):
+        # the words of each kernel's two counts, as dense indexes them: Jacobi's, then the tridiagonal kernel's
+        figures = (
+            "{} sweeps, {} rotations, off-diagonal norm",
+            "{} bisection rounds, {} inverse-iteration steps, residual",
+        )
+        # the norms are reported in the units of the input, not of the scaled block
+        with np.errstate(over="ignore"):
+            final, target = np.ldexp(final, e), np.ldexp(target, e)
         stats = [
-            f"matrix {i} of {count}: {_solve_stats(len(m), *args)}"
-            for i, (m, *args) in enumerate(zip(mats, figures, final, target, e))
+            f"matrix {i} of {count}: d={d}, {figures[w].format(*c)} {f:.3e} (target {t:.3e})"
+            for i, (d, w, c, f, t) in enumerate(zip(dims.tolist(), dense.tolist(), counts, final, target))
         ]
         if failed.any():
             described = "; ".join(s for s, f in zip(stats, failed) if f)

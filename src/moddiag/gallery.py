@@ -64,16 +64,11 @@ def two_block_gallery() -> TwoBlockGallery:
     shape = AlgebraShape((2,))
     module = HilbertModule(shape, 2)
 
-    def elem(first, second):
-        return module.element(
-            [
-                AlgebraElement(shape, [np.array(first, dtype=complex)]),
-                AlgebraElement(shape, [np.array(second, dtype=complex)]),
-            ]
-        )
-
     def alg(mat):
         return AlgebraElement(shape, [np.array(mat, dtype=complex)])
+
+    def elem(first, second):
+        return module.element([alg(first), alg(second)])
 
     x = elem([[1, 0], [0, 3]], [[0, 0], [0, 0]])
     y = elem([[0, 0], [0, 0]], [[2, 0], [0, 2]])

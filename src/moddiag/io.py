@@ -74,10 +74,6 @@ _PAIR_KEYS = [b"label", b"vector", b"value", b"support"]
 _EMPTY_SLOTS = np.frombuffer(b"[, , ]", "<u2")
 
 
-def _is_int(val) -> bool:
-    return type(val) is int
-
-
 class InputFormatError(ValueError):
     """Malformed input file; location names the field or line at fault."""
 
@@ -93,9 +89,7 @@ def _loads(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputFormatError(
-            f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
-        ) from None
+        raise InputFormatError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}") from None
     except ValueError:  # the only other one: an integer literal over the interpreter's digit limit
         raise InputFormatError("invalid JSON: integer literal has too many digits") from None
     except RecursionError:
@@ -112,7 +106,7 @@ def _field(obj, key: str, loc: str):
 
 def _int_field(obj, key: str, loc: str, minimum: int):
     val = _field(obj, key, loc)
-    if not _is_int(val):
+    if type(val) is not int:
         raise InputFormatError(f"field '{key}' must be an integer", loc)
     if val < minimum:
         raise InputFormatError(f"field '{key}' must be at least {minimum}", loc)
@@ -133,7 +127,7 @@ def _number(val, loc: str) -> float:
 
 def _check_schema(obj, loc: str):
     val = _field(obj, "schema", loc)
-    if not _is_int(val) or val != SCHEMA:
+    if type(val) is not int or val != SCHEMA:
         raise InputFormatError(f"unsupported schema {val!r}, expected {SCHEMA}", f"{loc}.schema")
 
 
@@ -144,7 +138,7 @@ def _parse_shape(obj, loc: str) -> AlgebraShape:
         raise InputFormatError("'blocks' must be a nonempty list", f"{loc}.algebra.blocks")
     sizes = []
     for i, k in enumerate(blocks):
-        if not _is_int(k) or k < 1:
+        if type(k) is not int or k < 1:
             raise InputFormatError("block sizes must be positive integers", f"{loc}.algebra.blocks[{i}]")
         sizes.append(k)
     return AlgebraShape(tuple(sizes))
@@ -361,6 +355,7 @@ def _module(obj, loc: str) -> HilbertModule:
 
 
 def parse_problem(text: str) -> ModuleOperator:
+    """The operator of a problem file's text; a fault raises InputFormatError with its location."""
     # grids[b][i, j] is block b of entry (i, j), flattened row-major
     written = _written(text, "operator", "}", lambda obj: (_module(obj, "problem"),))
     if written:
@@ -389,6 +384,7 @@ def parse_problem(text: str) -> ModuleOperator:
 
 
 def serialize_problem(K: ModuleOperator) -> str:
+    """The text of a problem file holding K, which parse_problem reads back bit for bit."""
     n = K.module.rank
     sizes = K.module.shape.block_sizes
     # grids[b][i, j] is block b of entry (i, j), read from row strip i
@@ -404,7 +400,7 @@ def _parse_relation(data, loc: str) -> OrderRelation:
         val = _field(data, key, loc)
         if val is None:
             sides.append(None)
-        elif not _is_int(val) or val < 1:
+        elif type(val) is not int or val < 1:
             raise InputFormatError(f"'{key}' must be a positive label or null", loc)
         else:
             sides.append(val)
@@ -428,6 +424,7 @@ def _certificate(obj) -> tuple:
 
 
 def parse_solution(text: str) -> DiagonalizationResult:
+    """The result of a solution file's text, pairs in file order; a fault raises InputFormatError with its location."""
     written = _written(text, "pairs", ', "certificate": ', lambda obj: (*_solution_head(obj), _certificate(obj)))
     if written:
         (module, tolerance, cert), labels, blocks = written
@@ -449,6 +446,7 @@ def parse_solution(text: str) -> DiagonalizationResult:
 
 
 def serialize_solution(result: DiagonalizationResult) -> str:
+    """The text of a solution file holding result, which parse_solution reads back bit for bit."""
     module = result.module
     sizes, count = module.shape.block_sizes, len(result.pair_labels)
     # row p: pair p's vector coordinates, then its value, then its support
@@ -473,6 +471,7 @@ def _report_float(x: float):
 
 
 def serialize_report(report: VerificationReport) -> str:
+    """The text of a report file: the verdict, the tolerances, each residual, flag and worst pair, the relations."""
     obj = {
         "schema": SCHEMA,
         "overall": "pass" if report.overall else "fail",

@@ -55,9 +55,7 @@ class ModuleOperator(_SquareBlocks):
         if not isinstance(other, ModuleOperator):
             return NotImplemented
         self._require_same(other)
-        return ModuleOperator(
-            self.module, [b @ a for a, b in zip(self.blocks, other.blocks)]
-        )
+        return ModuleOperator(self.module, [b @ a for a, b in zip(self.blocks, other.blocks)])
 
     def norm(self) -> float:
         """Operator norm: the top singular value of the flattened action."""

@@ -213,6 +213,17 @@ def verify_eigensystem(
     tol: float = 1e-9,
     moment_tol: float = 1e-7,
 ) -> VerificationReport:
+    """Check a claimed eigensystem of K clause by clause; no clause calls the eigensolver.
+
+    The clauses and their bounds: each pair's eigen-equation residual and
+    support residual (``value * support - value``) within ``tol *
+    operator_scale``, also the slack of every certificate relation, checked
+    as ``leq``; pairwise orthogonality, and each support the projection
+    ``<x, x>``, within ``tol``; a trivial orthogonal complement of the
+    vectors; the moment oracle within ``moment_tol``. ValueError for a tol
+    or moment_tol outside (0, 1); ShapeMismatchError for a result on
+    another module than K's.
+    """
     if not (0.0 < tol < 1.0 and 0.0 < moment_tol < 1.0):
         raise ValueError("tol and moment_tol must be in (0, 1)")
     if result.module != K.module:

@@ -15,6 +15,7 @@ from moddiag import (
     ModuleOperator,
     NotSelfAdjointError,
     ShapeMismatchError,
+    eig_hermitian,
     leq,
 )
 from moddiag import algebra
@@ -53,6 +54,22 @@ def test_numpy_integer_sizes_and_ranks_are_ints():
     module = HilbertModule(AlgebraShape((np.int64(2), np.int32(1))), np.int64(3))
     assert module.shape.block_sizes == (2, 1) and module.rank == 3
     assert all(type(k) is int for k in (*module.shape.block_sizes, module.rank))
+
+
+def test_repr_makes_no_solver_call(monkeypatch):
+    # repr used to print the norm, one eig_hermitian call per repr
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return eig_hermitian(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "eig_hermitian", spy)
+    a = random_algebra_element(SHAPE, np.random.default_rng(3))
+    assert repr(a) == "AlgebraElement(blocks=(2, 1, 3))"
+    assert calls == []
+    a.norm()
+    assert len(calls) == 1
 
 
 def test_element_validates_block_shapes():

@@ -324,6 +324,17 @@ def test_a_result_refuses_duplicate_or_invalid_labels():
             DiagonalizationResult.from_pairs((pos._replace(label=label),), (), res.tolerance_used)
 
 
+def test_a_result_refuses_zero_pairs():
+    # an empty result used to be accepted, then broke the verifier and
+    # serialize_solution with numpy's errors on zero-size arrays
+    res = diagonalize_selfadjoint(random_selfadjoint_operator(module_over((2, 1), 2), np.random.default_rng(6)))
+    empty = {part: tuple(s[:0] for s in getattr(res, part)) for part in ("vectors", "values", "supports")}
+    with pytest.raises(ValueError, match="a result needs at least one eigenpair"):
+        dataclasses.replace(res, pair_labels=(), ordering_certificate=(), **empty)
+    with pytest.raises(ValueError, match="a result needs at least one eigenpair"):
+        DiagonalizationResult(res.module, [], *empty.values(), (), 1e-9)
+
+
 def test_a_result_refuses_stacks_that_do_not_fit_its_module_or_labels():
     # one pair short in values, or one label for two pairs, used to surface
     # as an IndexError or a numpy matmul error inside the verifier

@@ -498,6 +498,33 @@ def test_matrices_are_routed_by_order_and_coupling_count(caplog):
     assert "residual" in record and "target" in record and "sweeps" not in record
 
 
+def test_mixed_stack_records_carry_each_kernels_words(caplog, monkeypatch):
+    # Jacobi and tridiagonal matrices interleaved in one call: each line
+    # takes its own kernel's words, in matrix order
+    rng = np.random.default_rng(60)
+    mats = [random_hermitian(rng, 3), _sparse(rng, 96, 6), random_hermitian(rng, 96), random_hermitian(rng, 8)]
+    records = _records(caplog, mats)
+    assert len(records) == 4
+    for i, (record, d) in enumerate(zip(records, (3, 96, 96, 8))):
+        assert record.startswith(f"eig_hermitian matrix {i} of 4: d={d}, ")
+        if i == 2:
+            assert " bisection rounds, " in record and " inverse-iteration steps, residual " in record
+            assert "sweeps" not in record and "rotations" not in record
+        else:
+            assert " sweeps, " in record and " rotations, off-diagonal norm " in record
+            assert "bisection" not in record and "inverse-iteration" not in record
+    # the sparse matrix's couplings are disjoint, so one sweep settles it
+    assert "1 sweeps, 6 rotations, off-diagonal norm" in records[1]
+    monkeypatch.setattr(eigen, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError) as exc:
+        eig_hermitian(mats)
+    msg = str(exc.value)
+    assert "matrix 1 of 4" not in msg and "matrix 2 of 4" not in msg and "bisection" not in msg
+    for i, d in ((0, 3), (3, 8)):
+        assert f"matrix {i} of 4: d={d}, 1 sweeps, " in msg
+    assert msg.count("rotations, off-diagonal norm") == 2 and msg.count("target") == 2
+
+
 def test_clustered_dense_spectra():
     rng = np.random.default_rng(51)
     q = np.linalg.qr(rng.standard_normal((96, 96)) + 1j * rng.standard_normal((96, 96)))[0]

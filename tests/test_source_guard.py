@@ -19,7 +19,9 @@ by one rule (the solver's shared pair schedule aside). One function zero-pads bl
 coordinates it added, so every padded stack and its mask agree. The
 command-line driver calls no eigensolver, so every spectrum it prints
 comes from a diagonalizer, and only ``eig_normal`` measures normality, so
-one rule decides which operators are normal.
+one rule decides which operators are normal. One table in
+``eig_hermitian`` holds the words of the solver's figures, so the kernels
+return counts and every record and error line is written in one place.
 """
 
 import ast
@@ -360,3 +362,55 @@ def test_the_normality_guard_catches_a_second_site():
     sources = _package_sources()
     sources["operators.py"] += "\n\ndef is_normal(K, tol):\n    return _normality_defect(K.blocks) <= tol\n"
     assert _normality_tests(sources) == [("eigen.py", "eig_normal"), ("operators.py", "is_normal")]
+
+
+# the words of each kernel's figures, which only eig_hermitian's table writes
+FIGURE_WORDS = ("rotations, off-diagonal norm", "inverse-iteration steps, residual")
+
+
+def _docstring_places(source: str) -> set:
+    """(line, column) of each docstring of the module and of its classes and functions."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    firsts = (node.body[0] for node in ast.walk(ast.parse(source)) if isinstance(node, owners) and node.body)
+    return {
+        (first.lineno, first.col_offset)
+        for first in firsts
+        if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+    }
+
+
+def _figure_writers(sources: dict) -> list:
+    """The function around each string constant, docstrings aside, that holds a kernel's figure words."""
+    found = []
+    for name, source in sources.items():
+        docs = _docstring_places(source)
+
+        def match(node):
+            return (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and (node.lineno, node.col_offset) not in docs
+                and any(words in node.value for words in FIGURE_WORDS)
+            )
+
+        found += [(name, owner) for owner in _owners(source, match)]
+    return found
+
+
+def test_one_table_writes_the_solver_figures():
+    assert _figure_writers(_package_sources()) == [("eigen.py", "eig_hermitian"), ("eigen.py", "eig_hermitian")]
+
+
+def test_the_figure_guard_catches_a_second_site():
+    sources = _package_sources()
+    sources["eigen.py"] += (
+        '\n\ndef _jacobi_text(s, r):\n    """Sweeps, rotations, off-diagonal norm."""\n'
+        '    return f"{s} sweeps, {r} rotations, off-diagonal norm"\n'
+    )
+    sources["_tridiagonal.py"] += '\nSTEPS = "{} bisection rounds, {} inverse-iteration steps, residual"\n'
+    assert _figure_writers(sources) == [
+        ("_tridiagonal.py", None),
+        ("eigen.py", "eig_hermitian"),
+        ("eigen.py", "eig_hermitian"),
+        ("eigen.py", "_jacobi_text"),
+    ]
