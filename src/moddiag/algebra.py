@@ -248,41 +248,42 @@ def _first_fault(blocks: Sequence, shapes, what: str) -> NoReturn:
 
 
 class _Blocks:
-    """One read-only complex array per algebra block (``_frozen_blocks``).
+    """A space and one read-only complex array per algebra block (``_frozen_blocks``).
 
-    The shared base of ModuleElement and ``_SquareBlocks``. A subclass sets
-    its space before calling this constructor, takes ``(space, blocks)`` in
-    its own, and gives ``_space`` and the block shapes that space asks for.
+    The shared base of ModuleElement and ``_SquareBlocks``. A subclass
+    names its space (``shape`` or ``module``, a read-only property over
+    ``_space``) and gives the block shapes that space asks for.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("_space", "blocks")
 
-    def __init__(self, blocks: Sequence):
+    def __init__(self, space, blocks: Sequence):
+        self._space = space
         self.blocks = _frozen_blocks(blocks, self._block_shapes(), type(self).__name__)
 
     def _require_same(self, other):
-        if self._space() != other._space():
-            raise ShapeMismatchError(f"operands live in {self._space()} and {other._space()}")
+        if self._space != other._space:
+            raise ShapeMismatchError(f"operands live in {self._space} and {other._space}")
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._require_same(other)
-        return type(self)(self._space(), [a + b for a, b in zip(self.blocks, other.blocks)])
+        return type(self)(self._space, [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._require_same(other)
-        return type(self)(self._space(), [a - b for a, b in zip(self.blocks, other.blocks)])
+        return type(self)(self._space, [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __neg__(self):
-        return type(self)(self._space(), [-a for a in self.blocks])
+        return type(self)(self._space, [-a for a in self.blocks])
 
     def __mul__(self, other):
         if isinstance(other, Complex):
             z = complex(other)
-            return type(self)(self._space(), [z * a for a in self.blocks])
+            return type(self)(self._space, [z * a for a in self.blocks])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -294,7 +295,7 @@ class _SquareBlocks(_Blocks):
     __slots__ = ()
 
     def adjoint(self):
-        return type(self)(self._space(), [a.conj().T for a in self.blocks])
+        return type(self)(self._space, [a.conj().T for a in self.blocks])
 
     def is_selfadjoint(self, tol: float = 1e-10) -> bool:
         """Every entry of ``M - M*`` is at most tol times the largest entry of M."""
@@ -304,14 +305,11 @@ class _SquareBlocks(_Blocks):
 class AlgebraElement(_SquareBlocks):
     """One element of a block matrix algebra: a tuple of square blocks."""
 
-    __slots__ = ("shape",)
+    __slots__ = ()
 
-    def __init__(self, shape: AlgebraShape, blocks: Sequence):
-        self.shape = shape
-        super().__init__(blocks)
-
-    def _space(self) -> AlgebraShape:
-        return self.shape
+    @property
+    def shape(self) -> AlgebraShape:
+        return self._space
 
     def _block_shapes(self):
         return [(k, k) for k in self.shape.block_sizes]

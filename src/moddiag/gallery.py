@@ -47,7 +47,6 @@ class TwoBlockGallery(NamedTuple):
     shape: AlgebraShape
     module: HilbertModule
     operator: ModuleOperator
-    generators: tuple
     families: tuple
 
 
@@ -101,7 +100,7 @@ def two_block_gallery() -> TwoBlockGallery:
         unit_vectors=False,
         right_action=True,
     )
-    return TwoBlockGallery(shape, module, operator, (x, y), (scaled, unit, invariant))
+    return TwoBlockGallery(shape, module, operator, (scaled, unit, invariant))
 
 
 class LadderPair(NamedTuple):

@@ -3,8 +3,9 @@
 A rank-n element is stored per algebra block as a (k, n*k) complex matrix
 whose column strip i*k..(i+1)*k holds coordinate i. In this stacked layout
 the algebra-valued inner product of x and y collapses to one matrix
-product per block, X @ Y*, and the left algebra action is plain left
-multiplication of each block strip.
+product per block, X @ Y*. The left algebra action is plain left
+multiplication of each block strip, and the right one is one product on
+the strip's (k, n, k) view.
 """
 
 from __future__ import annotations
@@ -61,14 +62,11 @@ class HilbertModule:
 class ModuleElement(_Blocks):
     """One element of a free Hilbert module, stored per block as a row strip."""
 
-    __slots__ = ("module",)
+    __slots__ = ()
 
-    def __init__(self, module: HilbertModule, blocks: Sequence):
-        self.module = module
-        super().__init__(blocks)
-
-    def _space(self) -> HilbertModule:
-        return self.module
+    @property
+    def module(self) -> HilbertModule:
+        return self._space
 
     def _block_shapes(self):
         return [(k, self.module.rank * k) for k in self.module.shape.block_sizes]
@@ -123,10 +121,9 @@ def right_action(x: ModuleElement, a: AlgebraElement) -> ModuleElement:
     """Coordinatewise right multiplication (x * a)_i = x_i a."""
     if a.shape != x.module.shape:
         raise ShapeMismatchError("algebra element from a different algebra")
-    n = x.module.rank
-    mats = []
-    for st, blk, k in zip(x.blocks, a.blocks, x.module.shape.block_sizes):
-        mats.append(np.hstack([st[:, i * k : (i + 1) * k] @ blk for i in range(n)]))
+    # the (k, n, k) view of a strip holds coordinate i at [:, i, :]
+    sizes = x.module.shape.block_sizes
+    mats = [(st.reshape(k, -1, k) @ blk).reshape(st.shape) for st, blk, k in zip(x.blocks, a.blocks, sizes)]
     return ModuleElement(x.module, mats)
 
 

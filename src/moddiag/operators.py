@@ -25,15 +25,15 @@ __all__ = [
 class ModuleOperator(_SquareBlocks):
     """A-linear map on A^n, represented per block by its flattened action."""
 
-    __slots__ = ("module", "_lower_bound")
+    __slots__ = ("_lower_bound",)
 
     def __init__(self, module: HilbertModule, blocks: Sequence):
-        self.module = module
-        super().__init__(blocks)
+        super().__init__(module, blocks)
         self._lower_bound = None
 
-    def _space(self) -> HilbertModule:
-        return self.module
+    @property
+    def module(self) -> HilbertModule:
+        return self._space
 
     def _block_shapes(self):
         return [(self.module.rank * k,) * 2 for k in self.module.shape.block_sizes]

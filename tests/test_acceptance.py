@@ -56,7 +56,7 @@ def test_criterion_1_worked_two_generator_example():
         def alg(diag_entries):
             return shape.diagonal([list(diag_entries)])
 
-        x, y = gal.generators
+        (x, _), (y, _) = gal.families[0].pairs
         assert (k(x) - left_action(alg((1, 9)), x)).norm() <= 1e-12
         assert (k(y) - left_action(alg((4, 4)), y)).norm() <= 1e-12
         (x1, v1), (x2, v2) = gal.families[1].pairs

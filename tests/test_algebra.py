@@ -79,6 +79,13 @@ def test_element_validates_block_shapes():
         AlgebraElement(SHAPE, [np.eye(2), np.eye(2), np.eye(3)])
 
 
+def test_diagonal_checks_its_entry_lists():
+    with pytest.raises(ShapeMismatchError, match=r"^one entry list per block expected$"):
+        SHAPE.diagonal([[1, 2], [3]])
+    with pytest.raises(ShapeMismatchError, match=r"^expected 1 diagonal entries, got \(2,\)$"):
+        SHAPE.diagonal([[1, 2], [3, 4], [5, 6, 7]])
+
+
 TWO = AlgebraShape((2, 1))
 CONTAINERS = {
     "algebra": (AlgebraElement, TWO, [(2, 2), (1, 1)]),
@@ -93,6 +100,10 @@ def test_block_containers_check_their_blocks(kind):
     good = [np.ones(sh) for sh in shapes]
     x = cls(space, good)
     assert all(not blk.flags.writeable and blk.dtype == np.complex128 for blk in x.blocks)
+    name = "shape" if kind == "algebra" else "module"
+    assert getattr(x, name) is space
+    with pytest.raises(AttributeError):
+        setattr(x, name, space)
     good[0][0, 0] = 7.0  # the blocks are copies
     assert x.blocks[0][0, 0] == 1.0
     # surplus blocks are refused before any block is read, not dropped

@@ -19,7 +19,7 @@ _SPEC.loader.exec_module(cli_diff)
 
 def test_every_problem_gets_three_runs_and_every_path_is_relative():
     runs = cli_diff.commands(cli_diff.PROBLEMS)
-    assert len(runs) == 3 * len(cli_diff.PROBLEMS) + 3 == 39
+    assert len(runs) == 3 * len(cli_diff.PROBLEMS) + 3 == 42
     assert [argv[0] for argv in runs.values()].count("verify") == len(cli_diff.PROBLEMS)
     assert {"example8", "prop4 --n 3", "prop4 --n 8"} <= runs.keys()
     flags = ("--input", "--solution", "--out")

@@ -519,6 +519,13 @@ def test_normal_operator_verifies():
     assert report.ordering_ok
 
 
+def test_normal_diagonalizer_refuses_a_tolerance_outside_the_unit_interval():
+    k = random_normal_operator(module_over((2, 1), 2), np.random.default_rng(79))
+    for tol in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"^tol must be in \(0, 1\)$"):
+            diagonalize_normal(k, tol)
+
+
 def test_normal_rejects_non_normal():
     mod = module_over((2,), 2)
     with pytest.raises(NotNormalError):

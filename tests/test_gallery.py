@@ -43,7 +43,7 @@ def test_gallery_relations_are_exact():
 
 def test_gallery_operator_is_sum_of_generator_thetas():
     gal = two_block_gallery()
-    x, y = gal.generators
+    (x, _), (y, _) = _family(gal, "scaled").pairs
     rebuilt = theta(x, x) + theta(y, y)
     assert (rebuilt - gal.operator).entrywise_max() == 0.0
     assert gal.operator.is_selfadjoint()

@@ -208,6 +208,18 @@ def test_cli_diagonalize_and_verify_pass(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_a_solution_made_at_a_looser_tol_verifies_at_that_tol(tmp_path):
+    problem = _write(tmp_path, "problem.json", _problem_text())
+    solution, report = tmp_path / "solution.json", tmp_path / "report.json"
+    loose = ["--tol", "1e-6", "--moment-tol", "1e-6"]
+    assert main(["diagonalize", "--input", problem, "--solution", str(solution), *loose]) == 0
+    assert json.loads(solution.read_text())["tolerance"] == 1e-6
+    assert main(["verify", "--input", problem, "--solution", str(solution), "--out", str(report), *loose]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["overall"] == "pass"
+    assert doc["tolerance"] == doc["moment_tolerance"] == 1e-6
+
+
 def test_cli_verify_fails_on_tampered_solution(tmp_path):
     problem = _write(tmp_path, "problem.json", _problem_text())
     solution_path = str(tmp_path / "solution.json")

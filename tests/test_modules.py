@@ -188,6 +188,34 @@ def test_stacked_complement_check_agrees_with_svd(sizes):
     assert seen == {True, False}
 
 
+SMALL = module_over((1, 2), 2)
+
+
+def test_element_text():
+    x = SMALL.element([SMALL.shape.diagonal([[1], [2, 3j]]), SMALL.shape.identity()])
+    assert str(x) == (
+        "([[1.+0.j]] (+) [[2.+0.j 0.+0.j]\n [0.+0.j 0.+3.j]], "
+        "[[1.+0.j]] (+) [[1.+0.j 0.+0.j]\n [0.+0.j 1.+0.j]])"
+    )
+    assert repr(x) == "ModuleElement(rank=2, blocks=(1, 2))"
+
+
+def test_coordinates_and_actions_check_their_algebra_and_index():
+    one = SMALL.shape.identity()
+    other = module_over((2, 1), 2).shape.identity()
+    with pytest.raises(ShapeMismatchError, match=r"^expected 2 coordinates, got 1$"):
+        SMALL.element([one])
+    with pytest.raises(ShapeMismatchError, match=r"^coordinate from a different algebra$"):
+        SMALL.element([one, other])
+    x = SMALL.element([one, one])
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match=rf"^coordinate index {i} out of range$"):
+            x.coord(i)
+    for act in (lambda: left_action(other, x), lambda: right_action(x, other), lambda: other * x, lambda: x * other):
+        with pytest.raises(ShapeMismatchError, match=r"^algebra element from a different algebra$"):
+            act()
+
+
 def test_mixed_module_raises():
     other = module_over((2, 3), 2)
     with pytest.raises(ShapeMismatchError):

@@ -146,7 +146,7 @@ def test_operator_norm_basics():
 
 def test_gallery_rank_one_norm():
     gal = two_block_gallery()
-    x = gal.generators[0]
+    x = gal.families[0].pairs[0][0]
     assert theta(x, x).norm() == pytest.approx(inner(x, x).norm(), rel=1e-12)
     assert theta(x, x).norm() == pytest.approx(9.0, abs=1e-10)
 
@@ -157,6 +157,16 @@ def test_selfadjoint_flag():
     assert h.is_selfadjoint()
     t = random_operator(MOD, rng)
     assert not t.is_selfadjoint()
+
+
+def test_operator_text_and_composition_with_a_non_operator():
+    op = ModuleOperator.identity(MOD)
+    assert repr(op) == "ModuleOperator(rank=3, blocks=(2, 1, 3))"
+    x = random_element(MOD, np.random.default_rng(68))
+    for other in (x, 2.0):
+        assert op.__matmul__(other) is NotImplemented
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for @: 'ModuleOperator' and "):
+            op @ other
 
 
 def test_operator_shape_validation():

@@ -69,6 +69,7 @@ PROBLEMS = {
     "s1x1x1x1-r3": ((1, 1, 1, 1), 3, 4),
     "s2x1x3-r1": ((2, 1, 3), 1, 5),
     "s2x1x3-r3": ((2, 1, 3), 3, 6),
+    "s2x2x1-r2": ((2, 2, 1), 2, 11),
     "normal-s2x1-r2": ((2, 1), 2, 7),
     "edges-s2x1-r2": ((2, 1), 2, None),
     "reversed-s2x3-r3": ((2, 3), 3, 8),
