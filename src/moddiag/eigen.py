@@ -1,11 +1,14 @@
 """Dense complex Hermitian and normal eigensolvers.
 
-Two self-contained kernels behind one entry point: complex Jacobi
-rotations for small or sparse matrices, and Householder tridiagonalization
-with Sturm bisection and inverse iteration for dense ones of order 16 and
-up. Every spectral computation in this package funnels through the two
-entry points below, which keeps accuracy and tie-breaking behaviour in one
-place. numpy does the arithmetic; it computes no eigenvalue.
+Self-contained kernels behind one entry point: complex Jacobi rotations
+for small or sparse matrices, and Householder tridiagonalization with
+Sturm bisection and inverse iteration for dense ones of order 16 and up.
+Jacobi sweeps in one of two forms with the same rotations: in plain Python
+complex arithmetic, one matrix at a time, when a call's matrices are all
+of order 8 or less, and otherwise in padded numpy stacks. Every spectral
+computation in this package funnels through the two entry points below,
+which keeps accuracy and tie-breaking behaviour in one place. numpy does
+the arithmetic; it computes no eigenvalue.
 """
 
 from __future__ import annotations
@@ -148,20 +151,30 @@ def _fix_row_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _tournament_rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Round-robin schedule of all pairs ``p < q`` of ``range(d)``, as index arrays.
+def _round_pairs(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Round-robin schedule of all pairs ``p < q`` of ``range(d)``, as tuples of int pairs.
 
     ``d`` is rounded up to an even ``n``; the ``n - 1`` rounds each hold
     ``n / 2`` disjoint pairs (circle method: index ``n - 1`` stays put while
     the others turn one seat per round). A pair holding the padding index
-    ``d`` (odd ``d`` only) is dropped. The arrays are read-only because
-    every caller shares them.
+    ``d`` (odd ``d`` only) is dropped.
     """
     n = d + d % 2
     rounds = []
     for r in range(n - 1):
         seats = [(r, n - 1)] + [((r + i) % (n - 1), (r - i) % (n - 1)) for i in range(1, n // 2)]
-        pairs = sorted((min(x, y), max(x, y)) for x, y in seats if max(x, y) < d)
+        rounds.append(tuple(sorted((min(x, y), max(x, y)) for x, y in seats if max(x, y) < d)))
+    return tuple(rounds)
+
+
+@functools.lru_cache(maxsize=128)
+def _tournament_rounds(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The rounds of ``_round_pairs(d)`` as index arrays ``(p, q)``.
+
+    The arrays are read-only because every caller shares them.
+    """
+    rounds = []
+    for pairs in _round_pairs(d):
         p = np.array([x for x, _ in pairs], dtype=np.intp)
         q = np.array([y for _, y in pairs], dtype=np.intp)
         p.setflags(write=False)
@@ -259,11 +272,86 @@ def _jacobi(h, padded, target, thr) -> tuple:
         sweeps += active
         off = _offdiag_norm(a)
 
+    return *_descending(a, v, padded), list(zip(sweeps.tolist(), rotations.tolist())), off
+
+
+def _descending(a, v, padded) -> tuple:
+    """Each swept matrix's diagonal, descending with the padding last, and its eigenvector rows in that order."""
     vals = np.real(np.diagonal(a, axis1=1, axis2=2)).copy()
     vals[padded] = -np.inf  # padding sorts last
     order = np.argsort(-vals, axis=1, kind="stable")
-    rows = np.arange(count)[:, None]
-    return vals[rows, order], v[rows, order], list(zip(sweeps.tolist(), rotations.tolist())), off
+    rows = np.arange(len(a))[:, None]
+    return vals[rows, order], v[rows, order]
+
+
+def _scalar_sweep(av: list, d: int, thr: float) -> int:
+    """One round-robin sweep of one matrix held as lists of Python complex; returns the rotations applied.
+
+    ``av`` holds the d rows of the matrix, each followed by its eigenvector
+    row so far, as in `_stacked_sweep`, whose rotations, formulas and order
+    a round repeats: every column update, then every row update, then the
+    closed-form 2x2 cores. It makes no numpy call.
+    """
+    rotations = 0
+    for pairs in _round_pairs(d):
+        live = []
+        for p, q in pairs:
+            m = av[p][q]
+            beta = abs(m)
+            if beta > thr:
+                app, aqq = av[p][p].real, av[q][q].real
+                tau = (aqq - app) / (2.0 * beta)
+                t = math.copysign(1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau)), tau + 0.0)
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                sc = (t * c) * (m / beta)
+                # a float times a complex is the complex product with
+                # (c, 0), so complex(c) gives the same bits, and faster
+                live.append((p, q, complex(c), sc, sc.conjugate(), app, aqq, t * beta))
+        rotations += len(live)
+        for p, q, c, sc, csc, *_ in live:
+            for row in av:
+                x, y = row[p], row[q]
+                row[p] = c * x - csc * y
+                row[q] = sc * x + c * y
+        for p, q, c, sc, csc, *_ in live:
+            row_p, row_q = av[p], av[q]
+            for k in range(2 * d):
+                x, y = row_p[k], row_q[k]
+                row_p[k] = c * x - sc * y
+                row_q[k] = csc * x + c * y
+        for p, q, *_, app, aqq, shift in live:
+            av[p][p], av[q][q] = complex(app - shift), complex(aqq + shift)
+            av[p][q] = av[q][p] = 0j
+    return rotations
+
+
+def _scalar_jacobi(h, padded, target, thr) -> tuple:
+    """`_jacobi` with each matrix of the stack swept alone by `_scalar_sweep`.
+
+    Each matrix's rounds cost no numpy call, where a stacked round costs a
+    few dozen; its off-diagonal norm is still `_offdiag_norm` of its own
+    corner, once per sweep. The result has `_jacobi`'s form and agrees
+    with it to round-off, not bitwise. A matrix's result does not depend
+    on its neighbours at all (design notes, "The scalar sweep").
+    """
+    count, n = h.shape[:2]
+    a = np.zeros_like(h)
+    v = np.zeros_like(h)
+    v[:, range(n), range(n)] = 1.0
+    off, counts = np.zeros(count), []
+    for i, d in enumerate((n - np.count_nonzero(padded, axis=1)).tolist()):
+        swept = np.concatenate([h[i, :d, :d], np.eye(d)], axis=1)
+        av = swept.tolist()
+        off[i] = _offdiag_norm(swept[None, :, :d])[0]
+        sweeps = rotations = 0
+        while sweeps < MAX_SWEEPS and off[i] > target[i]:
+            rotations += _scalar_sweep(av, d, float(thr[i]))
+            sweeps += 1
+            swept = np.array(av)
+            off[i] = _offdiag_norm(swept[None, :, :d])[0]
+        a[i, :d, :d], v[i, :d, :d] = swept[:, :d], swept[:, d:]
+        counts.append((sweeps, rotations))
+    return *_descending(a, v, padded), counts, off
 
 
 def _tridiagonal_wins(mag, dims, thr) -> np.ndarray:
@@ -282,6 +370,11 @@ def _tridiagonal_wins(mag, dims, thr) -> np.ndarray:
     # each pair is counted twice, once in each triangle
     twice = np.count_nonzero(live, axis=(1, 2)) - np.count_nonzero(np.diagonal(live, axis1=1, axis2=2), axis=1)
     return large & (twice >= 2 * dims)
+
+
+# a call whose matrices are all of at most this order goes to
+# `_scalar_jacobi`, one matrix at a time (design notes, "The scalar sweep")
+_SCALAR_ORDER = 8
 
 
 def eig_hermitian(matrices, tol: float = 1e-12):
@@ -315,18 +408,21 @@ def eig_hermitian(matrices, tol: float = 1e-12):
     returns ``2**k`` times the values of ``A``. Each matrix then goes to
     one of two kernels by its order and its count of couplings above
     Jacobi's rotation threshold (design notes, "The tridiagonal kernel").
-    Jacobi sweeps the sparse and the small ones in one padded stack, in
-    round-robin order, a round of disjoint rotations per numpy step. The
-    dense ones of order 16 and up are reduced to tridiagonal form by
+    Jacobi sweeps the sparse and the small ones in round-robin order:
+    when every matrix of the call has order 8 or less, each alone, in plain
+    Python complex arithmetic; otherwise all in one padded stack, a round
+    of disjoint rotations per numpy step. The two forms make the same
+    rotations and agree to round-off (design notes, "The scalar sweep").
+    The dense ones of order 16 and up are reduced to tridiagonal form by
     Householder reflectors, and their eigenvalues found by Sturm bisection
     and their eigenvectors by inverse iteration, in one stack per order.
     Each matrix keeps its own prescale, target, convergence, sort and
     phase rule: its result does not depend on its neighbours beyond
-    round-off, and not at all when they all have the same order, so it
-    equals a call with that matrix alone bit for bit (design notes, "The
-    Jacobi sweep"). One DEBUG record per matrix on the ``moddiag.eigen``
-    logger reports its kernel's figures; NotHermitianError and
-    ConvergenceError name the failing matrices.
+    round-off, and not at all when they all have the same order or all
+    have order 8 or less, so it equals a call with that matrix alone bit
+    for bit (design notes, "The Jacobi sweep"). One DEBUG record per
+    matrix on the ``moddiag.eigen`` logger reports its kernel's figures;
+    NotHermitianError and ConvergenceError name the failing matrices.
     """
     mats = _square_matrices(matrices)
     dims = np.array([len(m) for m in mats])
@@ -368,7 +464,8 @@ def eig_hermitian(matrices, tol: float = 1e-12):
 
             values, vectors, counted, final[group] = _tridiagonal.eigensystems(stacks.pop(0), target[group])
         else:
-            values, vectors, counted, final[group] = _jacobi(stacks.pop(0), padded[group, :k], target[group], thr[group])
+            jacobi = _scalar_jacobi if n <= _SCALAR_ORDER else _jacobi
+            values, vectors, counted, final[group] = jacobi(stacks.pop(0), padded[group, :k], target[group], thr[group])
         values = np.ldexp(values, e[group, None])
         vectors = _fix_row_phases(vectors)
         for j, i in enumerate(np.arange(count)[group].tolist()):

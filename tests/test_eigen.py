@@ -1,6 +1,7 @@
 """Jacobi eigensolver checked against numpy.linalg as an independent oracle."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -636,3 +637,109 @@ def test_normal_runs_stay_apart_on_the_tridiagonal_kernel(monkeypatch, caplog):
     first = run[np.argmax(refined != 0, axis=1)]
     assert np.all((refined == 0) | (run[None, :] == first[:, None]))
     assert np.bincount(first).tolist() == [16, 16, 16]
+
+
+# --- the scalar sweep: calls whose matrices are all of order 8 or less ----
+
+
+def _spied(monkeypatch, name):
+    """Replace the kernel eigen.<name> by a spy; returns the list of the counts of its calls."""
+    kernel, counts = getattr(eigen, name), []
+
+    def spy(*args):
+        out = kernel(*args)
+        counts.append(out[2])
+        return out
+
+    monkeypatch.setattr(eigen, name, spy)
+    return counts
+
+
+def _small_battery(rng):
+    """Random, sparse, diagonal and power-of-two graded matrices of orders 1 to 8."""
+    mats = []
+    for d in range(1, 9):
+        grade = 2.0 ** -np.arange(d)
+        mats += [
+            random_hermitian(rng, d),
+            _sparse(rng, d, d // 2),
+            np.diag(rng.standard_normal(d)).astype(complex),
+            grade[:, None] * random_hermitian(rng, d) * grade,
+        ]
+    return mats
+
+
+def test_scalar_sweep_agrees_with_the_stacked_sweep(monkeypatch):
+    # the same rotations in the same order: only complex products, quotients
+    # and moduli round differently in Python than in numpy
+    mats = _small_battery(np.random.default_rng(70))
+    scalar, stacked = _spied(monkeypatch, "_scalar_jacobi"), _spied(monkeypatch, "_jacobi")
+    got = _lone(mats)
+    monkeypatch.setattr(eigen, "_SCALAR_ORDER", 0)
+    want = _lone(mats)
+    assert len(scalar) == len(stacked) == len(mats)
+    assert scalar == stacked  # (sweeps, rotations) per matrix
+    for g, w, a in zip(got, want, mats):
+        _assert_eigensystem(g, a)
+        assert np.abs(g.values - w.values).max() <= 1e-13 * np.linalg.norm(a, 2)
+
+
+def test_scalar_sweep_keeps_exact_zeros():
+    # the rows of two interleaved blocks stay exactly inside their block,
+    # which eig_normal's run of a refined row's first nonzero entry relies on
+    rng = np.random.default_rng(71)
+    block = np.array([0, 1, 1, 0, 1, 0, 1, 1])
+    a = np.where(block[:, None] == block, random_hermitian(rng, 8), 0.0)
+    res = eig_hermitian([a])[0]
+    _assert_eigensystem(res, a)
+    first = block[np.argmax(res.vectors != 0, axis=1)]
+    assert np.all((res.vectors == 0) | (block[None, :] == first[:, None]))
+    assert np.bincount(first).tolist() == [3, 5]
+    for d in range(2, 9):
+        h = random_hermitian(rng, d)
+        base = eig_hermitian([h])[0]
+        for k in (-600, -7, 9, 600):
+            res = eig_hermitian([2.0**k * h])[0]
+            assert np.array_equal(res.values, 2.0**k * base.values)
+            assert np.array_equal(res.vectors, base.vectors)
+
+
+def test_mixed_small_order_stacks_are_bit_identical_to_lone_calls():
+    # each matrix of a small call is swept alone, so no padding enters
+    rng = np.random.default_rng(72)
+    for orders in ((2, 5, 8), (8, 1, 3, 8, 6), (7, 4)):
+        mats = [random_hermitian(rng, d) for d in orders]
+        for got, want in zip(eig_hermitian(mats), _lone(mats)):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.vectors, want.vectors)
+
+
+def test_scalar_sweep_reports_with_jacobis_words(monkeypatch, caplog):
+    rng = np.random.default_rng(73)
+    a = random_hermitian(rng, 5)
+    scalar = _spied(monkeypatch, "_scalar_jacobi")
+    (record,) = _records(caplog, [a])
+    sweeps, rotations = scalar[0][0]
+    words = f"{sweeps} sweeps, {rotations} rotations, off-diagonal norm "
+    assert record.startswith(f"eig_hermitian matrix 0 of 1: d=5, {words}")
+    assert "target" in record
+    monkeypatch.setattr(eigen, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError) as exc:
+        eig_hermitian([a])
+    (counted,) = scalar[1]
+    assert counted[0] == 1
+    assert f"matrix 0 of 1: d=5, 1 sweeps, {counted[1]} rotations, off-diagonal norm " in str(exc.value)
+
+
+def test_scalar_sweep_writes_the_closed_form_core(caplog):
+    # one rotation solves a 2x2 matrix: its values are the closed form, and
+    # the coupling an exact zero, not what the slice updates leave there;
+    # the largest entry lies in [1/2, 1), so the prescale is by 2**0
+    app, aqq, m = 0.75, 0.3, 0.4 - 0.6j
+    beta = abs(m)
+    tau = (aqq - app) / (2.0 * beta)
+    t = math.copysign(1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau)), tau + 0.0)
+    h = np.array([[app, m], [m.conjugate(), aqq]])
+    (record,) = _records(caplog, [h])
+    assert "d=2, 1 sweeps, 1 rotations, off-diagonal norm 0.000e+00 " in record
+    assert eig_hermitian([h])[0].values.tolist() == [app - t * beta, aqq + t * beta]
